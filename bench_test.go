@@ -1,7 +1,8 @@
-// Repository-level benchmarks: one testing.B target per experiment in the
-// DESIGN.md index (F1, E1–E12). `go test -bench=. -benchmem` regenerates
-// the timing side of EXPERIMENTS.md; cmd/benchtab prints the full tables
-// (accuracy, uniformity, counts) around these timings.
+// Repository-level benchmarks: testing.B targets for the experiments of
+// the internal/bench registry (F1, E1–E13; `benchtab -list` names them
+// all). `go test -bench=. -benchmem` measures their timing side;
+// `benchtab -only <id>` prints an experiment's full table (accuracy,
+// uniformity, counts) around these timings.
 package repro
 
 import (

@@ -1,6 +1,6 @@
-// Command benchtab regenerates the experiment tables of DESIGN.md /
-// EXPERIMENTS.md (F1 and E1–E19): the empirical validation of every
-// theorem of the paper on this implementation.
+// Command benchtab prints the tables of the internal/bench experiment
+// registry (F1 and E1–E21): the empirical validation of every theorem of
+// the paper on this implementation.
 //
 // Usage:
 //

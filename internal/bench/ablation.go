@@ -9,7 +9,7 @@ import (
 )
 
 // E13AblationRejection isolates the Jerrum–Valiant–Vazirani rejection step
-// of Algorithm 4 (the design choice DESIGN.md calls out): with the
+// of Algorithm 4 (fpras.Params.SkipRejection turns it off): with the
 // correction, samples are exactly uniform conditioned on acceptance; with
 // it disabled, the output follows the raw product of estimated partition
 // ratios and sketch noise leaks into the distribution. The table reports

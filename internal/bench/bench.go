@@ -1,7 +1,10 @@
 // Package bench is the experiment harness behind cmd/benchtab and the
-// repository-level benchmarks: it regenerates every table of the
-// experiment index in DESIGN.md (F1, E1–E21), printing one table per
-// experiment with the measured quantities that EXPERIMENTS.md records.
+// repository-level benchmarks: its registry (IDs, ByID) holds every
+// experiment (F1, E1–E21), and each prints one table of the quantities it
+// measures (`benchtab -only E4` runs one). Performance across commits is
+// recorded elsewhere: the ROADMAP trajectory table and the committed
+// BENCH_*.json records of the serving benchmark (see the perfbench
+// package comment).
 //
 // The paper itself is a theory paper with no measured tables, so these
 // experiments validate the theorems' algorithmic claims: polynomial

@@ -1224,10 +1224,11 @@ func (in *Instance) SampleManyParallel(k, workers int) ([]automata.Word, error) 
 
 // SampleManyParallelCtx is SampleManyParallel with cooperative
 // cancellation: ctx is checked at every layer of any (lazy) index or
-// estimator build it triggers and between per-worker sample chunks,
-// never inside a draw — so the hot path is untouched and a cancelled
-// batch stops within one chunk. A nil ctx never cancels; the batch
-// contents are identical to SampleManyParallel.
+// estimator build it triggers and between per-worker sample chunks (on
+// RelationNL, between per-witness Las Vegas draws), never inside a draw —
+// so the hot path is untouched and a cancelled batch stops within one
+// chunk. A nil ctx never cancels; the batch contents are identical to
+// SampleManyParallel.
 func (in *Instance) SampleManyParallelCtx(ctx context.Context, k, workers int) ([]automata.Word, error) {
 	if k <= 0 {
 		return nil, nil
@@ -1249,7 +1250,7 @@ func (in *Instance) SampleManyParallelCtx(ctx context.Context, k, workers int) (
 		if err != nil {
 			return nil, err
 		}
-		ws, err := est.SampleN(k, workers)
+		ws, err := est.SampleNCtx(ctx, k, workers)
 		if err == fpras.ErrEmpty {
 			return nil, ErrEmpty
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -282,6 +284,35 @@ func TestSampleManyParallelNL(t *testing.T) {
 			if in2.FormatWord(ws[i]) != in2.FormatWord(want[i]) {
 				t.Fatalf("workers=%d: sample %d = %v, want %v", workers, i, ws[i], want[i])
 			}
+		}
+	}
+}
+
+// TestSampleManyParallelNLCancelled: on RelationNL the batch honours ctx
+// after the build as well. With the estimator already built, a cancelled
+// ctx returns ctx.Err() instead of drawing the batch, and a live ctx
+// returns the nil-ctx batch bitwise.
+func TestSampleManyParallelNLCancelled(t *testing.T) {
+	in, err := New(automata.AmbiguityGap(8), 8, Options{K: 24, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := in.SampleManyParallel(16, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if ws, err := in.SampleManyParallelCtx(ctx, 16, 2); !errors.Is(err, context.Canceled) || ws != nil {
+		t.Fatalf("cancelled ctx: got (%d words, %v), want (nil, context.Canceled)", len(ws), err)
+	}
+	got, err := in.SampleManyParallelCtx(context.Background(), 16, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if in.FormatWord(got[i]) != in.FormatWord(want[i]) {
+			t.Fatalf("sample %d = %v with a live ctx, want %v", i, got[i], want[i])
 		}
 	}
 }

@@ -67,7 +67,7 @@ const (
 	// cursor (soft or hard spill).
 	SiteMergeSpill Site = "enumerate.merge.spill"
 	// SiteSampleChunk fires at a SampleMany chunk boundary (sample and
-	// lengthrange batched draws).
+	// lengthrange batched draws) and between fpras SampleN draws.
 	SiteSampleChunk Site = "sample.chunk"
 	// SiteRangeAdvance fires when a range session advances to its next
 	// per-length session (lengthrange session chain).

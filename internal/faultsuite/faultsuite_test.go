@@ -326,31 +326,50 @@ func TestCacheFillFaultLeavesCacheClean(t *testing.T) {
 // TestSampleChunkFaultDeterministicRetry: a fault injected at a sample
 // chunk boundary fails the batch; after disarming, the retried batch is
 // bitwise identical to a never-faulted batch (chunk RNG streams derive
-// from (seed, chunk), so a fault cannot perturb them).
+// from (seed, chunk), so a fault cannot perturb them). The RelationNL
+// batch crosses the same site between its per-witness Las Vegas draws,
+// whose streams derive from (seed, draw), after the estimator is built.
 func TestSampleChunkFaultDeterministicRetry(t *testing.T) {
 	leakcheck.Check(t)
-	inst := newInstance(t, automata.All(automata.Binary()), 8, core.Options{Seed: 7})
-	wantWs, err := inst.SampleManyParallel(300, 4)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		inst  *core.Instance
+		class core.Class
+		k     int
+		spec  string
+	}{
+		{"UL", newInstance(t, automata.All(automata.Binary()), 8, core.Options{Seed: 7}), core.ClassUL, 300, "sample.chunk:2"},
+		{"NL", newInstance(t, blowup(t), 10, core.Options{K: 24, Seed: 7}), core.ClassNL, 24, "sample.chunk:3"},
 	}
-	arm(t, "sample.chunk:2")
-	if _, err := inst.SampleManyParallelCtx(context.Background(), 300, 4); !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("sampling under injection: %v, want ErrInjected", err)
-	}
-	faultinject.Reset()
-	gotWs, err := inst.SampleManyParallelCtx(context.Background(), 300, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotWs) != len(wantWs) {
-		t.Fatalf("retried batch has %d draws, want %d", len(gotWs), len(wantWs))
-	}
-	for i := range wantWs {
-		if inst.FormatWord(gotWs[i]) != inst.FormatWord(wantWs[i]) {
-			t.Fatalf("draw %d differs after faulted attempt: %q vs %q",
-				i, inst.FormatWord(gotWs[i]), inst.FormatWord(wantWs[i]))
-		}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			inst := c.inst
+			if inst.Class() != c.class {
+				t.Fatalf("class %v, want %v", inst.Class(), c.class)
+			}
+			wantWs, err := inst.SampleManyParallel(c.k, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			arm(t, c.spec)
+			if _, err := inst.SampleManyParallelCtx(context.Background(), c.k, 4); !errors.Is(err, faultinject.ErrInjected) {
+				t.Fatalf("sampling under injection: %v, want ErrInjected", err)
+			}
+			faultinject.Reset()
+			gotWs, err := inst.SampleManyParallelCtx(context.Background(), c.k, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(gotWs) != len(wantWs) {
+				t.Fatalf("retried batch has %d draws, want %d", len(gotWs), len(wantWs))
+			}
+			for i := range wantWs {
+				if inst.FormatWord(gotWs[i]) != inst.FormatWord(wantWs[i]) {
+					t.Fatalf("draw %d differs after faulted attempt: %q vs %q",
+						i, inst.FormatWord(gotWs[i]), inst.FormatWord(wantWs[i]))
+				}
+			}
+		})
 	}
 }
 

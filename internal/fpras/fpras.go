@@ -37,20 +37,36 @@
 // vertex draws from its own PRNG stream derived from (Seed, layer, state),
 // so the result is bitwise identical for any worker count, including 1.
 //
-// After New returns the Estimator is immutable apart from an internal memo
-// table (guarded by sharded locks) and the convenience RNG used by Sample
-// (guarded by a mutex): Count, Sample, SampleWitness, SampleWith and
-// SampleN are all safe for concurrent use. SampleWith with distinct RNGs,
-// or SampleN with workers > 1, is the way to sample with real parallelism;
-// Sample serializes on the internal RNG.
+// Algorithm 4's descents dominate both the build (K accepted samples per
+// estimated vertex, ≈ e⁴ attempts each) and sampling. A descent step costs
+// one RNG draw, one float64 compare, one subtraction and one pointer hop:
+// the step for a vertex set is memoized as a stepChoice holding the float64
+// split W̃₁/(W̃₀+W̃₁) and the logs of both branch probabilities, computed
+// once when the step is first built, plus links to the two successor
+// steps. The shared memo table is consulted only when a link is still
+// empty. Precomputing changes no output bit: a split is the big.Float
+// quotient at the estimator's precision rounded to float64, and the logs
+// are math.Log of that float64, whenever they are computed, so every value
+// a descent uses is the one a per-step computation would produce.
+//
+// After New returns the Estimator is immutable apart from the memo table
+// (guarded by sharded locks), the successor links (atomic pointers) and
+// the convenience RNG used by Sample (guarded by a mutex): Count, Sample,
+// SampleWitness, SampleWith and SampleN are all safe for concurrent use.
+// Concurrent descents fill links racily but benignly: every writer stores
+// the memo's single winning entry for the successor set, and even a loser's
+// entry holds the same values, so no race can change a draw. SampleWith
+// with distinct RNGs, or SampleN with workers > 1, is the way to sample
+// with real parallelism; Sample serializes on the internal RNG.
 //
 // Parameterization. The paper fixes k = ⌈(nm/δ)^64⌉ samples per sketch and
 // ⌈(nm/δ)^4⌉ retries purely to make the union bounds in the proof sum to
 // the advertised 3/4 success probability; those constants are astronomically
 // infeasible (the authors say as much in their concluding remarks). Params
 // exposes k and the retry budget; the defaults scale like (n/δ)·polylog and
-// give empirical error well inside δ on the evaluation families (see
-// EXPERIMENTS.md, experiment E4). The algorithm is otherwise unmodified.
+// give empirical error well inside δ on the evaluation families (experiment
+// E4 of the internal/bench registry: `benchtab -only E4`). The algorithm is
+// otherwise unmodified.
 package fpras
 
 import (
@@ -187,13 +203,19 @@ type Estimator struct {
 	// never mutated, so one instance serves every entry.
 	finalReach *bitset.Set
 
-	// memo caches W̃ computations keyed by (layer, T): Sample revisits the
+	// memo caches descent steps keyed by (layer, T): Sample revisits the
 	// same suffix sets constantly and the sketches are frozen per layer
 	// once built, so memoization is exact, not an approximation. The table
 	// is per-layer (sharded within each layer, so locks stay off the
 	// parallel build path) and frozen layers are dropped as the build
 	// advances; see the memoTable comment.
 	memo memoTable
+
+	// finalStep is the descent root for s_final and finalLogPhi0 its
+	// log ϕ₀ = −4 − log R(s_final), set by build when s_final is
+	// estimated: every post-build attempt starts from them.
+	finalStep    *stepChoice
+	finalLogPhi0 float64
 
 	// samplers recycles per-goroutine scratch state across Sample calls.
 	samplers sync.Pool
@@ -206,19 +228,36 @@ type Estimator struct {
 	empty bool
 }
 
-// stepChoice is a memoized Sample step: the predecessor sets and their
-// estimated weights. Immutable once published in the memo table.
+// stepChoice is one memoized step of Algorithm 4 for a vertex set T at
+// layer t: the predecessor sets T₀, T₁ the two bits lead to and the split
+// between them. p1 = W̃₁/(W̃₀+W̃₁) is computed once, in big.Float at the
+// estimator's precision, and rounded to float64; logP holds
+// math.Log(1−p1) and math.Log(p1), the amounts a step on bit 0 or 1
+// subtracts from log ϕ. The W̃ weights themselves are not kept. A step is
+// immutable once published in the memo table, apart from next.
 type stepChoice struct {
-	t0, t1 []int // sorted predecessor states (layer r-1); -1 encodes s_start
-	w0, w1 *big.Float
+	t0, t1 []int // sorted predecessor states (layer t-1); -1 encodes s_start
+	p1     float64
+	logP   [2]float64
+	// dead marks W̃₀+W̃₁ ≤ 0: no descent can continue from T.
+	dead bool
+	// next[b] links to the step for T_b at layer t−1, filled on first use
+	// with the memo's entry for T_b, so a descent walks links and consults
+	// the memo only on a miss. Racing fills store the same winning entry.
+	next [2]atomic.Pointer[stepChoice]
 }
 
 // memoTable keeps one sharded hash map per unrolling layer, from vertex-set
 // keys to *stepChoice. Keys are hashed to a uint64; buckets keep the full
 // key for equality, so hash collisions cost a comparison, never a wrong
 // answer. Values are deterministic functions of the frozen sketches, so two
-// goroutines racing to insert the same key compute identical entries and
-// either may win.
+// goroutines racing to insert the same key compute identical entries; put
+// keeps the first and returns it to both, and the successor links copy
+// that winner, so every descent through T shares one entry (and one set of
+// links) no matter which goroutine built it. Since the links are the fast
+// path, a descent touches a shard lock only for a set whose link is still
+// empty — the shards' reader counts stay off the per-step path, where
+// build workers on different cores would contend for their cache lines.
 //
 // Per-layer tables serve two purposes: the layer index drops out of the key
 // (and shard contention splits across layers), and — the memory point of
@@ -227,8 +266,10 @@ type stepChoice struct {
 // layer: within one layer the K·MaxTries descents of each vertex revisit
 // the same suffix sets constantly (the reuse that matters), while
 // cross-layer reuse is sparse and not worth pinning the table's full
-// footprint for the whole build. The entries populated by the final
-// s_final vertex are kept: they are exactly the sets the post-build Sample
+// footprint for the whole build. Links never outlive this: they point from
+// a layer-t step to layer t−1, so dropping layers ≤ t leaves nothing that
+// references a dropped step. The entries populated by the final s_final
+// vertex are kept: they are exactly the sets the post-build Sample
 // descents walk, and Sample repopulates lazily anyway.
 type memoTable struct {
 	layers []*memoLayer
@@ -286,7 +327,9 @@ func (m *memoTable) get(h uint64, layer int, cur []int) *stepChoice {
 	return nil
 }
 
-func (m *memoTable) put(h uint64, layer int, cur []int, ch *stepChoice) {
+// put publishes ch for cur unless another goroutine got there first, and
+// returns the entry the table keeps: ch, or the identical earlier winner.
+func (m *memoTable) put(h uint64, layer int, cur []int, ch *stepChoice) *stepChoice {
 	sh := &m.layers[layer].shards[h%memoShards]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -295,10 +338,11 @@ func (m *memoTable) put(h uint64, layer int, cur []int, ch *stepChoice) {
 	}
 	for _, e := range sh.m[h] {
 		if slices.Equal(e.cur, cur) {
-			return // lost a benign race; the entries are identical
+			return e.ch // lost a benign race; the entries are identical
 		}
 	}
 	sh.m[h] = append(sh.m[h], &memoEntry{cur: cur, ch: ch})
+	return ch
 }
 
 // New builds the full FPRAS state: DAG construction plus the layer-by-layer
@@ -397,12 +441,17 @@ func (e *Estimator) build() error {
 		return err
 	}
 	s := e.getSampler(par.StreamRNG(e.params.Seed, streamBuild, n+1, -1))
+	defer e.putSampler(s)
 	vd, err := s.buildVertex(n+1, -1, e.dag.FinalPreds())
-	e.putSampler(s)
 	if err != nil {
 		return err
 	}
 	e.finalData = vd
+	if !vd.exact {
+		// A memo hit: the s_final build just published this step.
+		e.finalStep = s.choiceFor(n+1, finalTarget)
+		e.finalLogPhi0 = logPhi0(vd.r)
+	}
 	return nil
 }
 
@@ -448,8 +497,10 @@ type sampler struct {
 	e   *Estimator
 	rng *rand.Rand
 
-	// big.Float scratch, preallocated at the estimator's precision.
+	// big.Float scratch, preallocated at the estimator's precision: fW
+	// holds a step's W̃₀, W̃₁ while its split is computed.
 	fSum, fA, fB *big.Float
+	fW           [2]*big.Float
 
 	// before is estimateUnion's running predecessor union.
 	before *bitset.Set
@@ -469,6 +520,7 @@ func (e *Estimator) newSampler() *sampler {
 		fSum:   new(big.Float).SetPrec(e.prec),
 		fA:     new(big.Float).SetPrec(e.prec),
 		fB:     new(big.Float).SetPrec(e.prec),
+		fW:     [2]*big.Float{new(big.Float).SetPrec(e.prec), new(big.Float).SetPrec(e.prec)},
 		before: bitset.New(m),
 		trace:  [2]*bitset.Set{bitset.New(m), bitset.New(m)},
 	}
@@ -503,17 +555,18 @@ func (s *sampler) buildVertex(layer, state int, preds []unroll.Edge) (*vertexDat
 	}
 
 	// Estimated path (step 5).
-	w0 := s.estimateUnion(layer, t0)
-	w1 := s.estimateUnion(layer, t1)
+	w0 := s.estimateUnion(s.fW[0], layer, t0)
+	w1 := s.estimateUnion(s.fW[1], layer, t1)
 	r := new(big.Float).SetPrec(e.prec).Add(w0, w1)
 	if r.Sign() <= 0 {
 		return nil, fmt.Errorf("fpras: estimate collapsed to 0 at layer %d state %d (increase K)", layer, state)
 	}
 	vd := &vertexData{r: r}
 	vd.entries = make([]sampleEntry, 0, e.params.K)
-	target := []int{state}
+	root := s.choiceFor(layer, []int{state})
+	phi0 := logPhi0(r)
 	for len(vd.entries) < e.params.K {
-		entry, err := s.sampleOnce(layer, target, vd.r)
+		entry, err := s.sampleOnce(layer, root, phi0)
 		if err != nil {
 			return nil, err
 		}
@@ -687,11 +740,11 @@ func (s *sampler) stepReach(src *bitset.Set, b automata.Symbol, layer int) *bits
 //
 // where membership is answered by the per-sample reach sets. The -1
 // (s_start) pseudo-predecessor contributes exactly 1 (its witness set is
-// {ε}). The returned value is freshly allocated (it is retained by memo
-// entries and vertex data); all intermediates live in the sampler scratch.
-func (s *sampler) estimateUnion(layer int, list []int) *big.Float {
+// {ε}). The sum is written to total (a scratch register at the estimator's
+// precision, overwritten) and returned; intermediates live in fA and fB.
+func (s *sampler) estimateUnion(total *big.Float, layer int, list []int) *big.Float {
 	e := s.e
-	total := new(big.Float).SetPrec(e.prec)
+	total.SetInt64(0)
 	if len(list) == 0 {
 		return total
 	}
@@ -724,11 +777,12 @@ func (s *sampler) estimateUnion(layer int, list []int) *big.Float {
 
 // sampleOnce obtains one uniform element of U(s) for the vertex at the
 // given layer, retrying the rejection sampler up to MaxTries times
-// (Algorithm 5 step 5(c)). For exactly handled vertices callers should
-// sample the materialized set directly instead.
-func (s *sampler) sampleOnce(layer int, target []int, r *big.Float) (sampleEntry, error) {
+// (Algorithm 5 step 5(c)). root is the vertex's descent step and phi0 its
+// log ϕ₀ (see logPhi0). For exactly handled vertices callers should sample
+// the materialized set directly instead.
+func (s *sampler) sampleOnce(layer int, root *stepChoice, phi0 float64) (sampleEntry, error) {
 	for try := 0; try < s.e.params.MaxTries; try++ {
-		entry, ok, err := s.sampleAttempt(layer, target, r)
+		entry, ok, err := s.sampleAttempt(layer, root, phi0)
 		if err != nil {
 			return sampleEntry{}, err
 		}
@@ -739,40 +793,36 @@ func (s *sampler) sampleOnce(layer int, target []int, r *big.Float) (sampleEntry
 	return sampleEntry{}, fmt.Errorf("fpras: no sample after %d attempts at layer %d (increase MaxTries/K)", s.e.params.MaxTries, layer)
 }
 
-// sampleAttempt is Algorithm 4: one recursive descent with rejection.
-func (s *sampler) sampleAttempt(layer int, target []int, r *big.Float) (sampleEntry, bool, error) {
+// sampleAttempt is Algorithm 4: one recursive descent with rejection,
+// starting from root, the step of the target vertex set at the given
+// layer, with log ϕ = phi0 (ϕ is tracked in log space). Each step draws
+// its bit against the step's precomputed split and follows the link to
+// the next step.
+func (s *sampler) sampleAttempt(layer int, root *stepChoice, phi0 float64) (sampleEntry, bool, error) {
 	e := s.e
-	// ϕ is tracked in log space: log ϕ₀ = −4 − log R(s).
-	logPhi := -4 - logBigFloat(r)
+	logPhi := phi0
 	if cap(s.bits) < layer {
 		s.bits = make([]byte, layer)
 	}
 	bits := s.bits[:layer]
-	cur := target
-	for t := layer; t > 0; t-- {
-		ch, err := s.choiceFor(t, cur)
-		if err != nil {
-			return sampleEntry{}, false, err
-		}
-		sum := s.fSum.Add(ch.w0, ch.w1)
-		if sum.Sign() <= 0 {
+	ch := root
+	for t := layer; ; t-- {
+		if ch.dead {
 			return sampleEntry{}, false, fmt.Errorf("fpras: dead end during sampling at layer %d", t)
 		}
-		p1, _ := s.fA.Quo(ch.w1, sum).Float64()
-		var b int
-		if s.rng.Float64() < p1 {
+		b := 0
+		if s.rng.Float64() < ch.p1 {
 			b = 1
-			logPhi -= math.Log(p1)
-			cur = ch.t1
-		} else {
-			b = 0
-			logPhi -= math.Log(1 - p1)
-			cur = ch.t0
 		}
+		logPhi -= ch.logP[b]
 		bits[t-1] = byte('0' + b)
+		if t == 1 {
+			break
+		}
+		ch = s.successor(ch, b, t-1)
 	}
-	// cur must now be {s_start}; accept with probability ϕ (unless the
-	// E13 ablation disabled the correction).
+	// The descent ended at {s_start}; accept with probability ϕ (unless
+	// the E13 ablation disabled the correction).
 	if !e.params.SkipRejection {
 		if !(logPhi < 0) { // ϕ ∉ (0,1): reject, as Algorithm 4 step 1
 			return sampleEntry{}, false, nil
@@ -786,14 +836,30 @@ func (s *sampler) sampleAttempt(layer int, target []int, r *big.Float) (sampleEn
 	return entry, true, nil
 }
 
-// choiceFor returns (memoized) the predecessor sets and W̃ weights for the
-// current vertex set at layer t. cur must be sorted (targets are
-// singletons; descents follow the sorted t0/t1 of earlier choices).
-func (s *sampler) choiceFor(t int, cur []int) (*stepChoice, error) {
+// successor returns the step for ch's predecessor set on bit b, at layer
+// t: ch's link when it is filled, else the memo's entry, which then fills
+// the link.
+func (s *sampler) successor(ch *stepChoice, b, t int) *stepChoice {
+	if next := ch.next[b].Load(); next != nil {
+		return next
+	}
+	cur := ch.t0
+	if b == 1 {
+		cur = ch.t1
+	}
+	next := s.choiceFor(t, cur)
+	ch.next[b].Store(next)
+	return next
+}
+
+// choiceFor returns the memo's step for the vertex set cur at layer t,
+// building and publishing it on a miss. cur must be sorted (targets are
+// singletons; descents follow the sorted t0/t1 of earlier steps).
+func (s *sampler) choiceFor(t int, cur []int) *stepChoice {
 	e := s.e
 	h := memoHash(cur)
 	if ch := e.memo.get(h, t, cur); ch != nil {
-		return ch, nil
+		return ch
 	}
 	var t0, t1 []int
 	seen0 := map[int]bool{}
@@ -822,14 +888,18 @@ func (s *sampler) choiceFor(t int, cur []int) (*stepChoice, error) {
 			appendPred(edge)
 		}
 	}
-	ch := &stepChoice{
-		t0: t0, t1: t1,
-		w0: s.estimateUnion(t, t0),
-		w1: s.estimateUnion(t, t1),
+	ch := &stepChoice{t0: t0, t1: t1}
+	w0 := s.estimateUnion(s.fW[0], t, t0)
+	w1 := s.estimateUnion(s.fW[1], t, t1)
+	if sum := s.fSum.Add(w0, w1); sum.Sign() <= 0 {
+		ch.dead = true
+	} else {
+		p1, _ := s.fA.Quo(w1, sum).Float64()
+		ch.p1 = p1
+		ch.logP = [2]float64{math.Log(1 - p1), math.Log(p1)}
 	}
 	// cur may alias a caller-owned slice; the memo keeps its own copy.
-	e.memo.put(h, t, append([]int(nil), cur...), ch)
-	return ch, nil
+	return e.memo.put(h, t, append([]int(nil), cur...), ch)
 }
 
 // traceReach computes the reach set of a freshly sampled string at its own
@@ -866,12 +936,13 @@ func insertSorted(xs []int, v int) []int {
 	return xs
 }
 
-// logBigFloat returns the natural log of a positive big.Float.
-func logBigFloat(x *big.Float) float64 {
+// logPhi0 returns log ϕ₀ = −4 − log R(s), the start of an attempt's
+// log-space acceptance probability, for a positive R(s).
+func logPhi0(r *big.Float) float64 {
 	mant := new(big.Float)
-	exp := x.MantExp(mant)
+	exp := r.MantExp(mant)
 	m, _ := mant.Float64()
-	return math.Log(m) + float64(exp)*math.Ln2
+	return -4 - (math.Log(m) + float64(exp)*math.Ln2)
 }
 
 // finalTarget is the descent start for s_final. Shared and never mutated.
@@ -907,7 +978,7 @@ func (e *Estimator) SampleWith(rng *rand.Rand) (automata.Word, error) {
 	}
 	s := e.getSampler(rng)
 	defer e.putSampler(s)
-	entry, ok, err := s.sampleAttempt(n+1, finalTarget, fd.r)
+	entry, ok, err := s.sampleAttempt(n+1, e.finalStep, e.finalLogPhi0)
 	if err != nil {
 		return nil, err
 	}
@@ -954,6 +1025,19 @@ func (e *Estimator) sampleWitnessWith(rng *rand.Rand, maxAttempts int) (automata
 // first (lowest-index) failure is returned: ErrEmpty when the language
 // slice is empty, ErrFail when some stream exhausted its retries.
 func (e *Estimator) SampleN(k, workers int) ([]automata.Word, error) {
+	return e.SampleNCtx(nil, k, workers)
+}
+
+// SampleNCtx is SampleN with cooperative cancellation: a non-nil ctx is
+// checked on entry and before every draw (the faultinject sample.chunk
+// site), never inside a draw, so a cancelled batch returns ctx.Err()
+// after at most the draws already under way — each up to the default
+// 2000 Las Vegas attempts. A successful call's batch is bitwise identical
+// to SampleN's for every ctx and worker count.
+func (e *Estimator) SampleNCtx(ctx context.Context, k, workers int) ([]automata.Word, error) {
+	if err := faultinject.Check(ctx, faultinject.SiteSampleChunk); err != nil {
+		return nil, err
+	}
 	if e.empty {
 		return nil, ErrEmpty
 	}
@@ -964,15 +1048,17 @@ func (e *Estimator) SampleN(k, workers int) ([]automata.Word, error) {
 		workers = e.params.Workers
 	}
 	out := make([]automata.Word, k)
-	errs := make([]error, k)
-	par.ForEachIndexed(k, workers, func(i int) {
-		rng := par.StreamRNG(e.params.Seed, streamSampleN, i, 0)
-		out[i], errs[i] = e.sampleWitnessWith(rng, 0)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	err := par.ForEachIndexedCtx(ctx, k, workers, func(i int) error {
+		if err := faultinject.Check(ctx, faultinject.SiteSampleChunk); err != nil {
+			return err
 		}
+		rng := par.StreamRNG(e.params.Seed, streamSampleN, i, 0)
+		w, err := e.sampleWitnessWith(rng, 0)
+		out[i] = w
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

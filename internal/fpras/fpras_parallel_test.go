@@ -1,10 +1,13 @@
 package fpras
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/automata"
@@ -72,7 +75,9 @@ func TestParallelBuildBitwiseEquivalent(t *testing.T) {
 }
 
 // SampleN must be deterministic the same way: sample i comes from its own
-// seed-derived stream, so the batch is identical for every worker count.
+// seed-derived stream, so the batch is identical for every worker count,
+// and SampleNCtx with a live ctx returns the same batch (its checks sit
+// between draws and touch no stream).
 func TestSampleNDeterministicAcrossWorkers(t *testing.T) {
 	leakcheck.Check(t)
 	est, err := New(automata.AmbiguityGap(8), 8, Params{K: 24, Seed: 13})
@@ -85,20 +90,22 @@ func TestSampleNDeterministicAcrossWorkers(t *testing.T) {
 	const k = 32
 	var want []automata.Word
 	for _, w := range workerCounts() {
-		got, err := est.SampleN(k, w)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if len(got) != k {
-			t.Fatalf("workers=%d: %d samples, want %d", w, len(got), k)
-		}
-		if want == nil {
-			want = got
-			continue
-		}
-		for i := range got {
-			if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
-				t.Fatalf("workers=%d: sample %d = %v, want %v", w, i, got[i], want[i])
+		for _, ctx := range []context.Context{nil, context.Background()} {
+			got, err := est.SampleNCtx(ctx, k, w)
+			if err != nil {
+				t.Fatalf("workers=%d ctx=%v: %v", w, ctx, err)
+			}
+			if len(got) != k {
+				t.Fatalf("workers=%d ctx=%v: %d samples, want %d", w, ctx, len(got), k)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			for i := range got {
+				if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+					t.Fatalf("workers=%d ctx=%v: sample %d = %v, want %v", w, ctx, i, got[i], want[i])
+				}
 			}
 		}
 	}
@@ -118,6 +125,65 @@ func TestSampleNProducesWitnesses(t *testing.T) {
 	for i, w := range ws {
 		if len(w) != 12 || !n.Accepts(w) {
 			t.Fatalf("sample %d is not a witness: %v", i, w)
+		}
+	}
+}
+
+// cancelAfterCtx reports cancellation from its (n+1)-th Err call on and
+// counts the calls, so a test can cancel between two given checkpoints
+// and see how many checkpoints were passed in total.
+type cancelAfterCtx struct {
+	context.Context
+	left, calls atomic.Int64
+}
+
+func newCancelAfterCtx(n int64) *cancelAfterCtx {
+	c := &cancelAfterCtx{Context: context.Background()}
+	c.left.Store(n)
+	return c
+}
+
+func (c *cancelAfterCtx) Err() error {
+	c.calls.Add(1)
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// A cancelled SampleNCtx returns ctx.Err() instead of a batch: a ctx
+// cancelled up front stops it before any draw (and before the ErrEmpty
+// answer), and a ctx cancelled mid-batch stops it at the next draw
+// boundary rather than after the remaining draws.
+func TestSampleNCtxCancelled(t *testing.T) {
+	leakcheck.Check(t)
+	est, err := New(automata.AmbiguityGap(8), 8, Params{K: 24, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if ws, err := est.SampleNCtx(cancelled, 32, 4); !errors.Is(err, context.Canceled) || ws != nil {
+		t.Fatalf("cancelled ctx: got (%d words, %v), want (nil, context.Canceled)", len(ws), err)
+	}
+	empty, err := New(automata.Chain(automata.Binary(), automata.Word{0, 1}), 6, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := empty.SampleNCtx(cancelled, 4, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled ctx on an empty slice: %v, want context.Canceled", err)
+	}
+	const k = 256
+	for _, w := range workerCounts() {
+		// The entry check and the first three draws pass (two checks per
+		// draw: the claim and the sample.chunk site); the fourth stops.
+		ctx := newCancelAfterCtx(7)
+		ws, err := est.SampleNCtx(ctx, k, w)
+		if !errors.Is(err, context.Canceled) || ws != nil {
+			t.Fatalf("workers=%d: cancelled mid-batch: got (%d words, %v), want (nil, context.Canceled)", w, len(ws), err)
+		}
+		if calls := ctx.calls.Load(); calls > int64(8+2*w) {
+			t.Fatalf("workers=%d: %d ctx checks in all for a cancel at the fourth draw: the batch of %d kept drawing", w, calls, k)
 		}
 	}
 }
