@@ -15,7 +15,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/bdd"
 	"repro/internal/core"
-	"repro/internal/countdag"
 	"repro/internal/dnf"
 	"repro/internal/enumerate"
 	"repro/internal/exact"
@@ -139,27 +138,6 @@ func BenchmarkSampleUFA(b *testing.B) {
 		}
 	})
 	b.Run("session", func(b *testing.B) {
-		s, err := sample.NewUFASampler(dfa, depth)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if s.Count().Sign() == 0 {
-			b.Skip("empty slice")
-		}
-		d := s.NewDrawSession(rand.New(rand.NewSource(18)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := d.Sample(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("session-bigtier", func(b *testing.B) {
-		// The same session draws with the uint64 fast tier disabled —
-		// the A/B record behind the two-tier speedup claim.
-		prev := countdag.ForceBigTier(true)
-		defer countdag.ForceBigTier(prev)
 		s, err := sample.NewUFASampler(dfa, depth)
 		if err != nil {
 			b.Fatal(err)

@@ -105,13 +105,14 @@ func (l *Limits) CheckIndexBytes(bytes int64) error {
 		ErrRejected, bytes, l.MaxIndexBytes)
 }
 
-// EstimateIndexBytes upper-bounds the word-tier arena footprint of a
+// EstimateIndexBytes upper-bounds the one-limb arena footprint of a
 // counting index over an automaton with the given state and transition
 // counts, swept over length+1 layers: per layer, one uint64 per state
 // (subtree counts) plus one per transition (edge prefix sums) plus one
-// sentinel. It is deliberately the CHEAP tier's estimate — a big.Int
-// fallback costs more, but admission only needs a monotone proxy that is
-// computable before any allocation.
+// sentinel. It is deliberately the narrowest width's estimate — an index
+// whose counts pass 2^64 needs k limbs per count and costs about k times
+// as much, but admission only needs a monotone proxy that is computable
+// before any allocation.
 func EstimateIndexBytes(states, transitions, length int) int64 {
 	if states < 0 || transitions < 0 || length < 0 {
 		return 0

@@ -51,10 +51,10 @@ var bigmutAnalyzer = &Analyzer{
 // receiver flows (intra-procedurally) from a shared-count accessor: direct
 // chains (x.Total().Add(…)), locals (t := x.Total(); t.Add(…)), tuple
 // results, elements of shared slices (x.EdgeCum(…)[i].Add(…)), and range
-// variables over them (for _, c := range x.EdgeCum(…)). The contract is
-// unchanged by the two-tier layout: a word-tier index materializes its
-// big.Int tables lazily, but what the accessors hand out is still the
-// frozen backing store, never a caller-owned copy.
+// variables over them (for _, c := range x.EdgeCum(…)). Total still hands
+// out the frozen backing value; the other accessors convert fresh values
+// from the limb arena, but keep the same contract so callers need not
+// know which is which.
 func runBigmut(p *Pkg) []Finding {
 	var out []Finding
 	for _, fd := range funcDecls(p) {

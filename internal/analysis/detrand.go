@@ -9,7 +9,7 @@ var detrandAnalyzer = &Analyzer{
 	Name:     "detrand",
 	Doc:      "nondeterminism sources (time.Now, global math/rand, map-order iteration feeding output) in the engine packages",
 	Contract: "every engine result is bitwise identical at any worker count; randomness flows only through per-(seed, layer, state) RNG streams",
-	Packages: []string{"countdag", "lengthrange", "enumerate", "sample", "fpras", "unroll"},
+	Packages: []string{"countdag", "lengthrange", "limb", "enumerate", "sample", "fpras", "unroll"},
 	Run:      runDetrand,
 }
 

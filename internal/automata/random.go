@@ -269,9 +269,9 @@ func All(alpha *Alphabet) *NFA {
 // unambiguous) automaton over a fresh sigma-letter alphabet accepting every
 // word, together with the straddle length: the least n such that the
 // witness count sigma^n no longer fits in a uint64. Counting indexes built
-// at or across the straddle must abandon the word-sized fast tier, while
-// indexes that stop one short of it stay word-sized, so the family pins
-// the exact 2^64 boundary for the cross-tier differential suites. The
+// at or across the straddle must widen past one 64-bit limb, while
+// indexes that stop one short of it stay one limb wide, so the family
+// pins the exact 2^64 boundary for the cross-width differential suites. The
 // closed forms make external checks cheap: the length-n slice counts
 // sigma^n, and the rank of a word is its value read as an n-digit
 // base-sigma numeral (symbol i is digit i).

@@ -1,7 +1,9 @@
 // Package bench is the experiment harness behind cmd/benchtab and the
 // repository-level benchmarks: its registry (IDs, ByID) holds every
-// experiment (F1, E1–E21), and each prints one table of the quantities it
-// measures (`benchtab -only E4` runs one). Performance across commits is
+// experiment (F1, E1–E18, E20, E21 — E19, the two-tier arithmetic A/B,
+// went with the big.Int tier; its numbers stay in the ROADMAP trajectory
+// table), and each prints one table of the quantities it measures
+// (`benchtab -only E4` runs one). Performance across commits is
 // recorded elsewhere: the ROADMAP trajectory table and the committed
 // BENCH_*.json records of the serving benchmark (see the perfbench
 // package comment).
@@ -104,7 +106,6 @@ func All(quick bool) []*Table {
 		E16WorkStealing(quick),
 		E17SamplerThroughput(quick),
 		E18RangeBuild(quick),
-		E19TierComparison(quick),
 		E20InstanceCache(quick),
 		E21Serving(quick),
 	}
@@ -151,8 +152,6 @@ func ByID(id string, quick bool) *Table {
 		return E17SamplerThroughput(quick)
 	case "E18":
 		return E18RangeBuild(quick)
-	case "E19":
-		return E19TierComparison(quick)
 	case "E20":
 		return E20InstanceCache(quick)
 	case "E21":
@@ -163,7 +162,7 @@ func ByID(id string, quick bool) *Table {
 
 // IDs lists all experiment identifiers.
 func IDs() []string {
-	return []string{"F1", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20", "E21"}
+	return []string{"F1", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E20", "E21"}
 }
 
 func ms(d time.Duration) string {

@@ -21,7 +21,7 @@ import (
 // depth-20 random DFA pays the full unroll + counting sweep (cold), and
 // every relabelled copy afterwards resolves through the structural
 // pre-key to the same cached index (warm). The experiment reports the
-// cold/warm latency ratio on both arithmetic tiers, checks that the warm
+// cold/warm latency ratio, checks that the warm
 // lookup returns the identical index object, and replays a full
 // observable transcript (count, ranked access, seeded sample stream) on
 // every fleet member against an uncached reference instance — cache hits
@@ -30,7 +30,7 @@ func E20InstanceCache(quick bool) *Table {
 	t := &Table{
 		ID:     "E20",
 		Title:  "Compiled-index cache: cold vs warm compile across an isomorphic-relabelled fleet",
-		Header: []string{"tier", "phase", "time", "vs cold", "check"},
+		Header: []string{"phase", "time", "vs cold", "check"},
 	}
 	states, depth, fleet := 64, 20, 8
 	if quick {
@@ -87,90 +87,74 @@ func E20InstanceCache(quick bool) *Table {
 		return sb.String()
 	}
 
-	prev := countdag.ForceBigTier(false)
-	defer countdag.ForceBigTier(prev)
-	tierName := func(forced bool) string {
-		if forced {
-			return "big.Int"
-		}
-		return "uint64"
-	}
-
-	var ratios []float64
-	for _, forced := range []bool{false, true} {
-		countdag.ForceBigTier(forced)
-
-		// Cold: first compile of the family, paid once.
-		var cold *countdag.Index
-		coldDur := measure(func() {
-			key := instcache.KeyFor(members[0])
-			var hit bool
-			var err error
-			cold, hit, err = cache.UFAIndex(nil, key, depth, est, buildUFA(key.Norm()))
-			if err != nil {
-				panic(err)
-			}
-			if hit {
-				panic("E20: first compile reported a cache hit")
-			}
-		})
-		t.AddRow(tierName(forced), "cold compile", us(coldDur), "1.00x", "built+cached")
-
-		// Warm: every relabelled copy, key computation included; several
-		// rounds over the fleet amortize timer and allocator noise.
-		const rounds = 3
-		check := "same index object"
-		warmDur := measure(func() {
-			for r := 0; r < rounds; r++ {
-				for _, m := range members[1:] {
-					key := instcache.KeyFor(m)
-					idx, hit, err := cache.UFAIndex(nil, key, depth, est, buildUFA(key.Norm()))
-					if err != nil {
-						panic(err)
-					}
-					if !hit {
-						check = "REBUILT ON RELABELLING!"
-					}
-					if idx != cold {
-						check = "DISTINCT INDEX OBJECTS!"
-					}
-				}
-			}
-		})
-		warmAvg := warmDur / time.Duration(rounds*(fleet-1))
-		ratio := float64(coldDur) / float64(warmAvg)
-		ratios = append(ratios, ratio)
-		if check == "same index object" && !quick && ratio < 10 {
-			check = "WARM < 10x COLD!"
-		}
-		t.AddRow(tierName(forced), fmt.Sprintf("warm hit (avg of %d)", fleet-1), us(warmAvg),
-			fmt.Sprintf("%.1fx faster", ratio), check)
-
-		// Transcript equality: fleet instances on the shared cache vs an
-		// uncached reference, every observable bitwise compared.
-		ref, err := core.New(members[0], depth, core.Options{Seed: 7})
+	// Cold: first compile of the family, paid once.
+	var cold *countdag.Index
+	coldDur := measure(func() {
+		key := instcache.KeyFor(members[0])
+		var hit bool
+		var err error
+		cold, hit, err = cache.UFAIndex(nil, key, depth, est, buildUFA(key.Norm()))
 		if err != nil {
 			panic(err)
 		}
-		want := transcript(ref)
-		check = "transcripts bitwise ="
-		for _, m := range members {
-			in, err := core.New(m, depth, core.Options{Seed: 7, Cache: cache})
-			if err != nil {
-				panic(err)
-			}
-			if transcript(in) != want {
-				check = "TRANSCRIPTS DIVERGE!"
+		if hit {
+			panic("E20: first compile reported a cache hit")
+		}
+	})
+	t.AddRow("cold compile", us(coldDur), "1.00x", "built+cached")
+
+	// Warm: every relabelled copy, key computation included; several
+	// rounds over the fleet amortize timer and allocator noise.
+	const rounds = 3
+	check := "same index object"
+	warmDur := measure(func() {
+		for r := 0; r < rounds; r++ {
+			for _, m := range members[1:] {
+				key := instcache.KeyFor(m)
+				idx, hit, err := cache.UFAIndex(nil, key, depth, est, buildUFA(key.Norm()))
+				if err != nil {
+					panic(err)
+				}
+				if !hit {
+					check = "REBUILT ON RELABELLING!"
+				}
+				if idx != cold {
+					check = "DISTINCT INDEX OBJECTS!"
+				}
 			}
 		}
-		t.AddRow(tierName(forced), fmt.Sprintf("%d fleet transcripts", fleet), "-", "-", check)
-		countdag.ForceBigTier(false)
+	})
+	warmAvg := warmDur / time.Duration(rounds*(fleet-1))
+	ratio := float64(coldDur) / float64(warmAvg)
+	if check == "same index object" && !quick && ratio < 10 {
+		check = "WARM < 10x COLD!"
 	}
+	t.AddRow(fmt.Sprintf("warm hit (avg of %d)", fleet-1), us(warmAvg),
+		fmt.Sprintf("%.1fx faster", ratio), check)
+
+	// Transcript equality: fleet instances on the shared cache vs an
+	// uncached reference, every observable bitwise compared.
+	ref, err := core.New(members[0], depth, core.Options{Seed: 7})
+	if err != nil {
+		panic(err)
+	}
+	want := transcript(ref)
+	check = "transcripts bitwise ="
+	for _, m := range members {
+		in, err := core.New(m, depth, core.Options{Seed: 7, Cache: cache})
+		if err != nil {
+			panic(err)
+		}
+		if transcript(in) != want {
+			check = "TRANSCRIPTS DIVERGE!"
+		}
+	}
+	t.AddRow(fmt.Sprintf("%d fleet transcripts", fleet), "-", "-", check)
 
 	s := cache.Stats()
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("m=%d states depth=%d, fleet of %d isomorphic relabellings; warm lookup = Normalize + structural pre-key + exact Equal verification", states, depth, fleet),
 		fmt.Sprintf("cache: %s", s.String()),
-		fmt.Sprintf("acceptance: warm >= 10x cold on the full-size family (measured %.1fx / %.1fx); one build per tier; transcripts bitwise identical", ratios[0], ratios[1]))
+		fmt.Sprintf("acceptance: warm >= 10x cold on the full-size family (measured %.1fx); one build; transcripts bitwise identical", ratio))
 	return t
 }

@@ -9,8 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/automata"
-	"repro/internal/countdag"
 	"repro/internal/instcache"
+	"repro/internal/limb"
 )
 
 // cacheTestDFA is the shared deterministic family for the cache tests: a
@@ -248,17 +248,18 @@ func harvest(t *testing.T, in *Instance, lo, hi int) transcript {
 // TestCacheHitBitwiseEqualTranscript is the issue's correctness bar: every
 // count, sample stream, el1: / el1:r: / el1:R: token, and resumed
 // continuation minted through a cached index must be bitwise what a fresh
-// uncached build produces — on both arithmetic tiers, both for an exact
-// re-query and for an isomorphic relabelling served from the same entry.
+// uncached build produces — at the natural limb width ("fast-tier") and
+// with the width forced to three limbs ("forced-big-tier", the wide
+// arithmetic that replaced the big.Int tier), both for an exact re-query
+// and for an isomorphic relabelling served from the same entry.
 func TestCacheHitBitwiseEqualTranscript(t *testing.T) {
 	const length, lo, hi = 8, 2, 8
 	for _, tier := range []struct {
 		name  string
-		force bool
-	}{{"fast-tier", false}, {"forced-big-tier", true}} {
+		width int
+	}{{"fast-tier", 1}, {"forced-big-tier", 3}} {
 		t.Run(tier.name, func(t *testing.T) {
-			prev := countdag.ForceBigTier(tier.force)
-			defer countdag.ForceBigTier(prev)
+			defer limb.ForceWidth(limb.ForceWidth(tier.width))
 			n, r := cacheTestDFA(t, 41, 12)
 			cache := instcache.New(instcache.DefaultBudget)
 
@@ -307,28 +308,36 @@ func TestCacheHitBitwiseEqualTranscript(t *testing.T) {
 	}
 }
 
-// TestCacheTiersGetSeparateEntries pins that a forced-big run never reuses
-// a fast-tier artifact: the tier is part of the entry identity.
-func TestCacheTiersGetSeparateEntries(t *testing.T) {
+// TestCacheHitServesEveryWidth: the limb width is not part of a cache
+// entry's identity — an index built at one limb serves a later query made
+// with the width forced to three, and that query's transcript is bitwise
+// what a fresh build at three limbs produces.
+func TestCacheHitServesEveryWidth(t *testing.T) {
+	const length, lo, hi = 6, 2, 6
 	n, _ := cacheTestDFA(t, 42, 10)
 	cache := instcache.New(instcache.DefaultBudget)
-	mk := func() *Instance {
-		in, err := New(n, 6, Options{Cache: cache})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return in
-	}
-	if _, err := mk().Unrank(big.NewInt(0)); err != nil {
+	defer limb.ForceWidth(limb.ForceWidth(1))
+	warm, err := New(n, length, Options{Seed: 7, Cache: cache})
+	if err != nil {
 		t.Fatal(err)
 	}
-	prev := countdag.ForceBigTier(true)
-	defer countdag.ForceBigTier(prev)
-	if _, err := mk().Unrank(big.NewInt(0)); err != nil {
+	harvest(t, warm, lo, hi)
+	builds := cache.Stats().Builds
+	limb.ForceWidth(3)
+	cached, err := New(n, length, Options{Seed: 7, Cache: cache})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := cache.Stats(); st.Builds != 2 {
-		t.Fatalf("tiers must not share an entry: %+v", st)
+	cachedTr := harvest(t, cached, lo, hi)
+	if got := cache.Stats().Builds; got != builds {
+		t.Fatalf("a query at another width rebuilt %d indexes", got-builds)
+	}
+	fresh, err := New(n, length, Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if freshTr := harvest(t, fresh, lo, hi); !reflect.DeepEqual(cachedTr, freshTr) {
+		t.Fatalf("cached transcript diverges from a fresh three-limb build:\ncached: %+v\nfresh:  %+v", cachedTr, freshTr)
 	}
 }
 

@@ -42,10 +42,10 @@
 //
 // Both shared indexes — the counting index and every cross-length index —
 // are resolved through a compiled-index cache (internal/instcache) keyed
-// by canonical automaton identity, witness length or range, and
-// arithmetic tier. Options.Cache shares one cache across instances, so a
-// serving workload that sees the same automaton twice — or any relabelled
-// isomorph of a DFA — pays each backward sweep once; with a nil
+// by canonical automaton identity and witness length or range.
+// Options.Cache shares one cache across instances, so a serving workload
+// that sees the same automaton twice — or any relabelled isomorph of a
+// DFA — pays each backward sweep once; with a nil
 // Options.Cache the instance gets a private cache with
 // instcache.DefaultBudget, which also byte-bounds the retention of
 // alternating range queries. A cache hit is observably identical to a
@@ -821,7 +821,7 @@ func (in *Instance) rangeIndex(lo, hi int) (*lengthrange.RangeIndex, error) {
 
 // rangeIndexCtx is rangeIndex with cooperative cancellation and cache
 // consultation: the cross-length index is resolved through the instance's
-// compiled-index cache keyed by (canonical automaton, [lo, hi], tier), so
+// compiled-index cache keyed by (canonical automaton, [lo, hi]), so
 // concurrent requests for the same range share one build and retention is
 // byte-budgeted LRU (the old per-instance slot cache bounded the entry
 // COUNT but not the bytes — a few wide ranges could pin unbounded big.Int

@@ -23,37 +23,30 @@
 // two coincide for deterministic automata whose successor lists are sorted
 // by symbol, but not in general).
 //
-// # Memory model: two tiers, one contract
+// # Memory model: one limb arena, one contract
 //
-// Counts are stored in one of two tiers, chosen at Build time and recorded
-// per index (WordTier):
+// Counts are k-limb integers in the format of internal/limb, with the
+// width k fixed per index: the narrowest power of two at which no prefix
+// sum carries out of the top limb (any alive vertex's count is bounded
+// by Total, so k is ⌈bitlen(Total)/64⌉ rounded up to a power of two — 1
+// in the common case). Each decision layer's prefix-sum rows live in ONE
+// flat arena ([]uint64) with per-state int32 offsets: a descent is
+// cache-local limb comparisons, with no pointer chasing and no big.Int
+// arithmetic. The backward sweep starts at one limb and reruns at twice
+// the width on the first carry (limb.Fit); limb.ForceWidth raises the
+// starting width, the test hook that pins every answer bitwise identical
+// across widths.
 //
-//   - Word tier: every subtree count fits a uint64 (any alive vertex's
-//     count is bounded by Total, so the tier applies exactly when
-//     Total < 2^64 — the common case). Each layer's prefix-sum tables
-//     live in ONE flat arena ([]uint64) with per-state offsets instead of
-//     a [][]*big.Int pointer forest: a descent is cache-local word
-//     comparisons, zero pointer chasing, zero big.Int arithmetic. The
-//     backward sweep detects overflow per addition (bits.Add64 carry) and
-//     abandons the tier wholesale on the first carry.
-//   - Big tier: the original [][][]*big.Int tables, built eagerly when the
-//     word sweep overflows (or when ForceBigTier is set — the test hook
-//     that pins cross-tier bitwise equality).
-//
-// The *big.Int accessors (Total, Count, EdgeCum, SubtreeSpan's count) keep
-// one sharing contract across both tiers: Build freezes the index before
-// returning, afterwards every method only reads, so an Index is safe for
-// unbounded concurrent use with no locking. On the word tier the big.Int
-// tables those accessors serve are materialized lazily (once, from the
-// arenas) on first use and are frozen from then on — callers cannot tell
-// the tiers apart, and in particular callers MUST NOT mutate any returned
-// *big.Int — copy with new(big.Int).Set first if a mutable value is
-// needed. Methods that compute fresh values (Rank, RankOfChoices, Unrank)
-// return values the caller owns. The same contract extends transitively to
-// consumers that re-expose index values (sample.UFASampler.Count and
-// friends). The word-tier accessors (TotalWord, EdgeCumWord,
-// SubtreeSpanWord) alias the frozen arenas the same way: treat the
-// returned slices as read-only.
+// Build freezes the index before returning; afterwards every method only
+// reads, so an Index is safe for unbounded concurrent use with no
+// locking. Total returns one frozen *big.Int that callers MUST NOT mutate
+// (copy with new(big.Int).Set first); Count, EdgeCum and SubtreeSpan
+// convert fresh values from the arena on every call, but keep the same
+// do-not-mutate contract so the bigmut analyzer can treat the accessors
+// alike. Methods that compute ranks or words (Rank, RankOfChoices,
+// Unrank) return values the caller owns. The same contract extends
+// transitively to consumers that re-expose index values
+// (sample.UFASampler.Count and friends).
 //
 // An Index is bound to the numeric structure of its DAG, not to the DAG
 // pointer: unroll.Build is deterministic, so an index built on one DAG is
@@ -66,7 +59,7 @@
 // # Cancellation
 //
 // BuildCtx is Build with cooperative cancellation: the context is checked
-// at every layer barrier of the backward sweep (both tiers, serial and
+// at every layer barrier of every backward sweep attempt (serial and
 // parallel — also the countdag.build.layer fault-injection site of
 // internal/faultinject), so a cancelled caller abandons the build within
 // one layer. A cancelled or faulted build returns before any index is
@@ -80,15 +73,13 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"math/bits"
-	"os"
-	"sort"
-	"sync"
+	"math/rand"
 	"sync/atomic"
 
 	"repro/internal/automata"
 	"repro/internal/bitset"
 	"repro/internal/faultinject"
+	"repro/internal/limb"
 	"repro/internal/par"
 	"repro/internal/unroll"
 )
@@ -97,79 +88,38 @@ import (
 // language slice.
 var ErrNotMember = fmt.Errorf("countdag: word is not in the language slice")
 
-// forceBigTier is the tierKnob: when set, Build skips the word-tier sweep
-// and constructs the big.Int tables directly, so every engine result can
-// be asserted bitwise identical across tiers. Seeded from the environment
-// so whole test binaries can be forced (NFA_FORCE_BIG_TIER=1), flipped
-// per-test via ForceBigTier.
-var forceBigTier atomic.Bool
-
-func init() {
-	if os.Getenv("NFA_FORCE_BIG_TIER") != "" {
-		forceBigTier.Store(true)
-	}
-}
-
-// ForceBigTier sets whether subsequent Builds (here and in lengthrange,
-// which consults the same knob) skip the uint64 fast tier, and returns the
-// previous setting so tests can restore it.
-func ForceBigTier(force bool) (prev bool) {
-	return forceBigTier.Swap(force)
-}
-
-// BigTierForced reports the current tierKnob setting.
-func BigTierForced() bool { return forceBigTier.Load() }
-
 // Index is the frozen ranked counting index. See the package comment for
-// the memory model, tiering and sharing contract.
+// the memory model and sharing contract.
 type Index struct {
 	dag   *unroll.DAG
-	total *big.Int // always set at Build (one value, cheap on either tier)
-
-	// Word tier (word == true): uarena[t] is decision layer t's prefix-sum
-	// tables for t in 1..N-1, ONE contiguous slice per layer; uoff[t][q] is
-	// state q's offset into it (-1 when the vertex is dead), with
-	// len(Succs(t,q))+1 entries per alive vertex (the last is the subtree
-	// count). ustart is the s_start table (decision layer 0) and utotal its
-	// last entry.
-	word   bool
-	utotal uint64
-	ustart []uint64
-	uarena [][]uint64
-	uoff   [][]int32
-
-	// Big tier. cum[t][q][i] = number of words through the first i
-	// out-edges of vertex (t, q), for t in 1..N-1 (the last entry is the
-	// vertex's full subtree count). startCum is the same for s_start
-	// (decision layer 0). Built eagerly when the word sweep overflows (or
-	// is forced off); materialized lazily from the arenas, under bigOnce,
-	// when a big accessor is first used on a word-tier index.
-	bigOnce  sync.Once
-	startCum []*big.Int
-	cum      [][][]*big.Int
-	// countN[q] caches the layer-N subtree counts (0 or 1); layer-N
-	// vertices have no decisions, so both tiers share this slice (built
-	// eagerly — it holds only the interned zero/one values).
-	countN []*big.Int
+	k     int      // limbs per count
+	total *big.Int // frozen; ktotal in limbs
+	// rows[t] holds decision layer t's prefix-sum rows, t in 0..N-1
+	// (rows[0] is the s_start row; at N = 0 it is the only row and has no
+	// edges). A vertex with deg out-edges has deg+1 k-limb entries: entry
+	// i counts the words through its first i edges, the last one is its
+	// subtree count. off[t][q] is the limb offset of (t, q)'s row for t
+	// ≥ 1 (-1 when the vertex is dead).
+	rows   [][]uint64
+	off    [][]int32
+	ktotal []uint64
+	// last[q·k:(q+1)·k] is the layer-N count of state q: 1 when (N, q) is
+	// alive and accepting, else 0. At N = 0 layer N is s_start's layer,
+	// so only the start state can count 1, when ε is accepted.
+	last []uint64
 }
-
-var (
-	zero = big.NewInt(0)
-	one  = big.NewInt(1)
-)
 
 // Build computes the index for d, fanning each layer's vertices across up
 // to `workers` goroutines (≤ 1 = serial; the result is bitwise identical
 // for every worker count — each vertex's sum is accumulated in its frozen
-// edge order and written only to its own slot). The word-tier sweep runs
-// first; on the first uint64 overflow it is abandoned and the big.Int
-// sweep runs instead.
+// edge order and written only to its own slot).
 func Build(d *unroll.DAG, workers int) *Index {
 	x, err := BuildCtx(nil, d, workers)
 	if err != nil {
 		// A nil ctx never cancels; this is reachable only when a
-		// fault-injection arm is live outside its suite. Fail loudly
-		// rather than return a partial index.
+		// fault-injection arm is live outside its suite or a layer arena
+		// outgrows int32 offsets. Fail loudly rather than return a
+		// partial index.
 		panic(err)
 	}
 	return x
@@ -180,221 +130,100 @@ func Build(d *unroll.DAG, workers int) *Index {
 // countdag.build.layer site), so an abandoned request stops within one
 // layer's work and the partial tables are released to the collector with
 // the returned error. On success the index is bitwise identical to
-// Build's for every ctx and worker count.
+// Build's for every ctx and worker count. A layer whose arena would not
+// fit int32 offsets is an error too.
 func BuildCtx(ctx context.Context, d *unroll.DAG, workers int) (*Index, error) {
 	if err := faultinject.Check(ctx, faultinject.SiteCountdagLayer); err != nil {
 		return nil, err
 	}
 	x := &Index{dag: d}
-	n := d.N
-	if n == 0 {
-		x.total = zero
-		if !d.Empty() {
-			x.total = one
-		}
-		return x, nil
-	}
-	x.countN = make([]*big.Int, d.M)
-	d.AliveSet(n).ForEach(func(q int) {
-		if d.Src.IsFinal(q) {
-			x.countN[q] = one
-		} else {
-			x.countN[q] = zero
-		}
-	})
-	if !forceBigTier.Load() {
-		ok, err := x.buildWord(ctx, workers)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			x.total = new(big.Int).SetUint64(x.utotal)
-			return x, nil
-		}
-	}
-	if err := x.buildBig(ctx, workers); err != nil {
+	if err := limb.Fit(func(k int) (bool, error) { return x.sweep(ctx, workers, k) }); err != nil {
 		return nil, err
 	}
+	if d.N == 0 {
+		x.ktotal = x.last[d.Src.Start()*x.k:][:x.k]
+	} else {
+		x.ktotal = x.rows[0][len(x.rows[0])-x.k:]
+	}
+	x.total = limb.ToBig(x.ktotal)
 	return x, nil
 }
 
-// buildWord attempts the uint64 fast-tier backward sweep. It returns
-// ok=false — leaving the index untouched — when any prefix sum overflows
-// a word (bits.Add64 carry) or a layer arena would not fit int32
-// offsets; err is non-nil only on cancellation or an injected fault at a
-// layer barrier.
-func (x *Index) buildWord(ctx context.Context, workers int) (ok bool, err error) {
+// sweep is the backward sweep at width k. It returns ok=false, leaving
+// the index untouched, when a prefix sum carries out of the top limb;
+// err is non-nil on cancellation, an injected fault at a layer barrier,
+// or an arena too large for int32 offsets.
+func (x *Index) sweep(ctx context.Context, workers, k int) (ok bool, err error) {
 	d := x.dag
 	n := d.N
-	// next[q] = subtree count of (t+1, q) while sweeping layer t.
-	next := make([]uint64, d.M)
-	d.AliveSet(n).ForEach(func(q int) {
-		if d.Src.IsFinal(q) {
-			next[q] = 1
+	// next[q·k:] = subtree count of (t+1, q) while sweeping layer t.
+	next := make([]uint64, d.M*k)
+	if n == 0 {
+		if !d.Empty() {
+			next[d.Src.Start()*k] = 1
 		}
-	})
-	uarena := make([][]uint64, n)
-	uoff := make([][]int32, n)
+	} else {
+		d.AliveSet(n).ForEach(func(q int) {
+			if d.Src.IsFinal(q) {
+				next[q*k] = 1
+			}
+		})
+	}
+	last := next
+	rows := make([][]uint64, max(n, 1))
+	off := make([][]int32, n)
 	var overflowed atomic.Bool
-	for t := n - 1; t >= 1; t-- {
+	for t := n - 1; t >= 0; t-- {
 		if err := faultinject.Check(ctx, faultinject.SiteCountdagLayer); err != nil {
 			return false, err
 		}
-		states := d.AliveSet(t).Elems()
-		off := make([]int32, d.M)
-		for i := range off {
-			off[i] = -1
+		// Layer 0 holds s_start alone, filed under the start state.
+		states := []int{d.Src.Start()}
+		if t > 0 {
+			states = d.AliveSet(t).Elems()
+		}
+		lay := make([]int32, d.M)
+		for q := range lay {
+			lay[q] = -1
 		}
 		size := 0
 		for _, q := range states {
-			deg := len(d.Succs(t, q))
-			if size > math.MaxInt32-deg-1 {
-				return false, nil
+			w := (len(x.edgesAt(t, q)) + 1) * k
+			if size > math.MaxInt32-w {
+				return false, fmt.Errorf("countdag: layer %d arena exceeds int32 offsets", t)
 			}
-			off[q] = int32(size)
-			size += deg + 1
+			lay[q] = int32(size)
+			size += w
 		}
 		arena := make([]uint64, size)
-		cnt := make([]uint64, d.M)
+		cnt := make([]uint64, d.M*k)
 		nx := next // capture for the workers
 		par.ForEachIndexed(len(states), workers, func(i int) {
 			if overflowed.Load() {
 				return
 			}
 			q := states[i]
-			edges := d.Succs(t, q)
-			c := arena[off[q] : int(off[q])+len(edges)+1]
-			var acc uint64
+			edges := x.edgesAt(t, q)
+			row := arena[lay[q] : int(lay[q])+(len(edges)+1)*k]
 			for j, e := range edges {
-				sum, carry := bits.Add64(acc, nx[e.To], 0)
-				if carry != 0 {
+				if limb.AddAt(k, row, j+1, nx, e.To) != 0 {
 					overflowed.Store(true)
 					return
 				}
-				acc = sum
-				c[j+1] = acc
 			}
-			cnt[q] = acc
+			limb.Set(cnt[q*k:(q+1)*k], row[len(edges)*k:])
 		})
 		if overflowed.Load() {
 			return false, nil
 		}
-		uarena[t] = arena
-		uoff[t] = off
+		rows[t], off[t] = arena, lay
 		next = cnt
 	}
-	if err := faultinject.Check(ctx, faultinject.SiteCountdagLayer); err != nil {
-		return false, err
+	if n == 0 {
+		rows[0] = make([]uint64, k) // s_start has no edges
 	}
-	// After the loop `next` holds layer-1 counts (layer-N counts when N=1).
-	edges := d.StartSuccs()
-	ustart := make([]uint64, len(edges)+1)
-	var acc uint64
-	for j, e := range edges {
-		sum, carry := bits.Add64(acc, next[e.To], 0)
-		if carry != 0 {
-			return false, nil
-		}
-		acc = sum
-		ustart[j+1] = acc
-	}
-	x.uarena = uarena
-	x.uoff = uoff
-	x.ustart = ustart
-	x.utotal = acc
-	x.word = true
+	x.k, x.rows, x.off, x.last = k, rows, off, last
 	return true, nil
-}
-
-// buildBig is the big.Int backward sweep — the overflow fallback tier.
-func (x *Index) buildBig(ctx context.Context, workers int) error {
-	d := x.dag
-	n := d.N
-	// Backward, layer by layer: counts of layer t+1 feed the prefix sums
-	// of layer t. next[q] is the subtree count of (t+1, q).
-	next := x.countN
-	x.cum = make([][][]*big.Int, n)
-	for t := n - 1; t >= 1; t-- {
-		if err := faultinject.Check(ctx, faultinject.SiteCountdagLayer); err != nil {
-			return err
-		}
-		states := d.AliveSet(t).Elems()
-		layerCum := make([][]*big.Int, d.M)
-		cnt := make([]*big.Int, d.M)
-		nx := next // capture for the workers
-		par.ForEachIndexed(len(states), workers, func(i int) {
-			q := states[i]
-			edges := d.Succs(t, q)
-			c := make([]*big.Int, len(edges)+1)
-			c[0] = zero
-			acc := new(big.Int)
-			for j, e := range edges {
-				sub := nx[e.To]
-				if sub == nil {
-					sub = zero
-				}
-				acc.Add(acc, sub)
-				c[j+1] = new(big.Int).Set(acc)
-			}
-			layerCum[q] = c
-			cnt[q] = c[len(edges)]
-		})
-		x.cum[t] = layerCum
-		next = cnt
-	}
-	if err := faultinject.Check(ctx, faultinject.SiteCountdagLayer); err != nil {
-		return err
-	}
-	edges := d.StartSuccs()
-	x.startCum = make([]*big.Int, len(edges)+1)
-	x.startCum[0] = zero
-	acc := new(big.Int)
-	for j, e := range edges {
-		sub := next[e.To]
-		if sub == nil {
-			sub = zero
-		}
-		acc.Add(acc, sub)
-		x.startCum[j+1] = new(big.Int).Set(acc)
-	}
-	x.total = x.startCum[len(edges)]
-	return nil
-}
-
-// materializeBig builds the big.Int tables from the word-tier arenas on
-// first demand — the lazily-materialized view the *big.Int accessors
-// serve on a word-tier index. The tables are frozen once published
-// (sync.Once gives every reader a happens-before edge), so the sharing
-// contract is identical to an eagerly built big tier.
-func (x *Index) materializeBig() {
-	x.bigOnce.Do(func() {
-		d := x.dag
-		n := d.N
-		cum := make([][][]*big.Int, n)
-		for t := 1; t < n; t++ {
-			layerCum := make([][]*big.Int, d.M)
-			arena := x.uarena[t]
-			off := x.uoff[t]
-			d.AliveSet(t).ForEach(func(q int) {
-				deg := len(d.Succs(t, q))
-				c := make([]*big.Int, deg+1)
-				c[0] = zero
-				base := int(off[q])
-				for j := 1; j <= deg; j++ {
-					c[j] = new(big.Int).SetUint64(arena[base+j])
-				}
-				layerCum[q] = c
-			})
-			cum[t] = layerCum
-		}
-		startCum := make([]*big.Int, len(x.ustart))
-		startCum[0] = zero
-		for j := 1; j < len(x.ustart); j++ {
-			startCum[j] = new(big.Int).SetUint64(x.ustart[j])
-		}
-		x.cum = cum
-		x.startCum = startCum
-	})
 }
 
 // DAG returns the DAG the index was built on.
@@ -403,93 +232,64 @@ func (x *Index) DAG() *unroll.DAG { return x.dag }
 // N returns the witness length the index covers.
 func (x *Index) N() int { return x.dag.N }
 
-// WordTier reports whether the index carries the uint64 fast tier (see
-// the package comment). When false, all arithmetic is big.Int.
-func (x *Index) WordTier() bool { return x.word }
+// Width returns the number of 64-bit limbs per count (see the package
+// comment): the scratch size Draw needs.
+func (x *Index) Width() int { return x.k }
 
 // Total returns |L_n| — the number of full-length DAG paths, which equals
 // the number of witnesses for an unambiguous automaton. Shared; do not
 // mutate.
 func (x *Index) Total() *big.Int { return x.total }
 
-// TotalWord returns (|L_n|, true) on the word tier, (0, false) otherwise.
-func (x *Index) TotalWord() (uint64, bool) { return x.utotal, x.word }
+// row returns the prefix-sum row of the vertex at decision layer t (0 =
+// s_start, q ignored) with deg out-edges, or nil when the vertex is dead.
+func (x *Index) row(t, q, deg int) []uint64 {
+	if t == 0 {
+		return x.rows[0]
+	}
+	o := int(x.off[t][q])
+	if o < 0 {
+		return nil
+	}
+	return x.rows[t][o : o+(deg+1)*x.k]
+}
+
+// bigRow converts a prefix-sum row to fresh big.Int values.
+func (x *Index) bigRow(row []uint64) []*big.Int {
+	if row == nil {
+		return nil
+	}
+	out := make([]*big.Int, len(row)/x.k)
+	for i := range out {
+		out[i] = limb.ToBig(row[i*x.k : (i+1)*x.k])
+	}
+	return out
+}
 
 // EdgeCum returns the cumulative prefix sums over the out-edges of the
 // vertex at decision layer `layer` (0 = s_start, state ignored; 1..N-1 =
 // (layer, state)): EdgeCum(...)[i] is the number of words through the
-// first i edges, and the last entry is the vertex's subtree count. Shared;
-// do not mutate the slice or its elements. On the word tier the table is
-// materialized lazily on first use (frozen from then on).
+// first i edges, and the last entry is the vertex's subtree count (nil
+// for a dead vertex). At N = 0 s_start has no edges and the table is
+// [0]. Do not mutate the slice or its elements.
 func (x *Index) EdgeCum(layer, state int) []*big.Int {
-	if x.word {
-		x.materializeBig()
-	}
-	if layer == 0 {
-		return x.startCum
-	}
-	return x.cum[layer][state]
-}
-
-// EdgeCumWord is EdgeCum on the word tier: the prefix sums as a sub-slice
-// of the layer arena, or (nil, false) on the big tier. The slice aliases
-// the frozen arena (nil for a dead vertex); treat it as read-only.
-func (x *Index) EdgeCumWord(layer, state int) ([]uint64, bool) {
-	if !x.word {
-		return nil, false
-	}
-	return x.edgeCumWord(layer, state), true
-}
-
-// edgeCumWord returns the word-tier prefix sums of a vertex (nil when the
-// vertex is dead). Layer 0 is s_start; the state is ignored there.
-func (x *Index) edgeCumWord(layer, state int) []uint64 {
-	if layer == 0 {
-		return x.ustart
-	}
-	off := x.uoff[layer][state]
-	if off < 0 {
-		return nil
-	}
-	deg := len(x.dag.Succs(layer, state))
-	return x.uarena[layer][off : int(off)+deg+1]
+	return x.bigRow(x.row(layer, state, len(x.edgesAt(layer, state))))
 }
 
 // Count returns the subtree count of vertex (layer, state) for layer in
-// 1..N: the number of witness suffixes completing from it. Shared; do not
-// mutate. On the word tier the inner-layer tables are materialized lazily
-// on first use.
+// 1..N (layer 0 is s_start: the total): the number of witness suffixes
+// completing from it. At N = 0 that is 1 for the start state exactly
+// when ε is accepted. Do not mutate.
 func (x *Index) Count(layer, state int) *big.Int {
+	k := x.k
 	if layer == x.dag.N {
-		if c := x.countN[state]; c != nil {
-			return c
-		}
-		return zero
+		return limb.ToBig(x.last[state*k : (state+1)*k])
 	}
-	if x.word {
-		x.materializeBig()
+	row := x.row(layer, state, len(x.edgesAt(layer, state)))
+	if row == nil {
+		return new(big.Int)
 	}
-	c := x.cum[layer][state]
-	if c == nil {
-		return zero
-	}
-	return c[len(c)-1]
-}
-
-// countWord is Count on the word tier (0 for dead vertices). Only valid
-// when x.word.
-func (x *Index) countWord(layer, state int) uint64 {
-	if layer == x.dag.N {
-		if c := x.countN[state]; c != nil && c.Sign() > 0 {
-			return 1
-		}
-		return 0
-	}
-	c := x.edgeCumWord(layer, state)
-	if c == nil {
-		return 0
-	}
-	return c[len(c)-1]
+	return limb.ToBig(row[len(row)-k:])
 }
 
 // PathVertex follows a decision path from s_start and returns the state
@@ -520,68 +320,27 @@ func (x *Index) edgesAt(t, q int) []unroll.OutEdge {
 // the half-open rank interval [first, first+count) is exactly the
 // subtree's slice of the enumeration. A full-length path denotes a single
 // word (count 1); the empty path denotes the whole range. `first` is owned
-// by the caller; `count` is shared — do not mutate it.
+// by the caller; do not mutate `count`.
 func (x *Index) SubtreeSpan(path []int) (first, count *big.Int, err error) {
-	if x.word {
-		f, c, err := x.SubtreeSpanWord(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return new(big.Int).SetUint64(f), new(big.Int).SetUint64(c), nil
+	if len(path) > x.dag.N {
+		return nil, nil, fmt.Errorf("countdag: path length %d exceeds %d", len(path), x.dag.N)
 	}
-	n := x.dag.N
-	if len(path) > n {
-		return nil, nil, fmt.Errorf("countdag: path length %d exceeds %d", len(path), n)
-	}
-	first = new(big.Int)
+	k := x.k
+	sum := make([]uint64, k)
 	q := -1
 	for t, i := range path {
 		edges := x.edgesAt(t, q)
 		if i < 0 || i >= len(edges) {
 			return nil, nil, fmt.Errorf("countdag: decision %d at layer %d out of range (%d edges)", i, t, len(edges))
 		}
-		first.Add(first, x.EdgeCum(t, q)[i])
+		limb.Add(sum, sum, x.row(t, q, len(edges))[i*k:(i+1)*k])
 		q = edges[i].To
 	}
-	switch {
-	case len(path) == 0:
-		count = x.total
-	case len(path) == n:
-		count = x.Count(n, q)
-	default:
+	count = x.total
+	if len(path) > 0 {
 		count = x.Count(len(path), q)
 	}
-	return first, count, nil
-}
-
-// SubtreeSpanWord is SubtreeSpan on the word tier, for consumers (the
-// steal scheduler) that size subtrees without big.Int traffic. It errors
-// when the index has no word tier; both results are plain values the
-// caller owns.
-func (x *Index) SubtreeSpanWord(path []int) (first, count uint64, err error) {
-	if !x.word {
-		return 0, 0, fmt.Errorf("countdag: index has no word tier")
-	}
-	n := x.dag.N
-	if len(path) > n {
-		return 0, 0, fmt.Errorf("countdag: path length %d exceeds %d", len(path), n)
-	}
-	q := -1
-	for t, i := range path {
-		edges := x.edgesAt(t, q)
-		if i < 0 || i >= len(edges) {
-			return 0, 0, fmt.Errorf("countdag: decision %d at layer %d out of range (%d edges)", i, t, len(edges))
-		}
-		first += x.edgeCumWord(t, q)[i]
-		q = edges[i].To
-	}
-	switch {
-	case len(path) == 0:
-		count = x.utotal
-	default:
-		count = x.countWord(len(path), q)
-	}
-	return first, count, nil
+	return limb.ToBig(sum), count, nil
 }
 
 // RankOfChoices returns the rank (index in enumeration order) of the word
@@ -659,11 +418,10 @@ func (x *Index) Rank(w automata.Word) (*big.Int, error) {
 		}
 		path[t] = prev
 	}
-	// Sum the prefix weights of the chosen edge at every layer — word
-	// additions on the fast tier (no overflow: every partial sum is a
-	// rank, bounded by utotal).
-	r := new(big.Int)
-	var r64 uint64
+	// Sum the prefix weights of the chosen edge at every layer (no carry:
+	// every partial sum is a rank, below Total).
+	k := x.k
+	r := make([]uint64, k)
 	for t := 0; t < n; t++ {
 		edges := x.edgesAt(t, path[t])
 		idx := -1
@@ -676,101 +434,76 @@ func (x *Index) Rank(w automata.Word) (*big.Int, error) {
 		if idx < 0 {
 			return nil, fmt.Errorf("countdag: run leaves the pruned DAG at layer %d (%w)", t, ErrNotMember)
 		}
-		if x.word {
-			r64 += x.edgeCumWord(t, path[t])[idx]
-		} else {
-			r.Add(r, x.EdgeCum(t, path[t])[idx])
-		}
+		limb.Add(r, r, x.row(t, path[t], len(edges))[idx*k:(idx+1)*k])
 	}
-	if x.word {
-		r.SetUint64(r64)
-	}
-	return r, nil
+	return limb.ToBig(r), nil
 }
 
 // Unrank returns the word at rank r (0-based, enumeration order). The
 // caller owns the result; r is not modified.
 func (x *Index) Unrank(r *big.Int) (automata.Word, error) {
-	w := make(automata.Word, x.dag.N)
-	rem := new(big.Int).Set(r)
-	if err := x.UnrankInto(rem, w); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-// UnrankInto writes the word at rank rem into w (len(w) must be N),
-// consuming rem as scratch — the allocation-free core of Unrank that
-// sampling sessions drive with reused buffers.
-func (x *Index) UnrankInto(rem *big.Int, w automata.Word) error {
-	_, err := x.unrank(rem, w, nil, nil)
-	return err
-}
-
-// UnrankWordInto is UnrankInto on the word tier: a pure-uint64 descent
-// with no big.Int in sight. It errors when the index has no word tier.
-func (x *Index) UnrankWordInto(r uint64, w automata.Word) error {
-	if !x.word {
-		return fmt.Errorf("countdag: index has no word tier")
-	}
-	if r >= x.utotal {
-		return fmt.Errorf("countdag: rank %d out of range [0, %d)", r, x.utotal)
-	}
-	if len(w) != x.dag.N {
-		return fmt.Errorf("countdag: word buffer has length %d, want %d", len(w), x.dag.N)
-	}
-	_, err := x.unrankWord(r, w, nil, nil)
-	return err
+	_, w, _, err := x.unrank(r, false)
+	return w, err
 }
 
 // UnrankChoices returns the decision vector, word and state path (path[t]
 // = state at layer t, path[0] = -1) of the word at rank r — the form
 // enumerators seek with.
 func (x *Index) UnrankChoices(r *big.Int) (choices []int, w automata.Word, path []int, err error) {
-	n := x.dag.N
-	choices = make([]int, n)
-	w = make(automata.Word, n)
-	path = make([]int, n+1)
-	rem := new(big.Int).Set(r)
-	if _, err = x.unrank(rem, w, choices, path); err != nil {
+	return x.unrank(r, true)
+}
+
+// unrank checks 0 ≤ r < Total and descends to the word at rank r, also
+// recording the decision vector and state path when withPath is set.
+func (x *Index) unrank(r *big.Int, withPath bool) (choices []int, w automata.Word, path []int, err error) {
+	if r.Sign() < 0 || r.Cmp(x.total) >= 0 {
+		return nil, nil, nil, fmt.Errorf("countdag: rank %v out of range [0, %v)", r, x.total)
+	}
+	rem := make([]uint64, x.k)
+	limb.FromBig(rem, r)
+	w = make(automata.Word, x.dag.N)
+	if withPath {
+		choices = make([]int, x.dag.N)
+		path = make([]int, x.dag.N+1)
+	}
+	if err := x.descend(rem, w, choices, path); err != nil {
 		return nil, nil, nil, err
 	}
 	return choices, w, path, nil
 }
 
-// unrank validates rem and dispatches the descent to the index's tier.
+// Draw writes a uniformly random word of the slice into w (len N): one
+// rank drawn by limb.Draw into rem (Width() limbs of scratch) and one
+// descent. The total must be positive. It allocates nothing — the core
+// of the sampling sessions.
+func (x *Index) Draw(rng *rand.Rand, rem []uint64, w automata.Word) error {
+	limb.Draw(rng, x.ktotal, rem)
+	return x.descend(rem, w, nil, nil)
+}
+
+// descend is the unrank walk: at each vertex it finds the edge whose
+// subtree holds rem and continues into it, consuming rem as scratch.
 // choices and path may be nil.
-func (x *Index) unrank(rem *big.Int, w automata.Word, choices, path []int) (int, error) {
-	if rem.Sign() < 0 || rem.Cmp(x.total) >= 0 {
-		return 0, fmt.Errorf("countdag: rank %v out of range [0, %v)", rem, x.total)
-	}
-	if len(w) != x.dag.N {
-		return 0, fmt.Errorf("countdag: word buffer has length %d, want %d", len(w), x.dag.N)
-	}
-	if x.word {
-		// 0 ≤ rem < total < 2^64, so the conversion is exact.
-		return x.unrankWord(rem.Uint64(), w, choices, path)
-	}
-	return x.unrankBig(rem, w, choices, path)
-}
-
-// unrankBig is the big-tier descent: at each vertex, binary-search the
-// prefix sums for the subtree containing rem and recurse into it,
-// consuming rem as scratch.
-func (x *Index) unrankBig(rem *big.Int, w automata.Word, choices, path []int) (int, error) {
+func (x *Index) descend(rem []uint64, w automata.Word, choices, path []int) error {
+	k, rows, off := x.k, x.rows, x.off
 	if path != nil {
 		path[0] = -1
 	}
 	q := -1
+	row := rows[0]
 	for t := 0; t < x.dag.N; t++ {
 		edges := x.edgesAt(t, q)
-		cum := x.EdgeCum(t, q)
-		// The subtree of edge i owns ranks [cum[i], cum[i+1]).
-		i := sort.Search(len(edges), func(i int) bool { return cum[i+1].Cmp(rem) > 0 })
-		if i == len(edges) {
-			return 0, fmt.Errorf("countdag: inconsistent prefix sums at layer %d", t)
+		if t > 0 {
+			o := int(off[t][q])
+			row = rows[t][o : o+(len(edges)+1)*k]
 		}
-		rem.Sub(rem, cum[i])
+		i, ok := limb.Pick(row, rem)
+		if !ok {
+			i = limb.Descend(row, rem)
+		}
+		if i == len(edges) {
+			return fmt.Errorf("countdag: inconsistent prefix sums at layer %d", t)
+		}
 		e := edges[i]
 		w[t] = e.Symbol
 		q = e.To
@@ -781,58 +514,5 @@ func (x *Index) unrankBig(rem *big.Int, w automata.Word, choices, path []int) (i
 			path[t+1] = q
 		}
 	}
-	return q, nil
-}
-
-// unrankWord is the word-tier descent: the same binary searches as
-// unrankBig, but over the flat arenas with plain uint64 comparisons.
-func (x *Index) unrankWord(rem uint64, w automata.Word, choices, path []int) (int, error) {
-	if path != nil {
-		path[0] = -1
-	}
-	q := -1
-	for t := 0; t < x.dag.N; t++ {
-		edges := x.edgesAt(t, q)
-		var cum []uint64
-		if t == 0 {
-			cum = x.ustart
-		} else {
-			off := int(x.uoff[t][q])
-			cum = x.uarena[t][off : off+len(edges)+1]
-		}
-		// The subtree of edge i owns ranks [cum[i], cum[i+1]): find the
-		// smallest i with cum[i+1] > rem. A plain scan beats an indirect
-		// sort.Search on the short fan-outs that dominate real automata;
-		// wide vertices get a closure-free binary search.
-		var i int
-		if len(edges) <= 8 {
-			for i < len(edges) && cum[i+1] <= rem {
-				i++
-			}
-		} else {
-			hi := len(edges)
-			for i < hi {
-				mid := int(uint(i+hi) >> 1)
-				if cum[mid+1] > rem {
-					hi = mid
-				} else {
-					i = mid + 1
-				}
-			}
-		}
-		if i == len(edges) {
-			return 0, fmt.Errorf("countdag: inconsistent prefix sums at layer %d", t)
-		}
-		rem -= cum[i]
-		e := edges[i]
-		w[t] = e.Symbol
-		q = e.To
-		if choices != nil {
-			choices[t] = i
-		}
-		if path != nil {
-			path[t+1] = q
-		}
-	}
-	return q, nil
+	return nil
 }

@@ -10,6 +10,8 @@ import (
 	"repro/internal/countdag"
 	"repro/internal/enumerate"
 	"repro/internal/exact"
+	"repro/internal/oracle"
+	"repro/internal/sample"
 	"repro/internal/unroll"
 )
 
@@ -252,6 +254,52 @@ func TestZeroLength(t *testing.T) {
 	}
 	if _, err := x2.Rank(automata.Word{}); !errors.Is(err, countdag.ErrNotMember) {
 		t.Fatalf("Rank(ε) on empty slice: %v", err)
+	}
+}
+
+// TestZeroLengthMatchesOracle: an n = 0 index is the degenerate arena —
+// s_start is the only vertex and has no edges — and every accessor agrees
+// with the brute-force oracle: Count(0, start) is 1 exactly when ε is
+// accepted, EdgeCum(0, ·) is the empty prefix [0], SubtreeSpan(nil)
+// spans the whole slice, and Unrank, Rank and Sample give ε or fail
+// cleanly.
+func TestZeroLengthMatchesOracle(t *testing.T) {
+	alpha := automata.Binary()
+	all, _ := automata.OverflowBoundary(2)
+	for _, nfa := range []*automata.NFA{all, automata.Chain(alpha, automata.Word{0})} {
+		x := buildIndex(t, nfa, 0, 1)
+		want := oracle.Count(nfa, 0)
+		start := nfa.Start()
+		if got := x.Count(0, start); got.Cmp(want) != 0 {
+			t.Fatalf("Count(0, start) = %v, oracle %v", got, want)
+		}
+		if cum := x.EdgeCum(0, start); len(cum) != 1 || cum[0].Sign() != 0 {
+			t.Fatalf("EdgeCum(0, start) = %v, want [0]", cum)
+		}
+		first, count, err := x.SubtreeSpan(nil)
+		if err != nil || first.Sign() != 0 || count.Cmp(want) != 0 {
+			t.Fatalf("SubtreeSpan(nil) = %v, %v, %v; want 0, %v", first, count, err, want)
+		}
+		s := sample.NewUFASamplerIndex(nfa, x)
+		w, err := s.Sample(rand.New(rand.NewSource(1)))
+		if want.Sign() == 0 {
+			if !errors.Is(err, sample.ErrEmpty) {
+				t.Fatalf("Sample on the empty slice: %v, %v", w, err)
+			}
+			if _, err := x.Rank(automata.Word{}); !errors.Is(err, countdag.ErrNotMember) {
+				t.Fatalf("Rank(ε) on the empty slice: %v", err)
+			}
+			continue
+		}
+		if err != nil || len(w) != 0 || !oracle.Member(nfa, w) {
+			t.Fatalf("Sample = %v, %v; want ε", w, err)
+		}
+		if w, err := x.Unrank(big.NewInt(0)); err != nil || len(w) != 0 {
+			t.Fatalf("Unrank(0) = %v, %v", w, err)
+		}
+		if r, err := x.Rank(automata.Word{}); err != nil || r.Sign() != 0 {
+			t.Fatalf("Rank(ε) = %v, %v", r, err)
+		}
 	}
 }
 

@@ -7,50 +7,44 @@ import (
 
 	"repro/internal/automata"
 	"repro/internal/countdag"
+	"repro/internal/limb"
 	"repro/internal/unroll"
 )
 
-// The cross-tier differential suite: every public answer of a word-tier
-// index must be bitwise identical to the forced-big index over the same
-// DAG, and the overflow-boundary family must flip the tier exactly where
-// sigma^n crosses 2^64.
+// The cross-width differential suite: every public answer of an index
+// at its natural limb width must be bitwise identical to the index forced
+// to three limbs over the same DAG, and the overflow-boundary family must
+// widen the index exactly where sigma^n crosses 2^64.
 
-// buildBothTiers builds the same DAG twice, once with the fast tier
-// allowed and once with big.Int forced, restoring the knob afterwards.
-func buildBothTiers(t testing.TB, nfa *automata.NFA, length int) (fast, forced *countdag.Index) {
+// buildBothWidths builds the same DAG twice, once at its natural width
+// and once forced to three limbs, restoring the hook afterwards.
+func buildBothWidths(t testing.TB, nfa *automata.NFA, length int) (fast, forced *countdag.Index) {
 	t.Helper()
 	dag, err := unroll.Build(nfa, length, unroll.Options{PruneBackward: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := countdag.ForceBigTier(false)
-	defer countdag.ForceBigTier(prev)
+	defer limb.ForceWidth(limb.ForceWidth(1))
 	fast = countdag.Build(dag, 2)
-	countdag.ForceBigTier(true)
+	limb.ForceWidth(3)
 	forced = countdag.Build(dag, 2)
 	return fast, forced
 }
 
-// TestTierDifferentialGrid: on word-sized random DFAs the fast tier is
-// chosen, the forced index stays on big.Int, and Total, Unrank, Rank,
+// TestTierDifferentialGrid: on word-sized random DFAs the natural width
+// is one limb, the forced index has three, and Total, Unrank, Rank,
 // SubtreeSpan, Count, and EdgeCum agree bitwise between the two.
 func TestTierDifferentialGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 12; trial++ {
 		dfa := automata.RandomDFA(rng, automata.Binary(), 2+rng.Intn(8), 0.5)
 		n := 1 + rng.Intn(8)
-		fast, forced := buildBothTiers(t, dfa, n)
-		if !fast.WordTier() {
-			t.Fatalf("trial %d: word-sized instance did not take the fast tier", trial)
-		}
-		if forced.WordTier() {
-			t.Fatalf("trial %d: ForceBigTier did not force the big tier", trial)
+		fast, forced := buildBothWidths(t, dfa, n)
+		if fast.Width() != 1 || forced.Width() != 3 {
+			t.Fatalf("trial %d: widths %d and %d, want 1 and 3", trial, fast.Width(), forced.Width())
 		}
 		if fast.Total().Cmp(forced.Total()) != 0 {
 			t.Fatalf("trial %d: totals differ: %v vs %v", trial, fast.Total(), forced.Total())
-		}
-		if ut, ok := fast.TotalWord(); !ok || fast.Total().Cmp(new(big.Int).SetUint64(ut)) != 0 {
-			t.Fatalf("trial %d: TotalWord %d disagrees with Total %v", trial, ut, fast.Total())
 		}
 		var r big.Int
 		for i := int64(0); r.SetInt64(i).Cmp(fast.Total()) < 0 && i < 200; i++ {
@@ -60,7 +54,7 @@ func TestTierDifferentialGrid(t *testing.T) {
 				t.Fatalf("trial %d rank %d: %v / %v", trial, i, err1, err2)
 			}
 			if dfa.Alphabet().FormatWord(a) != dfa.Alphabet().FormatWord(b) {
-				t.Fatalf("trial %d rank %d: tiers disagree: %v vs %v", trial, i, a, b)
+				t.Fatalf("trial %d rank %d: widths disagree: %v vs %v", trial, i, a, b)
 			}
 			ra, err1 := fast.Rank(a)
 			rb, err2 := forced.Rank(b)
@@ -68,11 +62,10 @@ func TestTierDifferentialGrid(t *testing.T) {
 				t.Fatalf("trial %d rank %d: rank errors %v / %v", trial, i, err1, err2)
 			}
 			if ra.Cmp(rb) != 0 || ra.Int64() != i {
-				t.Fatalf("trial %d: Rank(Unrank(%d)) = %v (fast) / %v (big)", trial, i, ra, rb)
+				t.Fatalf("trial %d: Rank(Unrank(%d)) = %v (width 1) / %v (width 3)", trial, i, ra, rb)
 			}
 		}
-		// The lazily materialized big accessors equal the eager tables,
-		// and SubtreeSpan agrees on every depth-1 path.
+		// SubtreeSpan agrees on every depth-1 path.
 		dag := fast.DAG()
 		for i := range dag.StartSuccs() {
 			path := []int{i}
@@ -82,7 +75,7 @@ func TestTierDifferentialGrid(t *testing.T) {
 				t.Fatalf("trial %d: SubtreeSpan errors %v / %v", trial, err1, err2)
 			}
 			if f1.Cmp(f2) != 0 || c1.Cmp(c2) != 0 {
-				t.Fatalf("trial %d: SubtreeSpan tiers disagree: (%v,%v) vs (%v,%v)", trial, f1, c1, f2, c2)
+				t.Fatalf("trial %d: SubtreeSpan widths disagree: (%v,%v) vs (%v,%v)", trial, f1, c1, f2, c2)
 			}
 		}
 		for t2 := 0; t2 <= dag.N; t2++ {
@@ -112,23 +105,23 @@ func TestTierDifferentialGrid(t *testing.T) {
 }
 
 // TestTierOverflowBoundary: the OverflowBoundary family pins the exact
-// 2^64 crossing — one length below the straddle the index is word-tier,
-// at the straddle it must fall back on its own (no knob), and both sides
-// match the closed forms: total sigma^n, rank = base-sigma numeral.
+// 2^64 crossing — one length below the straddle the index has one limb,
+// at the straddle it must widen to two on its own (no hook), and both
+// sides match the closed forms: total sigma^n, rank = base-sigma numeral.
 func TestTierOverflowBoundary(t *testing.T) {
-	// Pin the knob off: this test is about the AUTOMATIC fallback, and
-	// must hold even when the suite runs under NFA_FORCE_BIG_TIER=1.
-	defer countdag.ForceBigTier(countdag.ForceBigTier(false))
+	// Pin the hook to its default: this test is about the automatic
+	// widening.
+	defer limb.ForceWidth(limb.ForceWidth(1))
 	nfa, straddle := automata.OverflowBoundary(4)
 	sigma := big.NewInt(4)
 
 	below := buildIndex(t, nfa, straddle-1, 2)
-	if !below.WordTier() {
-		t.Fatalf("n=%d (below straddle): expected word tier", straddle-1)
+	if below.Width() != 1 {
+		t.Fatalf("n=%d (below straddle): width %d, want 1", straddle-1, below.Width())
 	}
 	at := buildIndex(t, nfa, straddle, 2)
-	if at.WordTier() {
-		t.Fatalf("n=%d (straddle): expected big-tier fallback", straddle)
+	if at.Width() != 2 {
+		t.Fatalf("n=%d (straddle): width %d, want 2", straddle, at.Width())
 	}
 	for _, tc := range []struct {
 		idx *countdag.Index
@@ -175,28 +168,5 @@ func TestTierOverflowBoundary(t *testing.T) {
 				t.Fatalf("n=%d: Rank(Unrank(%v)) = %v", tc.n, r, rk)
 			}
 		}
-	}
-
-	// The big-tier index at the straddle has no word-tier projections.
-	if _, ok := at.TotalWord(); ok {
-		t.Fatal("straddle index claims a word total")
-	}
-	if _, _, err := at.SubtreeSpanWord([]int{0}); err == nil {
-		t.Fatal("SubtreeSpanWord succeeded on a big-tier index")
-	}
-}
-
-// TestForceBigTierKnobRestores: the knob swap returns the previous value
-// so tests can nest force/restore without leaking state.
-func TestForceBigTierKnobRestores(t *testing.T) {
-	prev := countdag.ForceBigTier(true)
-	if !countdag.BigTierForced() {
-		t.Fatal("ForceBigTier(true) not observed")
-	}
-	if countdag.ForceBigTier(prev) != true {
-		t.Fatal("swap did not report the forced state")
-	}
-	if countdag.BigTierForced() != prev {
-		t.Fatal("knob not restored")
 	}
 }

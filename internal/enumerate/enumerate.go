@@ -52,7 +52,7 @@
 // fork. It upgrades three things. Positions gain a rank form — an 'r'
 // token whose payload is a single big integer, the number of words
 // emitted — minted by RankCursor and resumed by NewUFAFromRank/SeekRank
-// in O(n·log Δ) big.Int steps instead of a replay; any rank is directly
+// in O(n·log Δ) steps instead of a replay; any rank is directly
 // addressable (NewUFAAt). Cells gain exact sizes — Remaining reports the
 // exact word count a cell has yet to produce, which the scheduler uses
 // for steal-victim selection in place of the words-since-last-split
@@ -81,8 +81,8 @@
 // re-sharding. Workers claim cells from an ordered list (nearest the
 // consume point first); an idle worker with nothing to claim flags the
 // biggest running cell — by exact remaining word count when the cells
-// carry the counting index (UFA streams, unless ProxyVictims opts out),
-// by words-since-last-split otherwise — and that cell's owner —
+// carry the counting index (UFA streams), by words-since-last-split
+// otherwise — and that cell's owner —
 // cooperatively, between two Next calls — splits off alternatives at the
 // shallowest unexhausted branch of its current position (SplitSteal);
 // with the index the thief takes the sibling range whose exact word count
@@ -162,7 +162,6 @@ package enumerate
 import (
 	"fmt"
 	"math/big"
-	"math/bits"
 
 	"repro/internal/automata"
 	"repro/internal/bitset"
@@ -341,7 +340,7 @@ func (e *UFAEnumerator) fork() *UFAEnumerator {
 }
 
 // EnsureIndex returns the enumerator's ranked counting index, building it
-// on first call (serially; one backward big.Int pass over the DAG). Not
+// on first call (serially; one backward pass over the DAG). Not
 // safe to call concurrently with other methods — attach the index before
 // sharing forks (Stream does this before launching workers).
 func (e *UFAEnumerator) EnsureIndex() *countdag.Index {
@@ -548,13 +547,6 @@ func (e *UFAEnumerator) Remaining() (*big.Int, bool) {
 	if e.idx == nil {
 		return nil, false
 	}
-	if e.idx.WordTier() {
-		r, ok := e.remainingWord()
-		if !ok {
-			return nil, false
-		}
-		return new(big.Int).SetUint64(r), true
-	}
 	rem := new(big.Int)
 	if e.done {
 		return rem, true
@@ -609,67 +601,6 @@ func (e *UFAEnumerator) Remaining() (*big.Int, bool) {
 		rem.SetInt64(0)
 	}
 	return rem, true
-}
-
-// remainingWord is Remaining on the index's word tier: the same span
-// arithmetic in plain uint64, so steal-victim sizing never touches (or
-// lazily materializes) the big.Int tables.
-func (e *UFAEnumerator) remainingWord() (uint64, bool) {
-	if e.done {
-		return 0, true
-	}
-	n := e.dag.N
-	if n == 0 {
-		if !e.started && !e.dag.Empty() {
-			return 1, true
-		}
-		return 0, true
-	}
-	// The cell's rank interval ends just past its ceiling subtree (or its
-	// pinned prefix subtree when unbounded above).
-	end := e.ceil
-	if end == nil {
-		end = e.choice[:e.floor]
-	}
-	endFirst, endCount, err := e.idx.SubtreeSpanWord(end)
-	if err != nil {
-		return 0, false
-	}
-	limit := endFirst + endCount
-	// cur = rank of the next word to emit.
-	var cur uint64
-	if e.started {
-		r, _, err := e.idx.SubtreeSpanWord(e.choice)
-		if err != nil {
-			return 0, false
-		}
-		cur = r + 1
-	} else {
-		first, _, err := e.idx.SubtreeSpanWord(e.choice[:e.floor])
-		if err != nil {
-			return 0, false
-		}
-		cur = first
-		if e.floor < n {
-			q, err := e.idx.PathVertex(e.choice[:e.floor])
-			if err != nil {
-				return 0, false
-			}
-			cum, ok := e.idx.EdgeCumWord(e.floor, q)
-			if !ok {
-				return 0, false
-			}
-			lo := e.lo
-			if lo > len(cum)-1 {
-				lo = len(cum) - 1
-			}
-			cur += cum[lo]
-		}
-	}
-	if limit < cur {
-		return 0, true
-	}
-	return limit - cur, true
 }
 
 var bigOne = big.NewInt(1)
@@ -935,16 +866,7 @@ func (e *UFAEnumerator) SplitSteal() (Shard, bool) {
 		return Shard{}, false
 	}
 	if e.idx != nil {
-		var (
-			s            Shard
-			ok, fellBack bool
-		)
-		if e.idx.WordTier() {
-			s, ok, fellBack = e.splitBalancedWord()
-		} else {
-			s, ok, fellBack = e.splitBalanced()
-		}
-		if !fellBack {
+		if s, ok, fellBack := e.splitBalanced(); !fellBack {
 			return s, ok
 		}
 	}
@@ -1085,123 +1007,6 @@ func (e *UFAEnumerator) splitBalanced() (s Shard, ok, fellBack bool) {
 		e.ceil = append(append([]int(nil), e.choice[:split]...), bestJ-1)
 	}
 	return s, true, false
-}
-
-// splitBalancedWord is splitBalanced on the index's word tier: the same
-// steal-half selection with uint64 span arithmetic, so a steal sizes its
-// victim without big.Int allocations (2·stolen can carry into a 65th bit,
-// so the |2·stolen − remaining| comparisons run on 128-bit hi/lo pairs).
-func (e *UFAEnumerator) splitBalancedWord() (s Shard, ok, fellBack bool) {
-	n := e.dag.N
-	rem, okRem := e.remainingWord()
-	if !okRem || rem == 0 {
-		return Shard{}, false, true
-	}
-	// Exclusive end of the cell's rank interval, for ceiling-truncated
-	// subtree sizes.
-	var ceilLimit uint64
-	hasCeilLimit := false
-	if e.ceil != nil {
-		first, count, err := e.idx.SubtreeSpanWord(e.ceil)
-		if err != nil {
-			return Shard{}, false, true
-		}
-		ceilLimit = first + count
-		hasCeilLimit = true
-	}
-	// base tracks the first rank of the subtree pinned by e.choice[:t].
-	base, _, err := e.idx.SubtreeSpanWord(e.choice[:e.floor])
-	if err != nil {
-		return Shard{}, false, true
-	}
-	// The shallowest detachable layer, exactly as splitShallowest finds it.
-	split := -1
-	var hi int
-	truncated := false
-	onCeil := pathOnCeil(e.choice, e.ceil, e.floor)
-	for t := e.floor; t < n; t++ {
-		q := -1
-		if t > 0 {
-			q = e.path[t]
-		}
-		cum, okCum := e.idx.EdgeCumWord(t, q)
-		if !okCum {
-			return Shard{}, false, true
-		}
-		hi = len(cum) - 2 // last edge index
-		truncated = false
-		if onCeil && t < len(e.ceil) && e.ceil[t] <= hi {
-			hi = e.ceil[t]
-			// The ceiling cuts into the subtree at index hi only when it
-			// pins decisions beyond this layer.
-			truncated = len(e.ceil) > t+1
-		}
-		if e.choice[t]+1 <= hi {
-			split = t
-			break
-		}
-		onCeil = onCeil && t < len(e.ceil) && e.choice[t] == e.ceil[t]
-		base += cum[e.choice[t]]
-	}
-	if split < 0 {
-		return Shard{}, false, false
-	}
-	q := -1
-	if split > 0 {
-		q = e.path[split]
-	}
-	cum, _ := e.idx.EdgeCumWord(split, q)
-	// Exclusive end of the stealable range at the split layer.
-	var cellEnd uint64
-	if truncated && hasCeilLimit {
-		cellEnd = ceilLimit
-	} else {
-		cellEnd = base + cum[hi+1]
-	}
-	// Pick j minimizing |2·stolen(j) − remaining|; stolen(j) = cellEnd −
-	// (base + cum[j]) decreases in j.
-	bestJ := -1
-	var bestHi, bestLo uint64
-	for j := e.choice[split] + 1; j <= hi; j++ {
-		inner := base + cum[j]
-		if cellEnd <= inner {
-			break
-		}
-		diffHi, diffLo := absDiffTwiceMinus(cellEnd-inner, rem)
-		if bestJ < 0 || diffHi < bestHi || (diffHi == bestHi && diffLo < bestLo) {
-			bestJ, bestHi, bestLo = j, diffHi, diffLo
-		}
-	}
-	if bestJ < 0 {
-		return Shard{}, false, false
-	}
-	s = Shard{
-		kind:   KindUFA,
-		prefix: append([]int(nil), e.choice[:split]...),
-		lo:     bestJ,
-		ceil:   e.ceil, // the thief inherits the cell's old upper bound
-	}
-	if bestJ == e.choice[split]+1 {
-		// Full take: the victim keeps only its current subtree.
-		e.floor = split + 1
-	} else {
-		// Partial take: the victim keeps subtrees up to j−1 — its new
-		// upper bound, recorded as a ceiling (the floor must stay so it
-		// can still backtrack to those siblings).
-		e.ceil = append(append([]int(nil), e.choice[:split]...), bestJ-1)
-	}
-	return s, true, false
-}
-
-// absDiffTwiceMinus returns |2·stolen − rem| as a 128-bit (hi, lo) pair:
-// both operands are word-tier counts, but doubling can carry past 64 bits.
-func absDiffTwiceMinus(stolen, rem uint64) (hi, lo uint64) {
-	dbl, carry := bits.Add64(stolen, stolen, 0) // 2·stolen = carry·2^64 + dbl
-	if carry != 0 || dbl >= rem {
-		lo, borrow := bits.Sub64(dbl, rem, 0)
-		return carry - borrow, lo
-	}
-	return 0, rem - dbl
 }
 
 // pathOnCeil reports whether pos[:depth] still tracks the ceiling path (so

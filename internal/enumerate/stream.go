@@ -91,12 +91,6 @@ type StreamOptions struct {
 	// it at its current frontier (0 = DefaultStealThreshold; < 0 disables
 	// work-stealing, reproducing the static fan-out).
 	StealThreshold int
-	// ProxyVictims forces steal-victim selection back to the
-	// words-since-last-split proxy even when exact remaining-cell sizes
-	// are available (UFA streams carry a counting index by default, which
-	// also enables size-balanced splits). An A/B escape hatch — experiment
-	// E16 compares the two; leave false in production.
-	ProxyVictims bool
 	// DeliveryBatch is the number of buffered words the consumer pops per
 	// lock acquisition (0 = DefaultDeliveryBatch; 1 = one word per lock,
 	// the pre-batching behavior). Larger batches cut consumer-lock
@@ -494,10 +488,7 @@ func biggerCellLocked(a, b *segment) bool {
 // setRemaining snapshots the cell's exact remaining size from its freshly
 // opened enumerator (nil when the enumerator cannot count).
 func (st *Stream) setRemaining(seg *segment, e cellEnum) {
-	var rem *big.Int
-	if !st.opts.ProxyVictims {
-		rem, _ = e.Remaining()
-	}
+	rem, _ := e.Remaining()
 	st.mu.Lock()
 	seg.remaining = rem
 	st.mu.Unlock()
@@ -576,10 +567,8 @@ func (st *Stream) reserve(seg *segment, e cellEnum) bool {
 			st.steals++
 			// The victim's range shrank to its pinned path; refresh its
 			// exact size so the next victim choice sees the split.
-			if !st.opts.ProxyVictims {
-				if rem, ok := e.Remaining(); ok {
-					seg.remaining = rem
-				}
+			if rem, ok := e.Remaining(); ok {
+				seg.remaining = rem
 			}
 		}
 		st.workCond.Broadcast()
@@ -1008,11 +997,11 @@ func freshInits(shards []Shard) []initialSeg {
 }
 
 // ensureStreamIndex builds the counting index before workers launch when
-// the scheduler will use it (stealing on, exact sizes not disabled): the
-// forked cell enumerators then all share it, enabling exact victim
-// selection and size-balanced splits.
+// the scheduler will use it (stealing on): the forked cell enumerators
+// then all share it, enabling exact victim selection and size-balanced
+// splits.
 func (e *UFAEnumerator) ensureStreamIndex(opts StreamOptions) {
-	if _, stealing := opts.stealThreshold(); stealing && !opts.ProxyVictims {
+	if _, stealing := opts.stealThreshold(); stealing {
 		e.EnsureIndex()
 	}
 }

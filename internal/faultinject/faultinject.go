@@ -50,7 +50,7 @@ type Site string
 // the suite iterates the registry, so a new site is automatically driven.
 const (
 	// SiteCountdagLayer fires at a countdag.BuildCtx backward-sweep layer
-	// barrier (word and big tier alike).
+	// barrier (every sweep attempt, at every limb width).
 	SiteCountdagLayer Site = "countdag.build.layer"
 	// SiteRangeLayer fires at a lengthrange.BuildCtx sweep layer barrier.
 	SiteRangeLayer Site = "lengthrange.build.layer"

@@ -43,10 +43,9 @@
 //     order matches theirs; relabelling permutes sorted successor lists).
 //
 // The full entry identity binds, besides the normalized class: the index
-// kind (single-length vs cross-length), the witness length or [lo, hi]
-// range, and the arithmetic tier override (countdag.BigTierForced),
-// because a forced-big build is a different artifact than a fast-tier
-// build.
+// kind (single-length vs cross-length) and the witness length or [lo, hi]
+// range. The limb width an index was built at is not part of it: every
+// answer is bitwise the same at every width.
 //
 // Because entries bind to exact normalized structure, a hit is sound for
 // EVERY consumer — including the enumerator's balanced splitting, which
@@ -58,7 +57,7 @@
 // # Builds, cancellation, eviction
 //
 // Builds are deduplicated singleflight-style: N concurrent requests for
-// the same (class, length/range, tier) trigger exactly one build; everyone
+// the same (class, length/range) trigger exactly one build; everyone
 // else blocks on it. The build runs in a detached goroutine under its own
 // cancellable context, and waiters are reference-counted: a cancelled
 // leader merely stops waiting — the build keeps running and hands its
@@ -171,10 +170,9 @@ const (
 
 // entryKey is the full identity of one cached artifact.
 type entryKey struct {
-	cls     *class
-	kind    uint8
-	lo, hi  int
-	bigTier bool
+	cls    *class
+	kind   uint8
+	lo, hi int
 }
 
 func (ek entryKey) kindString() string {
@@ -245,8 +243,8 @@ func New(budget int64) *Cache {
 // Budget returns the configured byte budget (<= 0 means unbounded).
 func (c *Cache) Budget() int64 { return c.budget }
 
-// UFAIndex returns the single-length counting index for (key, length)
-// under the current arithmetic tier, building it with build on a miss,
+// UFAIndex returns the single-length counting index for (key, length),
+// building it with build on a miss,
 // and reports whether the call was served from a resident entry. ctx
 // cancels only this caller's wait — an in-flight build owned by other
 // waiters keeps running; a build with no waiters left is cancelled.
@@ -304,7 +302,7 @@ func (c *Cache) getOrBuild(ctx context.Context, key *Key, kind uint8, lo, hi int
 	if err := faultinject.Check(ctx, faultinject.SiteCacheFill); err != nil {
 		return nil, false, err
 	}
-	ek := entryKey{cls: c.resolveClass(key), kind: kind, lo: lo, hi: hi, bigTier: countdag.BigTierForced()}
+	ek := entryKey{cls: c.resolveClass(key), kind: kind, lo: lo, hi: hi}
 
 	c.mu.Lock()
 	e := c.entries[ek]
@@ -442,15 +440,14 @@ func (c *Cache) Stats() Stats {
 // entry's structural-class key; Strong groups minimization-equivalent
 // classes (same language, separate artifacts).
 type EntryStats struct {
-	Iso     string
-	Strong  string
-	Kind    string
-	Lo, Hi  int
-	BigTier bool
-	Bytes   int64
-	Hits    uint64
-	Misses  uint64
-	Builds  uint64
+	Iso    string
+	Strong string
+	Kind   string
+	Lo, Hi int
+	Bytes  int64
+	Hits   uint64
+	Misses uint64
+	Builds uint64
 }
 
 // EntryStats returns per-entry counters for every resident entry, in a
@@ -464,16 +461,15 @@ func (c *Cache) EntryStats() []EntryStats {
 			continue
 		}
 		out = append(out, EntryStats{
-			Iso:     e.key.cls.iso,
-			Strong:  e.key.cls.strong,
-			Kind:    e.key.kindString(),
-			Lo:      e.key.lo,
-			Hi:      e.key.hi,
-			BigTier: e.key.bigTier,
-			Bytes:   e.bytes,
-			Hits:    e.hits,
-			Misses:  e.misses,
-			Builds:  e.builds,
+			Iso:    e.key.cls.iso,
+			Strong: e.key.cls.strong,
+			Kind:   e.key.kindString(),
+			Lo:     e.key.lo,
+			Hi:     e.key.hi,
+			Bytes:  e.bytes,
+			Hits:   e.hits,
+			Misses: e.misses,
+			Builds: e.builds,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -490,10 +486,7 @@ func (c *Cache) EntryStats() []EntryStats {
 		if a.Lo != b.Lo {
 			return a.Lo < b.Lo
 		}
-		if a.Hi != b.Hi {
-			return a.Hi < b.Hi
-		}
-		return !a.BigTier && b.BigTier
+		return a.Hi < b.Hi
 	})
 	return out
 }

@@ -38,7 +38,7 @@ func buildUFA(n *automata.NFA, length int) func(context.Context) (*countdag.Inde
 // ekFor resolves the entry key a lookup would use; white-box, for the
 // handoff tests' flight peeking.
 func ekFor(c *Cache, key *Key, kind uint8, lo, hi int) entryKey {
-	return entryKey{cls: c.resolveClass(key), kind: kind, lo: lo, hi: hi, bigTier: countdag.BigTierForced()}
+	return entryKey{cls: c.resolveClass(key), kind: kind, lo: lo, hi: hi}
 }
 
 // waitRefs polls until the entry's flight has the given waiter count; the
@@ -147,23 +147,6 @@ func TestNondeterministicRelabellingsGetSeparateEntries(t *testing.T) {
 	}
 	if st := c.Stats(); st.Builds != 2 {
 		t.Fatalf("want two builds, got %d", st.Builds)
-	}
-}
-
-func TestTierIsPartOfEntryIdentity(t *testing.T) {
-	c := New(DefaultBudget)
-	n := testDFA(t, 4, 8)
-	if _, hit, err := c.UFAIndex(nil, KeyFor(n), 5, 50, buildUFA(n, 5)); err != nil || hit {
-		t.Fatalf("cold: hit=%v err=%v", hit, err)
-	}
-	prev := countdag.ForceBigTier(true)
-	defer countdag.ForceBigTier(prev)
-	_, hit, err := c.UFAIndex(nil, KeyFor(n), 5, 50, buildUFA(n, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit {
-		t.Fatal("forced-big lookup must not hit a fast-tier entry")
 	}
 }
 

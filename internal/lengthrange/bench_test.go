@@ -27,18 +27,6 @@ func BenchmarkRangeBuild(b *testing.B) {
 			}
 		}
 	})
-	b.Run("shared-bigtier", func(b *testing.B) {
-		// The same shared sweep with the uint64 fast tier disabled —
-		// the A/B record behind the two-tier speedup claim.
-		prev := countdag.ForceBigTier(true)
-		defer countdag.ForceBigTier(prev)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Build(dfa, lo, hi, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("independent", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -38,33 +38,26 @@
 // every worker count), and a DrawSession performs zero heap allocations
 // per draw.
 //
-// # Memory model: two tiers, one contract
+// # Memory model: one limb arena, one contract
 //
-// Like countdag, the index stores its counts in one of two tiers, chosen
-// at Build time (the same countdag.ForceBigTier knob governs both
-// packages):
-//
-//   - Word tier: every completion count AND the grand total fit a uint64.
-//     Each remaining-length layer's prefix-sum tables live in ONE flat
-//     arena ([]uint64) with per-state offsets, and the per-length totals
-//     spine is a []uint64 as well: a global-rank descent — length split
-//     plus unrank walk — is pure word comparisons. The backward sweep
-//     detects overflow per addition (bits.Add64 carry) and falls back
-//     wholesale on the first carry. (Unlike countdag, unreachable states
-//     can carry counts larger than any length's total here — the sweep is
-//     backward only — so the carry check, not a total check, is the
-//     authority.)
-//   - Big tier: the original [][][]*big.Int tables, built when the word
-//     sweep overflows or the knob forces it.
+// Like countdag, the index stores its counts as k-limb integers in the
+// format of internal/limb, the width fixed per index. Each
+// remaining-length layer's prefix-sum rows live in ONE flat arena
+// ([]uint64) with per-state int32 offsets, and the per-length totals
+// spine is one k-limb table as well: a global-rank descent — length
+// split plus unrank walk — is limb comparisons only. The sweep starts at
+// one limb and reruns at twice the width on the first carry out of the
+// top limb, in a prefix sum or in the spine (limb.Fit). Unlike countdag,
+// unreachable states can carry counts larger than any length's total
+// here — the sweep is backward only — so the carry check, not a total,
+// decides the width.
 //
 // Build freezes the index before returning: afterwards every method only
 // reads, so a RangeIndex is safe for unbounded concurrent use with no
-// locking. The per-length totals spine (TotalAt, FirstRankOf, SplitRank)
-// is kept as frozen big.Int values on BOTH tiers — it is O(hi−lo) small —
-// so the accessors keep one contract: returned *big.Int values may alias
-// the frozen spine (TotalAt) and callers MUST NOT mutate them; methods
-// that compute fresh values (TotalRange, RankRange, UnrankRange, RankAt,
-// UnrankAt, Sample) return values the caller owns.
+// locking. TotalAt converts a fresh value on each call but keeps the
+// do-not-mutate contract of the shared accessors; methods that compute
+// ranks or words (TotalRange, RankRange, UnrankRange, RankAt, UnrankAt,
+// Sample) return values the caller owns.
 //
 // Unambiguity is the caller's contract (core verifies it once at
 // instance construction): on an ambiguous automaton the index counts
@@ -80,7 +73,6 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"math/bits"
 	"math/rand"
 	"sort"
 	"sync/atomic"
@@ -89,8 +81,8 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/countdag"
 	"repro/internal/faultinject"
+	"repro/internal/limb"
 	"repro/internal/par"
-	"repro/internal/sample"
 	"repro/internal/unroll"
 )
 
@@ -98,61 +90,41 @@ import (
 // the paper's ⊥ answer.
 var ErrEmpty = errors.New("lengthrange: witness set is empty over the range")
 
-var (
-	zero = big.NewInt(0)
-	one  = big.NewInt(1)
-)
-
 // RangeIndex is the frozen cross-length counting index. See the package
-// comment for the memory model, tiering and sharing contract.
+// comment for the memory model and sharing contract.
 type RangeIndex struct {
 	src    *automata.NFA
 	lo, hi int
+	k      int // limbs per count
 
-	// Word tier (word == true): ucomp[r][q] = number of accepting
-	// completions of length exactly r from state q; uarena[r] holds the
-	// layer's prefix-sum tables in one contiguous slice, uoff[r][q] the
-	// state's offset into it (-1 when ucomp[r][q] = 0), len(edges[r][q])+1
-	// entries per live state. utotals/ucumTotals/ugrand mirror the totals
-	// spine in words.
-	word       bool
-	ugrand     uint64
-	ucomp      [][]uint64
-	uarena     [][]uint64
-	uoff       [][]int32
-	utotals    []uint64
-	ucumTotals []uint64
-
-	// Big tier (nil on the word tier): comp[r][q] = number of accepting
-	// completions of length exactly r from state q (comp[0][q] = 1 iff q
-	// is final) — the shared suffix counts every length's subtree counts
-	// are slices of. cum[r][q] holds the cumulative prefix sums aligned
-	// with edges[r][q] (len(edges)+1 entries).
-	comp [][]*big.Int
-	cum  [][][]*big.Int
-
+	// comp[r][q·k:(q+1)·k] = number of accepting completions of length
+	// exactly r from state q (comp[0] marks the final states) — the
+	// shared suffix counts every length's subtree counts are slices of.
+	comp [][]uint64
 	// edges[r][q] lists the pruned out-edges of a vertex at state q with
 	// remaining length r (nil when the completion count is 0): the edges
 	// (a, p) with a positive completion count at r−1 from p, ordered by
 	// (p asc, a asc) — exactly the decision order of the length-n counting
-	// DAG at layer n−r. Both tiers share it.
+	// DAG at layer n−r.
 	edges [][][]unroll.OutEdge
-
-	// totals[i] = |L_{lo+i}|; cumTotals[i] = Σ_{j<i} totals[j], with the
-	// grand total at cumTotals[len(totals)]. Frozen big.Int values on both
-	// tiers (the spine is small; see the package comment).
-	totals    []*big.Int
-	cumTotals []*big.Int
+	// rows[r] holds the layer's prefix-sum rows in one arena: state q's
+	// row starts at limb off[r][q] (-1 when its count is 0) and has
+	// len(edges[r][q])+1 k-limb entries, entry i counting the completions
+	// through its first i edges.
+	rows [][]uint64
+	off  [][]int32
+	// spine holds len(lengths)+1 k-limb entries: entry i = Σ_{j<i}
+	// |L_{lo+j}|, the grand total last. It is the prefix-sum row of the
+	// length-lexicographic rank space.
+	spine []uint64
 }
 
 // Build computes the shared index for all lengths in [lo, hi], fanning
 // each remaining-length layer's states across up to `workers` goroutines
 // (≤ 1 = serial; the result is bitwise identical for every worker count —
 // each state's sums accumulate in its frozen edge order and write only to
-// its own slots). The word-tier sweep runs first (unless
-// countdag.ForceBigTier is set); on the first uint64 overflow it is
-// abandoned and the big.Int sweep runs instead. The automaton must be
-// ε-free; unambiguity is the caller's contract.
+// its own slots). The automaton must be ε-free; unambiguity is the
+// caller's contract.
 func Build(nfa *automata.NFA, lo, hi, workers int) (*RangeIndex, error) {
 	return BuildCtx(nil, nfa, lo, hi, workers)
 }
@@ -162,7 +134,8 @@ func Build(nfa *automata.NFA, lo, hi, workers int) (*RangeIndex, error) {
 // (the faultinject lengthrange.build.layer site), so an abandoned request
 // stops within one layer's work and its partial tables are released with
 // the returned error. On success the index is bitwise identical to
-// Build's for every ctx and worker count.
+// Build's for every ctx and worker count. A layer whose arena would not
+// fit int32 offsets is an error too.
 func BuildCtx(ctx context.Context, nfa *automata.NFA, lo, hi, workers int) (*RangeIndex, error) {
 	if err := faultinject.Check(ctx, faultinject.SiteRangeLayer); err != nil {
 		return nil, err
@@ -196,56 +169,42 @@ func BuildCtx(ctx context.Context, nfa *automata.NFA, lo, hi, workers int) (*Ran
 		})
 		sorted[q] = out
 	}
-
-	if !countdag.BigTierForced() {
-		ok, err := x.buildWord(ctx, sorted, workers)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return x, nil
-		}
-	}
-	if err := x.buildBig(ctx, sorted, workers); err != nil {
+	if err := limb.Fit(func(k int) (bool, error) { return x.sweep(ctx, sorted, workers, k) }); err != nil {
 		return nil, err
 	}
 	return x, nil
 }
 
-// buildWord attempts the uint64 fast-tier backward sweep, leaving the
-// index untouched and returning ok=false when any prefix sum or the
-// grand total overflows a word (bits.Add64 carry) or an arena would not
-// fit int32 offsets; err is non-nil only on cancellation or an injected
-// fault at a layer barrier. On success it also mirrors the totals spine
-// into frozen big.Int values, so the spine accessors are tier-blind.
-func (x *RangeIndex) buildWord(ctx context.Context, sorted [][]unroll.OutEdge, workers int) (ok bool, err error) {
+// sweep is the backward sweep at width k. It returns ok=false, leaving
+// the index untouched, when a prefix sum or the grand total carries out
+// of the top limb; err is non-nil on cancellation, an injected fault at
+// a layer barrier, or an arena too large for int32 offsets.
+func (x *RangeIndex) sweep(ctx context.Context, sorted [][]unroll.OutEdge, workers, k int) (ok bool, err error) {
 	m := x.src.NumStates()
 	hi := x.hi
-	ucomp := make([][]uint64, hi+1)
+	comp := make([][]uint64, hi+1)
 	edges := make([][][]unroll.OutEdge, hi+1)
-	uarena := make([][]uint64, hi+1)
-	uoff := make([][]int32, hi+1)
-	base := make([]uint64, m)
+	rows := make([][]uint64, hi+1)
+	off := make([][]int32, hi+1)
+	comp[0] = make([]uint64, m*k)
 	for q := 0; q < m; q++ {
 		if x.src.IsFinal(q) {
-			base[q] = 1
+			comp[0][q*k] = 1
 		}
 	}
-	ucomp[0] = base
 	var overflowed atomic.Bool
 	// One backward sweep from the longest length: layer r's prefix sums
-	// read only the counts at r−1. Pruning depends only on count SIGNS, so
-	// the surviving edge lists are identical to the big tier's.
+	// read only the counts at r−1.
 	for r := 1; r <= hi; r++ {
 		if err := faultinject.Check(ctx, faultinject.SiteRangeLayer); err != nil {
 			return false, err
 		}
-		prev := ucomp[r-1]
+		prev := comp[r-1]
 		layerEdges := make([][]unroll.OutEdge, m)
 		par.ForEachIndexed(m, workers, func(q int) {
 			var pruned []unroll.OutEdge
 			for _, e := range sorted[q] {
-				if prev[e.To] == 0 {
+				if limb.IsZero(prev[e.To*k : (e.To+1)*k]) {
 					continue
 				}
 				if pruned == nil {
@@ -255,152 +214,52 @@ func (x *RangeIndex) buildWord(ctx context.Context, sorted [][]unroll.OutEdge, w
 			}
 			layerEdges[q] = pruned
 		})
-		off := make([]int32, m)
+		lay := make([]int32, m)
 		size := 0
 		for q := 0; q < m; q++ {
 			if layerEdges[q] == nil {
-				off[q] = -1
+				lay[q] = -1
 				continue
 			}
-			deg := len(layerEdges[q])
-			if size > math.MaxInt32-deg-1 {
-				return false, nil
+			w := (len(layerEdges[q]) + 1) * k
+			if size > math.MaxInt32-w {
+				return false, fmt.Errorf("lengthrange: layer %d arena exceeds int32 offsets", r)
 			}
-			off[q] = int32(size)
-			size += deg + 1
+			lay[q] = int32(size)
+			size += w
 		}
 		arena := make([]uint64, size)
-		cnt := make([]uint64, m)
+		cnt := make([]uint64, m*k)
 		par.ForEachIndexed(m, workers, func(q int) {
-			if overflowed.Load() {
-				return
-			}
 			pruned := layerEdges[q]
-			if pruned == nil {
+			if pruned == nil || overflowed.Load() {
 				return
 			}
-			c := arena[off[q] : int(off[q])+len(pruned)+1]
-			var acc uint64
+			row := arena[lay[q] : int(lay[q])+(len(pruned)+1)*k]
 			for j, e := range pruned {
-				sum, carry := bits.Add64(acc, prev[e.To], 0)
-				if carry != 0 {
+				if limb.AddAt(k, row, j+1, prev, e.To) != 0 {
 					overflowed.Store(true)
 					return
 				}
-				acc = sum
-				c[j+1] = acc
 			}
-			cnt[q] = acc
+			limb.Set(cnt[q*k:(q+1)*k], row[len(pruned)*k:])
 		})
 		if overflowed.Load() {
 			return false, nil
 		}
-		ucomp[r] = cnt
-		edges[r] = layerEdges
-		uarena[r] = arena
-		uoff[r] = off
-	}
-	if err := faultinject.Check(ctx, faultinject.SiteRangeLayer); err != nil {
-		return false, err
+		comp[r], edges[r], rows[r], off[r] = cnt, layerEdges, arena, lay
 	}
 
-	// The totals spine, in words and mirrored into frozen big.Ints.
+	// The totals spine: the running sums of the start state's counts.
 	start := x.src.Start()
-	utotals := make([]uint64, hi-x.lo+1)
-	ucumTotals := make([]uint64, hi-x.lo+2)
-	var acc uint64
-	for i := range utotals {
-		utotals[i] = ucomp[x.lo+i][start]
-		sum, carry := bits.Add64(acc, utotals[i], 0)
-		if carry != 0 {
+	spine := make([]uint64, (hi-x.lo+2)*k)
+	for i := 0; i <= hi-x.lo; i++ {
+		if limb.Add(spine[(i+1)*k:(i+2)*k], spine[i*k:(i+1)*k], comp[x.lo+i][start*k:(start+1)*k]) != 0 {
 			return false, nil
 		}
-		acc = sum
-		ucumTotals[i+1] = acc
 	}
-	x.ucomp, x.uarena, x.uoff = ucomp, uarena, uoff
-	x.edges = edges
-	x.utotals, x.ucumTotals, x.ugrand = utotals, ucumTotals, acc
-	x.totals = make([]*big.Int, len(utotals))
-	x.cumTotals = make([]*big.Int, len(ucumTotals))
-	x.cumTotals[0] = zero
-	for i := range utotals {
-		x.totals[i] = new(big.Int).SetUint64(utotals[i])
-		x.cumTotals[i+1] = new(big.Int).SetUint64(ucumTotals[i+1])
-	}
-	x.word = true
+	x.k, x.comp, x.edges, x.rows, x.off, x.spine = k, comp, edges, rows, off, spine
 	return true, nil
-}
-
-// buildBig is the big.Int backward sweep — the overflow fallback tier.
-func (x *RangeIndex) buildBig(ctx context.Context, sorted [][]unroll.OutEdge, workers int) error {
-	m := x.src.NumStates()
-	hi := x.hi
-	// One backward sweep from the longest length: layer r's prefix sums
-	// read only comp[r−1], and comp[r][q] is the last entry of cum[r][q].
-	x.comp = make([][]*big.Int, hi+1)
-	x.edges = make([][][]unroll.OutEdge, hi+1)
-	x.cum = make([][][]*big.Int, hi+1)
-	base := make([]*big.Int, m)
-	for q := 0; q < m; q++ {
-		if x.src.IsFinal(q) {
-			base[q] = one
-		} else {
-			base[q] = zero
-		}
-	}
-	x.comp[0] = base
-	for r := 1; r <= hi; r++ {
-		if err := faultinject.Check(ctx, faultinject.SiteRangeLayer); err != nil {
-			return err
-		}
-		prev := x.comp[r-1]
-		cnt := make([]*big.Int, m)
-		layerEdges := make([][]unroll.OutEdge, m)
-		layerCum := make([][]*big.Int, m)
-		par.ForEachIndexed(m, workers, func(q int) {
-			var pruned []unroll.OutEdge
-			var cum []*big.Int
-			acc := new(big.Int)
-			for _, e := range sorted[q] {
-				sub := prev[e.To]
-				if sub.Sign() == 0 {
-					continue
-				}
-				if pruned == nil {
-					pruned = make([]unroll.OutEdge, 0, len(sorted[q]))
-					cum = append(make([]*big.Int, 0, len(sorted[q])+1), zero)
-				}
-				pruned = append(pruned, e)
-				acc.Add(acc, sub)
-				cum = append(cum, new(big.Int).Set(acc))
-			}
-			if pruned == nil {
-				cnt[q] = zero
-				return
-			}
-			layerEdges[q] = pruned
-			layerCum[q] = cum
-			cnt[q] = cum[len(cum)-1]
-		})
-		x.comp[r] = cnt
-		x.edges[r] = layerEdges
-		x.cum[r] = layerCum
-	}
-
-	// Per-length start-vector slices: totals and their running sums, the
-	// spine of the length-lexicographic rank space.
-	start := x.src.Start()
-	x.totals = make([]*big.Int, hi-x.lo+1)
-	x.cumTotals = make([]*big.Int, hi-x.lo+2)
-	x.cumTotals[0] = zero
-	acc := new(big.Int)
-	for i := range x.totals {
-		x.totals[i] = x.comp[x.lo+i][start]
-		acc.Add(acc, x.totals[i])
-		x.cumTotals[i+1] = new(big.Int).Set(acc)
-	}
-	return nil
 }
 
 // Lo returns the smallest length the index covers.
@@ -412,66 +271,43 @@ func (x *RangeIndex) Hi() int { return x.hi }
 // Automaton returns the automaton the index was built on.
 func (x *RangeIndex) Automaton() *automata.NFA { return x.src }
 
-// WordTier reports whether the index carries the uint64 fast tier.
-func (x *RangeIndex) WordTier() bool { return x.word }
+// Width returns the number of 64-bit limbs per count (see the package
+// comment).
+func (x *RangeIndex) Width() int { return x.k }
 
-// compPositive reports whether the completion count at (remaining r,
-// state q) is positive, on whichever tier is live.
-func (x *RangeIndex) compPositive(r, q int) bool {
-	if x.word {
-		return x.ucomp[r][q] > 0
-	}
-	return x.comp[r][q].Sign() > 0
-}
+// grand returns the grand total in limbs (shared; read only).
+func (x *RangeIndex) grand() []uint64 { return x.spine[len(x.spine)-x.k:] }
 
 // TotalRange returns |⋃_{n∈[lo,hi]} L_n| — the size of the whole
-// length-lexicographic rank space. The caller owns the copy.
-func (x *RangeIndex) TotalRange() *big.Int {
-	return new(big.Int).Set(x.cumTotals[len(x.totals)])
-}
+// length-lexicographic rank space. The caller owns the result.
+func (x *RangeIndex) TotalRange() *big.Int { return limb.ToBig(x.grand()) }
 
-// TotalAt returns |L_n| for one length in the range. Shared; do not
-// mutate.
+// TotalAt returns |L_n| for one length in the range. Do not mutate.
 func (x *RangeIndex) TotalAt(n int) (*big.Int, error) {
 	if n < x.lo || n > x.hi {
 		return nil, fmt.Errorf("lengthrange: length %d outside [%d, %d]", n, x.lo, x.hi)
 	}
-	return x.totals[n-x.lo], nil
+	start := x.src.Start()
+	return limb.ToBig(x.comp[n][start*x.k : (start+1)*x.k]), nil
 }
 
 // FirstRankOf returns the global rank of the first length-n word — the
 // offset of length n's span in the length-lexicographic order. The caller
-// owns the copy.
+// owns the result.
 func (x *RangeIndex) FirstRankOf(n int) (*big.Int, error) {
 	if n < x.lo || n > x.hi {
 		return nil, fmt.Errorf("lengthrange: length %d outside [%d, %d]", n, x.lo, x.hi)
 	}
-	return new(big.Int).Set(x.cumTotals[n-x.lo]), nil
+	i := n - x.lo
+	return limb.ToBig(x.spine[i*x.k : (i+1)*x.k]), nil
 }
 
 // UnrankAt returns the word at rank r (0-based) WITHIN length n — bitwise
 // identical to countdag.Unrank on the length-n index. The caller owns the
 // result; r is not modified.
 func (x *RangeIndex) UnrankAt(n int, r *big.Int) (automata.Word, error) {
-	if n < x.lo || n > x.hi {
-		return nil, fmt.Errorf("lengthrange: length %d outside [%d, %d]", n, x.lo, x.hi)
-	}
-	if r.Sign() < 0 || r.Cmp(x.totals[n-x.lo]) >= 0 {
-		return nil, fmt.Errorf("lengthrange: rank %v out of range [0, %v) at length %d", r, x.totals[n-x.lo], n)
-	}
-	w := make(automata.Word, n)
-	if x.word {
-		// 0 ≤ r < |L_n| < 2^64, so the conversion is exact.
-		if err := x.descendWord(r.Uint64(), w, nil); err != nil {
-			return nil, err
-		}
-		return w, nil
-	}
-	rem := new(big.Int).Set(r)
-	if err := x.descend(rem, w, nil); err != nil {
-		return nil, err
-	}
-	return w, nil
+	w, _, err := x.unrankAt(n, r, false)
+	return w, err
 }
 
 // UnrankChoicesAt returns the decision vector of the word at rank r
@@ -481,89 +317,56 @@ func (x *RangeIndex) UnrankAt(n int, r *big.Int) (automata.Word, error) {
 // (enumerate.OpenShardAt / a KindUFA cursor) without building that
 // length's countdag index. The caller owns the result.
 func (x *RangeIndex) UnrankChoicesAt(n int, r *big.Int) ([]int, error) {
-	if n < x.lo || n > x.hi {
-		return nil, fmt.Errorf("lengthrange: length %d outside [%d, %d]", n, x.lo, x.hi)
+	_, choices, err := x.unrankAt(n, r, true)
+	return choices, err
+}
+
+// unrankAt checks n and 0 ≤ r < |L_n| and descends to the word at rank r
+// within length n, also recording the decisions when withChoices is set.
+func (x *RangeIndex) unrankAt(n int, r *big.Int, withChoices bool) (automata.Word, []int, error) {
+	total, err := x.TotalAt(n)
+	if err != nil {
+		return nil, nil, err
 	}
-	if r.Sign() < 0 || r.Cmp(x.totals[n-x.lo]) >= 0 {
-		return nil, fmt.Errorf("lengthrange: rank %v out of range [0, %v) at length %d", r, x.totals[n-x.lo], n)
+	if r.Sign() < 0 || r.Cmp(total) >= 0 {
+		return nil, nil, fmt.Errorf("lengthrange: rank %v out of range [0, %v) at length %d", r, total, n)
 	}
+	rem := make([]uint64, x.k)
+	limb.FromBig(rem, r)
 	w := make(automata.Word, n)
-	choices := make([]int, n)
-	if x.word {
-		if err := x.descendWord(r.Uint64(), w, choices); err != nil {
-			return nil, err
-		}
-		return choices, nil
+	var choices []int
+	if withChoices {
+		choices = make([]int, n)
 	}
-	rem := new(big.Int).Set(r)
 	if err := x.descend(rem, w, choices); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return choices, nil
+	return w, choices, nil
 }
 
-// descend is the big-tier unrank walk: w's length selects the start
-// table, and at each step the prefix sums of the remaining length are
-// binary-searched for the subtree containing rem, consuming rem as
-// scratch. choices, when non-nil (len(w) entries), records the edge
-// index taken at each step. Allocation-free given caller-owned buffers.
-func (x *RangeIndex) descend(rem *big.Int, w automata.Word, choices []int) error {
+// descend is the unrank walk: w's length selects the start table, and at
+// each step the row of the remaining length is searched for the subtree
+// containing rem, consuming rem as scratch. choices, when non-nil
+// (len(w) entries), records the edge index taken at each step.
+// Allocation-free given caller-owned buffers.
+func (x *RangeIndex) descend(rem []uint64, w automata.Word, choices []int) error {
+	k, allEdges, rows, off := x.k, x.edges, x.rows, x.off
 	q := x.src.Start()
 	n := len(w)
 	for r := n; r >= 1; r-- {
-		edges := x.edges[r][q]
-		cum := x.cum[r][q]
-		// The subtree of edge i owns ranks [cum[i], cum[i+1]).
-		i := sort.Search(len(edges), func(i int) bool { return cum[i+1].Cmp(rem) > 0 })
-		if i == len(edges) {
-			return fmt.Errorf("lengthrange: inconsistent prefix sums at remaining length %d", r)
-		}
-		rem.Sub(rem, cum[i])
-		w[n-r] = edges[i].Symbol
-		if choices != nil {
-			choices[n-r] = i
-		}
-		q = edges[i].To
-	}
-	return nil
-}
-
-// descendWord is descend on the word tier: the same binary searches over
-// the flat arenas, with plain uint64 comparisons and no big.Int at all.
-func (x *RangeIndex) descendWord(rem uint64, w automata.Word, choices []int) error {
-	q := x.src.Start()
-	n := len(w)
-	for r := n; r >= 1; r-- {
-		edges := x.edges[r][q]
+		edges := allEdges[r][q]
 		if len(edges) == 0 {
 			return fmt.Errorf("lengthrange: inconsistent prefix sums at remaining length %d", r)
 		}
-		off := int(x.uoff[r][q])
-		cum := x.uarena[r][off : off+len(edges)+1]
-		// The subtree of edge i owns ranks [cum[i], cum[i+1]): find the
-		// smallest i with cum[i+1] > rem. A plain scan beats an indirect
-		// sort.Search on the short fan-outs that dominate real automata;
-		// wide vertices get a closure-free binary search.
-		var i int
-		if len(edges) <= 8 {
-			for i < len(edges) && cum[i+1] <= rem {
-				i++
-			}
-		} else {
-			hi := len(edges)
-			for i < hi {
-				mid := int(uint(i+hi) >> 1)
-				if cum[mid+1] > rem {
-					hi = mid
-				} else {
-					i = mid + 1
-				}
-			}
+		o := int(off[r][q])
+		row := rows[r][o : o+(len(edges)+1)*k]
+		i, ok := limb.Pick(row, rem)
+		if !ok {
+			i = limb.Descend(row, rem)
 		}
 		if i == len(edges) {
 			return fmt.Errorf("lengthrange: inconsistent prefix sums at remaining length %d", r)
 		}
-		rem -= cum[i]
 		w[n-r] = edges[i].Symbol
 		if choices != nil {
 			choices[n-r] = i
@@ -571,6 +374,12 @@ func (x *RangeIndex) descendWord(rem uint64, w automata.Word, choices []int) err
 		q = edges[i].To
 	}
 	return nil
+}
+
+// positive reports whether the completion count at (remaining r, state
+// q) is positive.
+func (x *RangeIndex) positive(r, q int) bool {
+	return !limb.IsZero(x.comp[r][q*x.k : (q+1)*x.k])
 }
 
 // RankAt returns the rank of w within its own length's span (len(w) must
@@ -580,6 +389,15 @@ func (x *RangeIndex) descendWord(rem uint64, w automata.Word, choices []int) err
 // forward (reachable sets along w, pruned by the completion counts) and
 // then backward from the accepting final state.
 func (x *RangeIndex) RankAt(w automata.Word) (*big.Int, error) {
+	rk, err := x.rankAt(w)
+	if err != nil {
+		return nil, err
+	}
+	return limb.ToBig(rk), nil
+}
+
+// rankAt is RankAt in limbs.
+func (x *RangeIndex) rankAt(w automata.Word) ([]uint64, error) {
 	n := len(w)
 	if n < x.lo || n > x.hi {
 		return nil, fmt.Errorf("lengthrange: word length %d outside [%d, %d] (%w)", n, x.lo, x.hi, countdag.ErrNotMember)
@@ -590,11 +408,13 @@ func (x *RangeIndex) RankAt(w automata.Word) (*big.Int, error) {
 			return nil, fmt.Errorf("lengthrange: symbol %d at position %d out of range (%w)", a, i, countdag.ErrNotMember)
 		}
 	}
+	k := x.k
+	rk := make([]uint64, k)
 	if n == 0 {
-		if !x.compPositive(0, x.src.Start()) {
+		if !x.positive(0, x.src.Start()) {
 			return nil, fmt.Errorf("lengthrange: ε is not accepted (%w)", countdag.ErrNotMember)
 		}
-		return new(big.Int), nil
+		return rk, nil
 	}
 	m := x.src.NumStates()
 	// Forward: reach[t] = states reachable via w[:t+1] that still have an
@@ -603,7 +423,7 @@ func (x *RangeIndex) RankAt(w automata.Word) (*big.Int, error) {
 	reach := make([]*bitset.Set, n)
 	cur := bitset.New(m)
 	for _, p := range x.src.Successors(x.src.Start(), w[0]) {
-		if x.compPositive(n-1, p) {
+		if x.positive(n-1, p) {
 			cur.Add(p)
 		}
 	}
@@ -613,7 +433,7 @@ func (x *RangeIndex) RankAt(w automata.Word) (*big.Int, error) {
 		rem := n - t - 1
 		cur.ForEach(func(q int) {
 			for _, p := range x.src.Successors(q, w[t]) {
-				if x.compPositive(rem, p) {
+				if x.positive(rem, p) {
 					next.Add(p)
 				}
 			}
@@ -654,11 +474,8 @@ func (x *RangeIndex) RankAt(w automata.Word) (*big.Int, error) {
 		}
 		path[t] = prev
 	}
-	// Sum the prefix weight of the chosen edge at every step — word
-	// additions on the fast tier (no overflow: every partial sum is a
-	// rank, bounded by the length's total).
-	rk := new(big.Int)
-	var rk64 uint64
+	// Sum the prefix weight of the chosen edge at every step (no carry:
+	// every partial sum is a rank, below the length's total).
 	for t := 0; t < n; t++ {
 		r := n - t
 		edges := x.edges[r][path[t]]
@@ -672,14 +489,8 @@ func (x *RangeIndex) RankAt(w automata.Word) (*big.Int, error) {
 		if idx < 0 {
 			return nil, fmt.Errorf("lengthrange: run leaves the pruned tables at position %d (%w)", t, countdag.ErrNotMember)
 		}
-		if x.word {
-			rk64 += x.uarena[r][int(x.uoff[r][path[t]])+idx]
-		} else {
-			rk.Add(rk, x.cum[r][path[t]][idx])
-		}
-	}
-	if x.word {
-		rk.SetUint64(rk64)
+		o := int(x.off[r][path[t]]) + idx*k
+		limb.Add(rk, rk, x.rows[r][o:o+k])
 	}
 	return rk, nil
 }
@@ -688,29 +499,20 @@ func (x *RangeIndex) RankAt(w automata.Word) (*big.Int, error) {
 // order over the whole range: the spans of all shorter lengths, plus w's
 // rank within its own length. The caller owns the result.
 func (x *RangeIndex) RankRange(w automata.Word) (*big.Int, error) {
-	within, err := x.RankAt(w)
+	rk, err := x.rankAt(w)
 	if err != nil {
 		return nil, err
 	}
-	return within.Add(within, x.cumTotals[len(w)-x.lo]), nil
+	i := len(w) - x.lo
+	limb.Add(rk, rk, x.spine[i*x.k:(i+1)*x.k])
+	return limb.ToBig(rk), nil
 }
 
 // UnrankRange returns the witness at the given global rank of the
 // length-lexicographic order. The caller owns the result; r is not
 // modified.
 func (x *RangeIndex) UnrankRange(r *big.Int) (automata.Word, error) {
-	if x.word {
-		if r.Sign() < 0 || !r.IsUint64() || r.Uint64() >= x.ugrand {
-			return nil, fmt.Errorf("lengthrange: rank %v out of range [0, %v)", r, x.cumTotals[len(x.totals)])
-		}
-		n, rem := x.splitRankWord(r.Uint64())
-		w := make(automata.Word, n)
-		if err := x.descendWord(rem, w, nil); err != nil {
-			return nil, err
-		}
-		return w, nil
-	}
-	n, rem, err := x.splitRank(r, new(big.Int))
+	rem, n, err := x.splitRank(r)
 	if err != nil {
 		return nil, err
 	}
@@ -724,29 +526,27 @@ func (x *RangeIndex) UnrankRange(r *big.Int) (automata.Word, error) {
 // SplitRank resolves a global rank into (length, rank within that
 // length). The caller owns both results.
 func (x *RangeIndex) SplitRank(r *big.Int) (n int, within *big.Int, err error) {
-	return x.splitRank(r, new(big.Int))
-}
-
-// splitRank writes the within-length remainder into rem (scratch the
-// caller provides) and returns the selected length. It reads only the
-// big.Int spine, which both tiers carry.
-func (x *RangeIndex) splitRank(r, rem *big.Int) (int, *big.Int, error) {
-	grand := x.cumTotals[len(x.totals)]
-	if r.Sign() < 0 || r.Cmp(grand) >= 0 {
-		return 0, nil, fmt.Errorf("lengthrange: rank %v out of range [0, %v)", r, grand)
+	rem, n, err := x.splitRank(r)
+	if err != nil {
+		return 0, nil, err
 	}
-	// The span of length lo+i owns ranks [cumTotals[i], cumTotals[i+1]).
-	i := sort.Search(len(x.totals), func(i int) bool { return x.cumTotals[i+1].Cmp(r) > 0 })
-	rem.Sub(r, x.cumTotals[i])
-	return x.lo + i, rem, nil
+	return n, limb.ToBig(rem), nil
 }
 
-// splitRankWord is splitRank on the word spine. The caller guarantees
-// r < ugrand.
-func (x *RangeIndex) splitRankWord(r uint64) (n int, rem uint64) {
-	// The span of length lo+i owns ranks [cumTotals[i], cumTotals[i+1]).
-	i := sort.Search(len(x.utotals), func(i int) bool { return x.ucumTotals[i+1] > r })
-	return x.lo + i, r - x.ucumTotals[i]
+// splitRank checks 0 ≤ r < TotalRange and splits r in fresh limbs.
+func (x *RangeIndex) splitRank(r *big.Int) ([]uint64, int, error) {
+	rem := make([]uint64, x.k)
+	if r.Sign() < 0 || !limb.FromBig(rem, r) || limb.Cmp(rem, x.grand()) >= 0 {
+		return nil, 0, fmt.Errorf("lengthrange: rank %v out of range [0, %v)", r, x.TotalRange())
+	}
+	return rem, x.split(rem), nil
+}
+
+// split turns the global rank in rem (below the grand total) into the
+// rank within its length, in place, and returns that length: the span
+// of length lo+i owns the ranks [spine[i], spine[i+1]).
+func (x *RangeIndex) split(rem []uint64) int {
+	return x.lo + limb.Descend(x.spine, rem)
 }
 
 // Sample draws one witness uniformly from the union of all lengths in the
@@ -754,24 +554,19 @@ func (x *RangeIndex) splitRankWord(r uint64) (n int, rem uint64) {
 // probability exactly |L_n|/TotalRange), then one unrank descent within
 // it. ErrEmpty when the whole range is empty. Safe for concurrent use as
 // long as each call brings its own rng; batch callers should prefer a
-// DrawSession or SampleMany.
+// DrawSession or SampleMany. The caller owns the result.
 func (x *RangeIndex) Sample(rng *rand.Rand) (automata.Word, error) {
-	if x.word {
-		if x.ugrand == 0 {
-			return nil, ErrEmpty
-		}
-		n, rem := x.splitRankWord(sample.RandUint64(rng, x.ugrand))
-		w := make(automata.Word, n)
-		if err := x.descendWord(rem, w, nil); err != nil {
-			return nil, err
-		}
-		return w, nil
-	}
-	grand := x.cumTotals[len(x.totals)]
-	if grand.Sign() == 0 {
+	if limb.IsZero(x.grand()) {
 		return nil, ErrEmpty
 	}
-	return x.UnrankRange(sample.RandBig(rng, grand))
+	var buf [4]uint64
+	rem := limb.Scratch(buf[:], x.k)
+	limb.Draw(rng, x.grand(), rem)
+	w := make(automata.Word, x.split(rem))
+	if err := x.descend(rem, w, nil); err != nil {
+		return nil, err
+	}
+	return w, nil
 }
 
 // sampleChunk is the number of draws one seed-derived RNG stream covers
@@ -801,7 +596,7 @@ func (x *RangeIndex) SampleManyCtx(ctx context.Context, seed int64, stream uint6
 	if k <= 0 {
 		return nil, nil
 	}
-	if x.cumTotals[len(x.totals)].Sign() == 0 {
+	if limb.IsZero(x.grand()) {
 		return nil, ErrEmpty
 	}
 	out := make([]automata.Word, k)
@@ -838,48 +633,26 @@ func (x *RangeIndex) SampleManyCtx(ctx context.Context, seed int64, stream uint6
 type DrawSession struct {
 	x   *RangeIndex
 	rng *rand.Rand
-	r   big.Int
-	buf []byte
+	rem []uint64
 	w   automata.Word
 }
 
 // NewDrawSession wraps rng with per-session scratch for allocation-free
 // repeated draws. The session must not be shared between goroutines.
 func (x *RangeIndex) NewDrawSession(rng *rand.Rand) *DrawSession {
-	return &DrawSession{
-		x:   x,
-		rng: rng,
-		buf: make([]byte, (x.cumTotals[len(x.totals)].BitLen()+7)/8),
-		w:   make(automata.Word, x.hi),
-	}
+	return &DrawSession{x: x, rng: rng, rem: make([]uint64, x.k), w: make(automata.Word, x.hi)}
 }
 
 // Sample draws one uniform witness from the range. The returned word
 // aliases the session's buffer (sliced to the drawn length) and is only
 // valid until the next call — copy to retain.
 func (d *DrawSession) Sample() (automata.Word, error) {
-	if d.x.word {
-		if d.x.ugrand == 0 {
-			return nil, ErrEmpty
-		}
-		n, rem := d.x.splitRankWord(sample.RandUint64(d.rng, d.x.ugrand))
-		w := d.w[:n]
-		if err := d.x.descendWord(rem, w, nil); err != nil {
-			return nil, err
-		}
-		return w, nil
-	}
-	grand := d.x.cumTotals[len(d.x.totals)]
-	if grand.Sign() == 0 {
+	if limb.IsZero(d.x.grand()) {
 		return nil, ErrEmpty
 	}
-	sample.RandBigInto(d.rng, grand, &d.r, d.buf)
-	n, _, err := d.x.splitRank(&d.r, &d.r)
-	if err != nil {
-		return nil, err
-	}
-	w := d.w[:n]
-	if err := d.x.descend(&d.r, w, nil); err != nil {
+	limb.Draw(d.rng, d.x.grand(), d.rem)
+	w := d.w[:d.x.split(d.rem)]
+	if err := d.x.descend(d.rem, w, nil); err != nil {
 		return nil, err
 	}
 	return w, nil

@@ -6,26 +6,25 @@ import (
 	"testing"
 
 	"repro/internal/automata"
-	"repro/internal/countdag"
+	"repro/internal/limb"
 )
 
-// The cross-tier differential suite for the range index: fast-tier and
-// forced-big indexes over the same automaton must agree bitwise on every
-// rank, word, and sample stream, and the overflow family must force the
-// big tier exactly when a per-length total (or the grand total) crosses
-// 2^64 mid-index.
+// The cross-width differential suite for the range index: indexes at the
+// natural limb width and forced to three limbs over the same automaton
+// must agree bitwise on every rank, word, and sample stream, and the
+// overflow family must widen the index exactly when a per-length total
+// (or the grand total) crosses 2^64 mid-index.
 
-// buildRangeBothTiers builds the same range twice, fast tier allowed and
-// big.Int forced, restoring the shared knob afterwards.
-func buildRangeBothTiers(t testing.TB, nfa *automata.NFA, lo, hi int) (fast, forced *RangeIndex) {
+// buildRangeBothWidths builds the same range twice, at the natural width
+// and forced to three limbs, restoring the hook afterwards.
+func buildRangeBothWidths(t testing.TB, nfa *automata.NFA, lo, hi int) (fast, forced *RangeIndex) {
 	t.Helper()
-	prev := countdag.ForceBigTier(false)
-	defer countdag.ForceBigTier(prev)
+	defer limb.ForceWidth(limb.ForceWidth(1))
 	fast, err := Build(nfa, lo, hi, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	countdag.ForceBigTier(true)
+	limb.ForceWidth(3)
 	forced, err = Build(nfa, lo, hi, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -33,21 +32,18 @@ func buildRangeBothTiers(t testing.TB, nfa *automata.NFA, lo, hi int) (fast, for
 	return fast, forced
 }
 
-// TestRangeTierDifferentialGrid: on word-sized random DFAs the two tiers
+// TestRangeTierDifferentialGrid: on word-sized random DFAs the two widths
 // agree bitwise on totals, global and per-length rank/unrank, SplitRank,
 // and on entire sample streams (seeded Sample loop, SampleMany, and
-// DrawSession draws consume identical randomness on both tiers).
+// DrawSession draws consume identical randomness at both widths).
 func TestRangeTierDifferentialGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	for trial := 0; trial < 10; trial++ {
 		nfa := automata.RandomDFA(rng, automata.Binary(), 2+rng.Intn(6), 0.5)
 		lo, hi := rng.Intn(3), 4+rng.Intn(4)
-		fast, forced := buildRangeBothTiers(t, nfa, lo, hi)
-		if forced.WordTier() {
-			t.Fatalf("trial %d: ForceBigTier did not force the big tier", trial)
-		}
-		if !fast.WordTier() {
-			t.Fatalf("trial %d: word-sized instance did not take the fast tier", trial)
+		fast, forced := buildRangeBothWidths(t, nfa, lo, hi)
+		if fast.Width() != 1 || forced.Width() != 3 {
+			t.Fatalf("trial %d: widths %d and %d, want 1 and 3", trial, fast.Width(), forced.Width())
 		}
 		if fast.TotalRange().Cmp(forced.TotalRange()) != 0 {
 			t.Fatalf("trial %d: TotalRange differs: %v vs %v", trial, fast.TotalRange(), forced.TotalRange())
@@ -76,7 +72,7 @@ func TestRangeTierDifferentialGrid(t *testing.T) {
 				t.Fatalf("trial %d rank %d: %v / %v", trial, i, err1, err2)
 			}
 			if nfa.Alphabet().FormatWord(wa) != nfa.Alphabet().FormatWord(wb) {
-				t.Fatalf("trial %d rank %d: tiers disagree: %v vs %v", trial, i, wa, wb)
+				t.Fatalf("trial %d rank %d: widths disagree: %v vs %v", trial, i, wa, wb)
 			}
 			ra, err1 := fast.RankRange(wa)
 			rb, err2 := forced.RankRange(wb)
@@ -92,8 +88,8 @@ func TestRangeTierDifferentialGrid(t *testing.T) {
 		if grand.Sign() == 0 {
 			continue
 		}
-		// Bitwise-equal sample streams: the word tier must consume the
-		// byte stream exactly as the big tier does.
+		// Bitwise-equal sample streams: every width must consume the
+		// byte stream the same way.
 		rngA := rand.New(rand.NewSource(1000 + int64(trial)))
 		rngB := rand.New(rand.NewSource(1000 + int64(trial)))
 		for d := 0; d < 50; d++ {
@@ -132,14 +128,14 @@ func TestRangeTierDifferentialGrid(t *testing.T) {
 }
 
 // TestRangeTierOverflowMidIndex: a range of the OverflowBoundary family
-// that straddles 2^64 must fall back to the big tier on its own, stay
-// bitwise consistent with closed-form totals (sigma^n) and base-sigma
-// rank semantics, and agree with a word-tier countdag index on the
-// lengths below the straddle — the cross-tier, cross-engine check.
+// that straddles 2^64 must widen to two limbs on its own, stay bitwise
+// consistent with closed-form totals (sigma^n) and base-sigma rank
+// semantics, and agree with a one-limb countdag index on the lengths
+// below the straddle — the cross-width, cross-engine check.
 func TestRangeTierOverflowMidIndex(t *testing.T) {
-	// Pin the knob off: this test is about the AUTOMATIC fallback, and
-	// must hold even when the suite runs under NFA_FORCE_BIG_TIER=1.
-	defer countdag.ForceBigTier(countdag.ForceBigTier(false))
+	// Pin the hook to its default: this test is about the automatic
+	// widening.
+	defer limb.ForceWidth(limb.ForceWidth(1))
 	nfa, straddle := automata.OverflowBoundary(4)
 	sigma := big.NewInt(4)
 	lo, hi := straddle-2, straddle
@@ -147,8 +143,8 @@ func TestRangeTierOverflowMidIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ri.WordTier() {
-		t.Fatal("overflowing range took the word tier")
+	if ri.Width() != 2 {
+		t.Fatalf("overflowing range has width %d, want 2", ri.Width())
 	}
 	grand := new(big.Int)
 	for n := lo; n <= hi; n++ {
@@ -167,12 +163,12 @@ func TestRangeTierOverflowMidIndex(t *testing.T) {
 	}
 
 	// Lengths below the straddle are word-sized in isolation: the
-	// single-length engine serves them from its fast tier, and the two
-	// engines' tiers must agree bitwise.
+	// single-length engine serves them at one limb, and the two engines
+	// must agree bitwise across the widths.
 	for n := lo; n < straddle; n++ {
 		idx := perLengthIndex(t, nfa, n)
-		if !idx.WordTier() {
-			t.Fatalf("n=%d: per-length index below straddle not word tier", n)
+		if idx.Width() != 1 {
+			t.Fatalf("n=%d: per-length index below straddle has width %d", n, idx.Width())
 		}
 		total, _ := ri.TotalAt(n)
 		probes := []*big.Int{
@@ -187,7 +183,7 @@ func TestRangeTierOverflowMidIndex(t *testing.T) {
 				t.Fatalf("n=%d rank %v: %v / %v", n, r, err1, err2)
 			}
 			if nfa.Alphabet().FormatWord(a) != nfa.Alphabet().FormatWord(b) {
-				t.Fatalf("n=%d rank %v: range (big tier) and countdag (word tier) disagree", n, r)
+				t.Fatalf("n=%d rank %v: range (two limbs) and countdag (one limb) disagree", n, r)
 			}
 			ra, err1 := ri.RankAt(a)
 			rb, err2 := idx.Rank(b)
@@ -235,7 +231,7 @@ func TestRangeTierOverflowMidIndex(t *testing.T) {
 		}
 	}
 
-	// Out-of-range global ranks are rejected on the big tier too.
+	// Out-of-range global ranks are rejected at two limbs too.
 	if _, err := ri.UnrankRange(grand); err == nil {
 		t.Fatal("UnrankRange(grand total) accepted")
 	}

@@ -12,9 +12,9 @@ import (
 	"repro/internal/admission"
 	"repro/internal/automata"
 	"repro/internal/core"
-	"repro/internal/countdag"
 	"repro/internal/instcache"
 	"repro/internal/leakcheck"
+	"repro/internal/limb"
 )
 
 // ulFixture accepts every binary word of every length through exactly one
@@ -336,19 +336,21 @@ func TestTimeoutReturnsCheckpointAndResumes(t *testing.T) {
 // TestCrossReplicaResume pages one stream alternating between two nfad
 // replicas that share nothing but the tokens (separate servers, separate
 // caches), and asserts the interleaved transcript is bitwise equal to one
-// uninterrupted serial enumeration — on both arithmetic tiers.
+// uninterrupted serial enumeration — at the natural limb width
+// ("fast-tier") and with the width forced to three limbs ("big-tier",
+// the wide arithmetic that replaced the big.Int tier). Each run uses
+// fresh caches.
 func TestCrossReplicaResume(t *testing.T) {
 	leakcheck.Check(t)
-	prev := countdag.ForceBigTier(false)
-	defer countdag.ForceBigTier(prev)
+	defer limb.ForceWidth(limb.ForceWidth(1))
 
-	for _, forced := range []bool{false, true} {
+	for _, width := range []int{1, 3} {
 		name := "fast-tier"
-		if forced {
+		if width > 1 {
 			name = "big-tier"
 		}
 		t.Run(name, func(t *testing.T) {
-			countdag.ForceBigTier(forced)
+			limb.ForceWidth(width)
 			_, tsA := newTestServer(t, Config{Cache: instcache.New(instcache.DefaultBudget)})
 			_, tsB := newTestServer(t, Config{Cache: instcache.New(instcache.DefaultBudget)})
 			replicas := []*httptest.Server{tsA, tsB}

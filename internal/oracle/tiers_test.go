@@ -11,31 +11,32 @@ import (
 	"repro/internal/countdag"
 	"repro/internal/enumerate"
 	"repro/internal/lengthrange"
+	"repro/internal/limb"
 	"repro/internal/sample"
 	"repro/internal/unroll"
 )
 
-// TestOracleGridBothTiers replays the differential grid once per tier and
+// TestOracleGridBothTiers replays the differential grid at the natural
+// limb width (one limb on this grid) and with the width forced to 3, and
 // compares full transcripts — every unranked word, every resume token
-// (including el1:r: rank-seek cursors), and every sampled word — bitwise
-// between the fast tier and the forced big.Int tier. The oracle checks in
-// the sibling tests pin correctness; this test pins tier-independence.
+// (including el1:r: rank-seek cursors), and every sampled word —
+// bitwise. The oracle checks in the sibling tests pin correctness; this
+// test pins width-independence.
 func TestOracleGridBothTiers(t *testing.T) {
 	for seed := int64(1); seed <= maxSeed; seed++ {
-		fast := tierTranscript(t, seed, false)
-		forced := tierTranscript(t, seed, true)
-		if fast != forced {
-			t.Fatalf("seed %d: tier transcripts differ:\n--- fast ---\n%s\n--- forced big ---\n%s", seed, fast, forced)
+		natural := widthTranscript(t, seed, 1)
+		forced := widthTranscript(t, seed, 3)
+		if natural != forced {
+			t.Fatalf("seed %d: transcripts differ:\n--- width 1 ---\n%s\n--- width 3 ---\n%s", seed, natural, forced)
 		}
 	}
 }
 
-// tierTranscript runs the seed's scenario under one tier setting and
-// serializes everything observable into one string.
-func tierTranscript(t *testing.T, seed int64, forceBig bool) string {
+// widthTranscript runs the seed's scenario with the limb width forced to
+// at least k and serializes everything observable into one string.
+func widthTranscript(t *testing.T, seed int64, k int) string {
 	t.Helper()
-	prev := countdag.ForceBigTier(forceBig)
-	defer countdag.ForceBigTier(prev)
+	defer limb.ForceWidth(limb.ForceWidth(k))
 
 	n := gridLength(seed)
 	ufa := automata.Trim(gridUFA(seed))
@@ -47,8 +48,8 @@ func tierTranscript(t *testing.T, seed int64, forceBig bool) string {
 		t.Fatal(err)
 	}
 	idx := countdag.Build(dag, 2)
-	if idx.WordTier() == forceBig {
-		t.Fatalf("seed %d: tier knob ignored (forceBig=%v, WordTier=%v)", seed, forceBig, idx.WordTier())
+	if idx.Width() != k {
+		t.Fatalf("seed %d: width %d, want %d", seed, idx.Width(), k)
 	}
 	fmt.Fprintf(&sb, "total=%v\n", idx.Total())
 
@@ -92,8 +93,8 @@ func tierTranscript(t *testing.T, seed int64, forceBig bool) string {
 	}
 	e.Close()
 
-	// The ordered parallel stream: exact steal-victim sizing runs on the
-	// tier under test, and the delivered order must not depend on it.
+	// The ordered parallel stream: exact steal-victim sizing runs at the
+	// width under test, and the delivered order must not depend on it.
 	se, err := enumerate.NewUFA(ufa, n)
 	if err != nil {
 		t.Fatal(err)
@@ -197,4 +198,12 @@ func tierTranscript(t *testing.T, seed int64, forceBig bool) string {
 	}
 	sess.Close()
 	return sb.String()
+}
+
+// TestExactGoldenForcedWidth: the pinned golden transcript holds unchanged
+// with every index forced to three limbs — the widest case the golden
+// cases reach on their own, applied to all of them.
+func TestExactGoldenForcedWidth(t *testing.T) {
+	defer limb.ForceWidth(limb.ForceWidth(3))
+	TestExactGolden(t)
 }

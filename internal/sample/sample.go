@@ -4,10 +4,10 @@
 // is one uniform random rank in [0, |W|) followed by one Unrank walk that
 // binary-searches the index's frozen per-edge prefix sums, O(n·log Δ)
 // comparisons and O(1) allocations per draw (none at all through a
-// DrawSession) — plain uint64 comparisons on the index's word tier (the
-// common case; see countdag's memory model), big.Int on the overflow
-// tier, with bitwise-identical draw streams either way (RandUint64
-// mirrors RandBigInto's entropy consumption exactly). Uniform ranks are
+// DrawSession). The comparisons run on the index's k-limb counts (one
+// machine word in the common case; see countdag's memory model), and the
+// rank draw (limb.Draw) consumes RandBigInto's entropy exactly, so a
+// draw stream is bitwise the same at every limb width. Uniform ranks are
 // uniform witnesses exactly — no approximation for the unambiguous class
 // (Theorem 5).
 //
@@ -48,13 +48,13 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"math/bits"
 	"math/rand"
 
 	"repro/internal/automata"
 	"repro/internal/countdag"
 	"repro/internal/exact"
 	"repro/internal/faultinject"
+	"repro/internal/limb"
 	"repro/internal/par"
 	"repro/internal/selfreduce"
 	"repro/internal/unroll"
@@ -93,30 +93,6 @@ func RandBigInto(rng *rand.Rand, max, out *big.Int, buf []byte) {
 		out.SetBytes(buf)
 		if out.Cmp(max) < 0 {
 			return
-		}
-	}
-}
-
-// RandUint64 returns a uniformly random integer in [0, max) using rng as
-// the entropy source. It consumes EXACTLY the byte stream RandBigInto
-// consumes for the same max — big-endian bytes via rng.Intn(256), the
-// leading byte right-shifted by the excess bits, rejection on ≥ max — so
-// a word-tier draw sequence is bitwise identical to the big-tier one (the
-// property the cross-tier differential tests pin). max must be positive.
-func RandUint64(rng *rand.Rand, max uint64) uint64 {
-	if max == 0 {
-		panic("sample: RandUint64 needs positive max")
-	}
-	nbits := bits.Len64(max)
-	nbytes := (nbits + 7) / 8
-	excess := uint(nbytes*8 - nbits)
-	for {
-		v := uint64(rng.Intn(256)) >> excess
-		for i := 1; i < nbytes; i++ {
-			v = v<<8 | uint64(rng.Intn(256))
-		}
-		if v < max {
-			return v
 		}
 	}
 }
@@ -193,21 +169,15 @@ func (s *UFASampler) Unrank(r *big.Int) (automata.Word, error) { return s.idx.Un
 // brings its own rng (a *rand.Rand is not concurrency-safe); batch callers
 // should prefer a DrawSession (zero allocations per draw) or SampleMany.
 func (s *UFASampler) Sample(rng *rand.Rand) (automata.Word, error) {
-	if ut, word := s.idx.TotalWord(); word {
-		if ut == 0 {
-			return nil, ErrEmpty
-		}
-		w := make(automata.Word, s.length)
-		if err := s.idx.UnrankWordInto(RandUint64(rng, ut), w); err != nil {
-			return nil, err
-		}
-		return w, nil
-	}
-	total := s.idx.Total()
-	if total.Sign() == 0 {
+	if s.idx.Total().Sign() == 0 {
 		return nil, ErrEmpty
 	}
-	return s.idx.Unrank(RandBig(rng, total))
+	var buf [4]uint64
+	w := make(automata.Word, s.length)
+	if err := s.idx.Draw(rng, limb.Scratch(buf[:], s.idx.Width()), w); err != nil {
+		return nil, err
+	}
+	return w, nil
 }
 
 // SampleDistinct draws k distinct witnesses uniformly without replacement,
@@ -310,42 +280,32 @@ func (s *UFASampler) SampleManyCtx(ctx context.Context, seed int64, stream uint6
 // valid until the next call). Obtain one per goroutine from
 // NewDrawSession.
 type DrawSession struct {
-	s   *UFASampler
-	rng *rand.Rand
-	r   big.Int
-	buf []byte
-	w   automata.Word
+	s     *UFASampler
+	rng   *rand.Rand
+	empty bool
+	rem   []uint64
+	w     automata.Word
 }
 
 // NewDrawSession wraps rng with per-session scratch for allocation-free
 // repeated draws. The session must not be shared between goroutines.
 func (s *UFASampler) NewDrawSession(rng *rand.Rand) *DrawSession {
 	return &DrawSession{
-		s:   s,
-		rng: rng,
-		buf: make([]byte, (s.idx.Total().BitLen()+7)/8),
-		w:   make(automata.Word, s.length),
+		s:     s,
+		rng:   rng,
+		empty: s.idx.Total().Sign() == 0,
+		rem:   make([]uint64, s.idx.Width()),
+		w:     make(automata.Word, s.length),
 	}
 }
 
 // Sample draws one uniform witness. The returned word aliases the
 // session's buffer and is only valid until the next call — copy to retain.
 func (d *DrawSession) Sample() (automata.Word, error) {
-	if ut, word := d.s.idx.TotalWord(); word {
-		if ut == 0 {
-			return nil, ErrEmpty
-		}
-		if err := d.s.idx.UnrankWordInto(RandUint64(d.rng, ut), d.w); err != nil {
-			return nil, err
-		}
-		return d.w, nil
-	}
-	total := d.s.idx.Total()
-	if total.Sign() == 0 {
+	if d.empty {
 		return nil, ErrEmpty
 	}
-	RandBigInto(d.rng, total, &d.r, d.buf)
-	if err := d.s.idx.UnrankInto(&d.r, d.w); err != nil {
+	if err := d.s.idx.Draw(d.rng, d.rem, d.w); err != nil {
 		return nil, err
 	}
 	return d.w, nil

@@ -1,70 +1,31 @@
 package sample
 
 import (
-	"math"
-	"math/big"
 	"math/rand"
 	"testing"
 
 	"repro/internal/automata"
-	"repro/internal/countdag"
+	"repro/internal/limb"
 )
 
-// Cross-tier sampling equivalence: the word-tier draw path must consume
-// the SAME byte stream as the big-tier path, so seeded sample sequences
-// are bitwise identical whichever tier the index chose.
-
-// TestRandUint64MatchesRandBigInto: for the same seed and the same max,
-// RandUint64 and RandBigInto produce identical value sequences — the two
-// implementations read the entropy stream the same way (big-endian bytes,
-// right-shifted leading byte, rejection on >= max).
-func TestRandUint64MatchesRandBigInto(t *testing.T) {
-	maxes := []uint64{
-		1, 2, 3, 7, 8, 255, 256, 257, 1 << 16, (1 << 16) + 1,
-		1<<32 - 1, 1 << 32, 1<<63 - 1, 1 << 63, math.MaxUint64,
-	}
-	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < 20; i++ {
-		maxes = append(maxes, 1+rng.Uint64()%math.MaxUint64)
-	}
-	for _, max := range maxes {
-		wordRng := rand.New(rand.NewSource(int64(max % 1024)))
-		bigRng := rand.New(rand.NewSource(int64(max % 1024)))
-		bigMax := new(big.Int).SetUint64(max)
-		out := new(big.Int)
-		buf := make([]byte, (bigMax.BitLen()+7)/8)
-		for d := 0; d < 64; d++ {
-			w := RandUint64(wordRng, max)
-			RandBigInto(bigRng, bigMax, out, buf)
-			if !out.IsUint64() || out.Uint64() != w {
-				t.Fatalf("max=%d draw %d: RandUint64 %d, RandBigInto %v", max, d, w, out)
-			}
-		}
-	}
-}
-
-func TestRandUint64PanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RandUint64(rng, 0) did not panic")
-		}
-	}()
-	RandUint64(rand.New(rand.NewSource(1)), 0)
-}
+// Cross-width sampling equivalence: the rank draw consumes the same byte
+// stream at every limb width (limb's tests pin Draw against
+// RandBigInto), so seeded sample sequences are bitwise identical
+// whatever width the index has.
 
 // TestSamplerTierDifferential: seeded Sample, DrawSession, and SampleMany
-// streams from a fast-tier sampler are bitwise identical to the forced
-// big-tier sampler over the same automaton.
+// streams from a one-limb sampler are bitwise identical to the sampler
+// forced to three limbs over the same automaton.
 func TestSamplerTierDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	for trial := 0; trial < 8; trial++ {
 		dfa := automata.RandomDFA(rng, automata.Binary(), 2+rng.Intn(6), 0.6)
 		n := 2 + rng.Intn(7)
-		prev := countdag.ForceBigTier(false)
+		prev := limb.ForceWidth(1)
 		fast, err1 := NewUFASampler(dfa, n)
-		countdag.ForceBigTier(true)
+		limb.ForceWidth(3)
 		forced, err2 := NewUFASampler(dfa, n)
-		countdag.ForceBigTier(prev)
+		limb.ForceWidth(prev)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("trial %d: %v / %v", trial, err1, err2)
 		}
@@ -74,9 +35,9 @@ func TestSamplerTierDifferential(t *testing.T) {
 		if fast.Count().Sign() == 0 {
 			continue
 		}
-		if !fast.Index().WordTier() || forced.Index().WordTier() {
-			t.Fatalf("trial %d: tier selection wrong (fast=%v forced=%v)",
-				trial, fast.Index().WordTier(), forced.Index().WordTier())
+		if fast.Index().Width() != 1 || forced.Index().Width() != 3 {
+			t.Fatalf("trial %d: widths %d and %d, want 1 and 3",
+				trial, fast.Index().Width(), forced.Index().Width())
 		}
 		rngA := rand.New(rand.NewSource(3000 + int64(trial)))
 		rngB := rand.New(rand.NewSource(3000 + int64(trial)))
