@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"math/big"
 	"math/rand"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/automata"
 	"repro/internal/countdag"
 	"repro/internal/enumerate"
+	"repro/internal/exact"
 	"repro/internal/lengthrange"
 	"repro/internal/sample"
 	"repro/internal/unroll"
@@ -38,7 +40,9 @@ type exactCase struct {
 // the all-words automata at the lengths whose counts straddle 2^64 (two
 // limbs), one instance past 2^128 (three limbs), an untrimmed automaton
 // whose unreachable state has completion counts wider than any total,
-// and the n = 0 / lo = 0 edge.
+// the n = 0 / lo = 0 edge, six tenants drawn as the serving benchmark's
+// ranked workload draws them (lengths 16–32) and a non-deterministic UFA
+// at n = 18.
 func exactCases(t *testing.T) []exactCase {
 	t.Helper()
 	var cases []exactCase
@@ -97,10 +101,50 @@ func exactCases(t *testing.T) []exactCase {
 	cases = append(cases, exactCase{"untrimmed-wide", un, 12, 1, 40})
 
 	all2, _ := automata.OverflowBoundary(2)
-	return append(cases,
+	cases = append(cases,
 		exactCase{"zero-all", all2, 0, 0, 2},
 		exactCase{"zero-none", un, 0, 0, 6},
 	)
+
+	// Six tenants drawn the way the serving benchmark's ranked workload
+	// draws its working set: complete random DFAs of 32–128 states over
+	// 2–4 symbols, state count, length and [lo, hi] read off the
+	// golden-ratio ladder, trimmed and canonicalized as core.New does,
+	// redrawn while the slice at n is empty.
+	ladder := func(i, lo, hi int) int {
+		_, frac := math.Modf(float64(i) * 0.6180339887498949)
+		return lo + int(frac*float64(hi-lo+1))
+	}
+	ten := rand.New(rand.NewSource(41))
+	for i := 0; i < 6; i++ {
+		m := ladder(i, 32, 128)
+		alpha := automata.NewAlphabet([]string{"a", "b", "c", "d"}[:2+i%3]...)
+		n := ladder(i+7, 16, 32)
+		lo := ladder(i+11, 16, 24)
+		hi := ladder(i+13, lo+4, 32)
+		for {
+			d := automata.Trim(automata.RandomDFA(ten, alpha, m, 0.5))
+			if automata.IsDeterministic(d) {
+				d = automata.Canonicalize(d)
+			}
+			if exact.CountUFA(d, n).Sign() > 0 {
+				cases = append(cases, exactCase{fmt.Sprintf("tenant-%d", i), d, n, lo, hi})
+				break
+			}
+		}
+	}
+
+	// A non-deterministic UFA at a served length (n ≥ 16).
+	longRng := rand.New(rand.NewSource(0x5B))
+	for {
+		cand := automata.Trim(automata.Random(longRng, automata.Binary(), 8, 0.2, 0.4))
+		if cand.NumStates() < 5 || automata.IsDeterministic(cand) || !automata.IsUnambiguous(cand) {
+			continue
+		}
+		if exact.CountUFA(cand, 18).Cmp(big.NewInt(64)) >= 0 {
+			return append(cases, exactCase{"nondet-ufa-long", cand, 18, 14, 22})
+		}
+	}
 }
 
 // goldenRanks are the ranks every case unranks: 0, 1, ⌊total/3⌋,
