@@ -82,7 +82,6 @@ import (
 	"repro/internal/enumerate"
 	"repro/internal/exact"
 	"repro/internal/instcache"
-	"repro/internal/lengthrange"
 )
 
 // exitInterrupted is the conventional exit code for a SIGINT-terminated
@@ -447,7 +446,7 @@ func runEnum(ctx context.Context, w, errw io.Writer, inst *core.Instance, cfg en
 	switch {
 	case cfg.rangeMode:
 		s, err = inst.EnumerateRange(cfg.lo, cfg.hi, opts)
-	case lengthrange.IsRangeToken(cfg.cursor):
+	case enumerate.IsRangeToken(cfg.cursor):
 		// The stderr resume hint prints bare `-cursor el1:R:...`, so a
 		// range token must resume without re-supplying -lo/-hi: the range
 		// comes from the (fingerprint-validated) token itself.

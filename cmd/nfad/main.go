@@ -68,7 +68,10 @@
 // across all tenants; isomorphic automata resolve to one entry via
 // canonical identity keys, and concurrent misses singleflight into one
 // build. GET /v1/stats exposes the cache counters plus per-entry bytes
-// and hit counts (memory per cached tenant). On SIGTERM or SIGINT the
+// and hit counts (memory per cached tenant). An entry is one counting
+// index per automaton and length range, a single length n being the
+// range [n, n]; entries have no "Kind" field (single-length and range
+// requests at [n, n] share one entry). On SIGTERM or SIGINT the
 // server stops accepting connections and drains in-flight requests
 // (bounded by -drain) before exiting.
 //

@@ -23,7 +23,7 @@ func TestList(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
-	for _, name := range []string{"bigmut", "fpfirst", "detrand", "lockheld", "retain"} {
+	for _, name := range []string{"fpfirst", "detrand", "lockheld", "retain", "ctxfirst"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing %q:\n%s", name, out)
 		}

@@ -3,10 +3,6 @@
 // one analyzer per standing engine invariant. The contracts it enforces
 // used to live only in package comments and code review:
 //
-//   - bigmut: countdag/lengthrange accessors return *big.Int values that
-//     alias frozen index tables ("shared; do not mutate") — flag any call
-//     to a mutating big.Int/big.Float method on a value that flows from
-//     such an accessor.
 //   - fpfirst: token-resume paths must validate the embedded fingerprint
 //     (or bound claimed counts by the payload size) BEFORE any
 //     length-sized allocation or DAG build — the forged-token DoS
@@ -64,8 +60,8 @@ func (f Finding) String() string {
 
 // Pkg is one loaded, type-checked package: the unit every analyzer runs on.
 type Pkg struct {
-	Path  string // import path ("repro/internal/countdag")
-	Name  string // package name ("countdag")
+	Path  string // import path ("repro/internal/lengthrange")
+	Name  string // package name ("lengthrange")
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -118,7 +114,7 @@ func (a *Analyzer) appliesTo(p *Pkg) bool {
 
 // All returns the suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{bigmutAnalyzer, fpfirstAnalyzer, detrandAnalyzer, lockheldAnalyzer, retainAnalyzer, ctxfirstAnalyzer}
+	return []*Analyzer{fpfirstAnalyzer, detrandAnalyzer, lockheldAnalyzer, retainAnalyzer, ctxfirstAnalyzer}
 }
 
 // ByName returns the analyzer with the given id, or nil.

@@ -10,7 +10,7 @@ var ctxfirstAnalyzer = &Analyzer{
 	Name:     "ctxfirst",
 	Doc:      "exported engine entry point takes a Context but builds or allocates layer-sized state before consulting it",
 	Contract: "cancellation discipline: an entry point that accepts a Context must check (or thread) it before the first layer-sized allocation or Build — otherwise a cancelled caller still pays for the whole precomputation",
-	Packages: []string{"countdag", "lengthrange", "enumerate", "sample", "fpras", "core", "par", "unroll"},
+	Packages: []string{"lengthrange", "enumerate", "sample", "fpras", "core", "par", "unroll"},
 	Run:      runCtxfirst,
 }
 
@@ -19,7 +19,7 @@ var ctxfirstAnalyzer = &Analyzer{
 // cost scales with the witness length, so it must not run before the
 // caller's cancellation signal has been consulted.
 var ctxfirstBuilders = map[string]bool{
-	"Build":       true, // unroll.Build, countdag.Build, lengthrange.Build
+	"Build":       true, // unroll.Build, lengthrange.Build
 	"NewUFA":      true,
 	"NewNFA":      true,
 	"EnsureIndex": true,

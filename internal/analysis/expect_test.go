@@ -90,7 +90,6 @@ func runCorpus(t *testing.T, name string) {
 	checkCorpus(t, p, a.Run(p))
 }
 
-func TestBigmutCorpus(t *testing.T)   { runCorpus(t, "bigmut") }
 func TestCtxfirstCorpus(t *testing.T) { runCorpus(t, "ctxfirst") }
 func TestFpfirstCorpus(t *testing.T)  { runCorpus(t, "fpfirst") }
 func TestDetrandCorpus(t *testing.T)  { runCorpus(t, "detrand") }

@@ -10,7 +10,7 @@ type dag struct{}
 type index struct{}
 
 // Build stands for the layer-sized precomputation (unroll.Build,
-// countdag.Build, lengthrange.Build).
+// lengthrange.Build).
 func Build(n int) *dag { return &dag{} }
 
 // BuildCtx is the ctx-aware builder: threading the context into it IS the

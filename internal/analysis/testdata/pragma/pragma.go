@@ -2,30 +2,31 @@
 // and malformed / unknown-analyzer / unused pragmas are findings.
 package pragma
 
-import "math/big"
+import "sync"
 
-type Index struct{ t *big.Int }
-
-func (ix *Index) Total() *big.Int { return ix.t }
-
-func suppressed(ix *Index) {
-	//nfalint:ignore bigmut corpus exercises suppression on the next line
-	ix.Total().SetInt64(1) // ok: suppressed above
+type Counter struct {
+	mu sync.Mutex
+	n  int // guarded by mu
 }
 
-func suppressedWildcard(ix *Index) {
-	ix.Total().SetInt64(2) //nfalint:ignore * wildcard suppression on the same line
+func suppressed(c *Counter) {
+	//nfalint:ignore lockheld corpus exercises suppression on the next line
+	c.n = 1 // ok: suppressed above
 }
 
-func unsuppressed(ix *Index) {
-	ix.Total().SetInt64(3) // want bigmut "mutates a shared count"
+func suppressedWildcard(c *Counter) {
+	c.n = 2 //nfalint:ignore * wildcard suppression on the same line
+}
+
+func unsuppressed(c *Counter) {
+	c.n = 3 // want lockheld "does not hold"
 }
 
 //nfalint:ignore bogus not a real analyzer; want pragma "unknown analyzer"
 
-/* want pragma "malformed ignore pragma" */ //nfalint:ignore bigmut
+/* want pragma "malformed ignore pragma" */ //nfalint:ignore lockheld
 
 func clean() {
-	//nfalint:ignore bigmut nothing to silence here; want pragma "unused ignore pragma"
+	//nfalint:ignore lockheld nothing to silence here; want pragma "unused ignore pragma"
 	_ = 0
 }

@@ -18,41 +18,6 @@ func calleeName(call *ast.CallExpr) string {
 	return ""
 }
 
-// recvNamed returns the named type (pointers dereferenced) of an
-// expression, or nil.
-func recvNamed(info *types.Info, e ast.Expr) *types.Named {
-	tv, ok := info.Types[e]
-	if !ok || tv.Type == nil {
-		return nil
-	}
-	t := tv.Type
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, _ := t.(*types.Named)
-	return n
-}
-
-// isBigIntOrFloat reports whether t is *math/big.Int or *math/big.Float
-// (or the value forms).
-func isBigIntOrFloat(t types.Type) bool {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "math/big" {
-		return false
-	}
-	return obj.Name() == "Int" || obj.Name() == "Float"
-}
-
 // pkgNameOf returns the imported package a selector's base resolves to
 // ("time" for time.Now), or "" when the base is not a package name.
 func pkgNameOf(info *types.Info, sel *ast.SelectorExpr) string {
@@ -110,31 +75,4 @@ func funcDecls(p *Pkg) []*ast.FuncDecl {
 		}
 	}
 	return out
-}
-
-// recvTypeName returns the name of a method's receiver type ("" for plain
-// functions).
-func recvTypeName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return ""
-	}
-	t := fd.Recv.List[0].Type
-	if s, ok := t.(*ast.StarExpr); ok {
-		t = s.X
-	}
-	switch x := t.(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.IndexExpr: // generic receiver
-		if id, ok := x.X.(*ast.Ident); ok {
-			return id.Name
-		}
-	}
-	return ""
-}
-
-// isSliceType reports whether t is (or aliases) a slice type.
-func isSliceType(t types.Type) bool {
-	_, ok := t.Underlying().(*types.Slice)
-	return ok
 }

@@ -11,14 +11,13 @@ import (
 	"repro/internal/admission"
 	"repro/internal/automata"
 	"repro/internal/core"
-	"repro/internal/countdag"
 	"repro/internal/instcache"
-	"repro/internal/unroll"
+	"repro/internal/lengthrange"
 )
 
 // E20InstanceCache measures the compiled-index cache on a fleet of
 // isomorphic-but-relabelled automata: the first compile of a 64-state
-// depth-20 random DFA pays the full unroll + counting sweep (cold), and
+// depth-20 random DFA pays the full counting sweep (cold), and
 // every relabelled copy afterwards resolves through the structural
 // pre-key to the same cached index (warm). The experiment reports the
 // cold/warm latency ratio, checks that the warm
@@ -46,13 +45,9 @@ func E20InstanceCache(quick bool) *Table {
 	est := admission.EstimateIndexBytes(base.NumStates(), base.NumTransitions(), depth)
 
 	cache := instcache.New(instcache.DefaultBudget)
-	buildUFA := func(n *automata.NFA) func(context.Context) (*countdag.Index, error) {
-		return func(ctx context.Context) (*countdag.Index, error) {
-			dag, err := unroll.Build(n, depth, unroll.Options{PruneBackward: true})
-			if err != nil {
-				return nil, err
-			}
-			return countdag.BuildCtx(ctx, dag, 1)
+	build := func(n *automata.NFA) func(context.Context) (*lengthrange.RangeIndex, error) {
+		return func(ctx context.Context) (*lengthrange.RangeIndex, error) {
+			return lengthrange.BuildCtx(ctx, n, depth, depth, 1)
 		}
 	}
 	measure := func(f func()) time.Duration {
@@ -88,12 +83,12 @@ func E20InstanceCache(quick bool) *Table {
 	}
 
 	// Cold: first compile of the family, paid once.
-	var cold *countdag.Index
+	var cold *lengthrange.RangeIndex
 	coldDur := measure(func() {
 		key := instcache.KeyFor(members[0])
 		var hit bool
 		var err error
-		cold, hit, err = cache.UFAIndex(nil, key, depth, est, buildUFA(key.Norm()))
+		cold, hit, err = cache.RangeIndex(nil, key, depth, depth, est, build(key.Norm()))
 		if err != nil {
 			panic(err)
 		}
@@ -111,7 +106,7 @@ func E20InstanceCache(quick bool) *Table {
 		for r := 0; r < rounds; r++ {
 			for _, m := range members[1:] {
 				key := instcache.KeyFor(m)
-				idx, hit, err := cache.UFAIndex(nil, key, depth, est, buildUFA(key.Norm()))
+				idx, hit, err := cache.RangeIndex(nil, key, depth, depth, est, build(key.Norm()))
 				if err != nil {
 					panic(err)
 				}

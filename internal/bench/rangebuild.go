@@ -8,16 +8,15 @@ import (
 	"time"
 
 	"repro/internal/automata"
-	"repro/internal/countdag"
 	"repro/internal/lengthrange"
-	"repro/internal/unroll"
 )
 
 // E18RangeBuild measures the cross-length sharing claim of
 // internal/lengthrange on the E17 workload family (a 64-state depth-20
 // random UFA): serving all lengths n in [lo, hi] from ONE shared
-// backward sweep versus hi−lo+1 independent countdag builds — wall
-// time, cumulative allocations, and the per-length equivalence check —
+// backward sweep versus hi−lo+1 single-length [n, n] builds of the same
+// index — wall time, cumulative allocations, and the per-length
+// equivalence check —
 // plus the steady-state range sampling rate (draw-session mode, zero
 // allocations per draw). The shared build's tables are keyed by
 // remaining length, so its cost tracks the single longest length rather
@@ -26,7 +25,7 @@ import (
 func E18RangeBuild(quick bool) *Table {
 	t := &Table{
 		ID:     "E18",
-		Title:  "Cross-length index: one shared backward sweep vs per-length countdag builds",
+		Title:  "Cross-length index: one shared backward sweep vs per-length [n, n] builds",
 		Header: []string{"path", "lengths", "time", "allocs", "vs shared", "check"},
 	}
 	states, lo, hi := 64, 5, 20
@@ -62,23 +61,23 @@ func E18RangeBuild(quick bool) *Table {
 	t.AddRow("shared sweep", fmt.Sprintf("%d..%d", lo, hi), ms(sharedTime),
 		fmt.Sprint(sharedAllocs), "1.00x", "ok")
 
-	var indep []*countdag.Index
+	var indep []*lengthrange.RangeIndex
 	indepTime, indepAllocs := measure(func() {
-		indep = make([]*countdag.Index, 0, nLens)
+		indep = make([]*lengthrange.RangeIndex, 0, nLens)
 		for n := lo; n <= hi; n++ {
-			dag, err := unroll.Build(dfa, n, unroll.Options{PruneBackward: true})
+			idx, err := lengthrange.Build(dfa, n, n, 1)
 			if err != nil {
 				panic(err)
 			}
-			indep = append(indep, countdag.Build(dag, 1))
+			indep = append(indep, idx)
 		}
 	})
-	// Per-length equivalence: every total must match the per-length engine.
-	check := "totals bitwise = countdag"
+	// Per-length equivalence: every total must match the [n, n] index.
+	check := "totals bitwise = [n, n]"
 	mismatches := 0
 	for n := lo; n <= hi; n++ {
 		total, err := shared.TotalAt(n)
-		if err != nil || total.Cmp(indep[n-lo].Total()) != 0 {
+		if err != nil || total.Cmp(indep[n-lo].TotalRange()) != 0 {
 			mismatches++
 		}
 	}
@@ -89,7 +88,7 @@ func E18RangeBuild(quick bool) *Table {
 	if sharedAllocs > 0 {
 		ratio = fmt.Sprintf("%.2fx allocs", float64(indepAllocs)/float64(sharedAllocs))
 	}
-	t.AddRow(fmt.Sprintf("%d independent builds", nLens), fmt.Sprintf("%d..%d", lo, hi),
+	t.AddRow(fmt.Sprintf("%d [n, n] builds", nLens), fmt.Sprintf("%d..%d", lo, hi),
 		ms(indepTime), fmt.Sprint(indepAllocs), ratio, check)
 
 	// Steady-state range sampling: one draw session, zero allocs per draw.
@@ -142,6 +141,6 @@ func E18RangeBuild(quick bool) *Table {
 
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("m=%d states, %d lengths; the shared sweep's tables are keyed by remaining length, so its size tracks hi alone", states, nLens),
-		"acceptance: independent/shared ≥ 2x allocs at 16 lengths; session draws at 0 allocs/draw; totals bitwise = countdag per length")
+		"acceptance: [n, n] builds/shared ≥ 2x allocs at 16 lengths; session draws at 0 allocs/draw; totals bitwise = [n, n] per length")
 	return t
 }

@@ -424,7 +424,7 @@ func TestPrivateCacheBoundsRangeRetention(t *testing.T) {
 // TestCachedIndexAttachesAcrossRelabellings pins the attach contract:
 // instances canonicalize deterministic automata at New, so a relabelled
 // instance is served from the same entry AND may attach the cached index
-// to its enumerator — the index's DAG vertex ids are its own.
+// to its enumerator — the index addresses the enumerator's own DAG.
 func TestCachedIndexAttachesAcrossRelabellings(t *testing.T) {
 	n, r := cacheTestDFA(t, 46, 10)
 	cache := instcache.New(instcache.DefaultBudget)
@@ -434,9 +434,6 @@ func TestCachedIndexAttachesAcrossRelabellings(t *testing.T) {
 	}
 	if _, err := a.Unrank(big.NewInt(0)); err != nil {
 		t.Fatal(err)
-	}
-	if a.sharedIndex() == nil {
-		t.Fatal("builder instance should attach its own index")
 	}
 	b, err := New(r, 6, Options{Cache: cache})
 	if err != nil {
@@ -451,10 +448,28 @@ func TestCachedIndexAttachesAcrossRelabellings(t *testing.T) {
 	if st := cache.Stats(); st.Builds != 1 {
 		t.Fatalf("relabelled instance should hit: %+v", st)
 	}
-	if b.sharedIndex() == nil {
-		t.Fatal("relabelled instance should attach the shared index")
+	ia, err := a.index(nil, 6, 6)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a.sharedIndex() != b.sharedIndex() {
-		t.Fatal("both instances should attach the same frozen index")
+	ib, err := b.index(nil, 6, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ia != ib {
+		t.Fatal("both instances should resolve the same frozen index")
+	}
+	e, err := b.newUFAEnumAt(6, ia)
+	if err != nil {
+		t.Fatalf("relabelled instance should attach the shared index: %v", err)
+	}
+	total, _ := ia.TotalAt(6)
+	if err := e.SeekRank(new(big.Int).Sub(total, big.NewInt(1))); err != nil {
+		t.Fatal(err)
+	}
+	last, ok := e.Next()
+	want, err := b.Unrank(new(big.Int).Sub(total, big.NewInt(1)))
+	if !ok || err != nil || b.FormatWord(last) != b.FormatWord(want) {
+		t.Fatalf("seek through the attached index emitted %v, want %v (%v)", last, want, err)
 	}
 }

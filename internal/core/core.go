@@ -13,36 +13,38 @@
 // general alphabets are bridged to the binary FPRAS core through the
 // witness-preserving encoding of internal/automata.
 //
-// RelationUL instances additionally get ranked access through one shared
-// counting index (internal/countdag, built lazily and reused by every
+// RelationUL instances additionally get ranked access through one
+// counting index (internal/lengthrange over the single length [n, n],
+// built lazily through the compiled-index cache and shared by every
 // consumer): Rank/Unrank convert between witnesses and their index in the
-// enumeration order, SampleDistinct draws without replacement in
-// rank-space, and CursorOptions.SeekRank (or a kind-'r' rank token)
-// starts an enumeration session at any rank in O(n·log Δ) without
-// replaying a cursor.
+// enumeration order, Sample and SampleManyParallel draw from it,
+// SampleDistinct draws without replacement in rank-space, and
+// CursorOptions.SeekRank (or a kind-'r' rank token) starts an enumeration
+// session at any rank in O(n·log Δ) without replaying a cursor.
 //
 // # Ranged access over a length range
 //
 // Beyond the instance's own witness length, every problem is also served
-// uniformly over ALL lengths n in a caller-chosen range [lo, hi] from one
-// shared cross-length index (internal/lengthrange, built lazily per range
-// and cached): TotalRange counts the union, RankRange/UnrankRange convert
-// between witnesses of any length in the range and their global index in
+// uniformly over ALL lengths n in a caller-chosen range [lo, hi] from the
+// same kind of index over [lo, hi] (built lazily per range and cached):
+// TotalRange counts the union, RankRange/UnrankRange convert between
+// witnesses of any length in the range and their global index in
 // length-lexicographic order (all length-lo words in engine order, then
 // lo+1, …), SampleRange/SampleManyRange draw uniformly from the union
 // (length selected with probability proportional to its exact count, then
 // unranked within), and EnumerateRange streams the union in that same
-// order through chained per-length sessions — resumable via el1:R: range
-// tokens, parallel per length under the work-stealing scheduler, and
-// seekable to any global rank via CursorOptions.SeekRank. Exact ranged
-// access is RelationUL-only (for RelationNL it would imply exact #NFA
-// counting); EnumerateRange alone works for both classes.
+// order through chained per-length sessions (enumerate.RangeSession) —
+// resumable via el1:R: range tokens, parallel per length under the
+// work-stealing scheduler, and seekable to any global rank via
+// CursorOptions.SeekRank. Exact ranged access is RelationUL-only (for
+// RelationNL it would imply exact #NFA counting); EnumerateRange alone
+// works for both classes.
 //
 // # Compiled-index caching
 //
-// Both shared indexes — the counting index and every cross-length index —
-// are resolved through a compiled-index cache (internal/instcache) keyed
-// by canonical automaton identity and witness length or range.
+// Every index — the instance's single-length one and every range — is
+// resolved through a compiled-index cache (internal/instcache) keyed by
+// canonical automaton identity and length range, one entry per [lo, hi].
 // Options.Cache shares one cache across instances, so a serving workload
 // that sees the same automaton twice — or any relabelled isomorph of a
 // DFA — pays each backward sweep once; with a nil
@@ -64,8 +66,9 @@
 //
 // # Concurrency
 //
-// Instance methods are safe for concurrent use: the lazily built engines
-// and the internal RNG are guarded by a mutex, and the FPRAS engine
+// Instance methods are safe for concurrent use: the lazily built FPRAS
+// engine and the internal RNG are guarded by a mutex, the cache
+// deduplicates index builds, and the FPRAS engine
 // underneath is itself concurrent (see internal/fpras). Sample serializes
 // on the internal RNG; SampleManyParallel is the parallel-throughput path
 // and is deterministic per Options.Seed regardless of the worker count.
@@ -127,14 +130,11 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/automata"
-	"repro/internal/countdag"
 	"repro/internal/enumerate"
 	"repro/internal/exact"
 	"repro/internal/fpras"
 	"repro/internal/instcache"
 	"repro/internal/lengthrange"
-	"repro/internal/sample"
-	"repro/internal/unroll"
 )
 
 // streamULBatch namespaces SampleManyParallel's per-draw RNG streams on the
@@ -214,21 +214,19 @@ type Instance struct {
 	seed   int64
 
 	// cache resolves every index build: Options.Cache when set, else a
-	// private instcache with the default byte budget (which also byte-
-	// bounds the per-instance range-index retention the old ad-hoc slot
-	// cache only count-bounded). Immutable after New.
+	// private instcache with the default byte budget. The instance keeps
+	// no index of its own. Immutable after New.
 	cache *instcache.Cache
 	// cacheKey memoizes the instance's canonical cache key.
 	keyOnce  sync.Once
 	cacheKey *instcache.Key
 
-	// mu guards the internal RNG and the lazily built engines below; the
-	// engines themselves are safe for concurrent use once built.
-	mu         sync.Mutex
-	rng        *rand.Rand               // guarded by mu
-	est        *fpras.Estimator         // guarded by mu
-	enc        *automata.BinaryEncoding // guarded by mu
-	ufaSampler *sample.UFASampler       // guarded by mu
+	// mu guards the internal RNG and the lazily built FPRAS engine below;
+	// the engine itself is safe for concurrent use once built.
+	mu  sync.Mutex
+	rng *rand.Rand               // guarded by mu
+	est *fpras.Estimator         // guarded by mu
+	enc *automata.BinaryEncoding // guarded by mu
 }
 
 // New prepares an instance for the witness length `length`. The automaton
@@ -401,134 +399,57 @@ func (in *Instance) estimatorCtx(ctx context.Context) (*fpras.Estimator, error) 
 	return est, nil
 }
 
-// ufa lazily builds the instance's shared ranked counting index (layer-
-// parallel, Options.Workers) and wraps it as the exact uniform sampler.
-// The same index serves Sample/SampleDistinct, Rank/Unrank and rank-seek
-// enumeration: one big.Int pass per instance, however many consumers.
-// ClassUL only (the caller dispatches); unambiguity was verified at New.
-func (in *Instance) ufa() (*sample.UFASampler, error) {
-	return in.ufaCtx(nil)
-}
-
-// ufaCtx is ufa with cooperative cancellation and cache consultation: the
-// index is resolved through the instance's compiled-index cache (shared
-// via Options.Cache or private), which deduplicates concurrent builds of
-// the same canonical key. On a miss the build runs detached under the
-// cache's own context — ctx cancels only this caller's wait, and the
-// build itself is abandoned within one layer (countdag.BuildCtx checks at
-// every layer) once no waiter remains; a nil ctx never cancels. The byte
-// cap is enforced from the automaton's dimensions before the unrolling is
-// allocated, and the same estimate is what the cache charges its budget.
-func (in *Instance) ufaCtx(ctx context.Context) (*sample.UFASampler, error) {
-	in.mu.Lock()
-	if s := in.ufaSampler; s != nil {
-		in.mu.Unlock()
-		return s, nil
-	}
-	in.mu.Unlock()
-	est := admission.EstimateIndexBytes(in.n.NumStates(), in.n.NumTransitions(), in.length)
-	if err := in.opts.Limits.CheckIndexBytes(est); err != nil {
-		return nil, err
-	}
-	workers := in.opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	idx, _, err := in.cache.UFAIndex(ctx, in.key(), in.length, est, func(bctx context.Context) (*countdag.Index, error) {
-		dag, err := unroll.Build(in.n, in.length, unroll.Options{PruneBackward: true})
-		if err != nil {
-			return nil, err
-		}
-		return countdag.BuildCtx(bctx, dag, workers)
-	})
-	if err != nil {
-		return nil, err
-	}
-	s := sample.NewUFASamplerIndex(in.n, idx)
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.ufaSampler == nil {
-		in.ufaSampler = s
-	}
-	return in.ufaSampler, nil
-}
-
-// sharedIndex returns the instance's counting index if it has been built
-// (nil otherwise — callers that can work without it shouldn't force the
-// build). A cached index is always attachable here: entries bind to exact
-// normalized structure and the instance automaton IS the normal form
-// (canonicalized at New), so the index's DAG vertex ids are this
-// instance's own.
-func (in *Instance) sharedIndex() *countdag.Index {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.ufaSampler == nil {
-		return nil
-	}
-	return in.ufaSampler.Index()
-}
-
-// openSeekedAt opens a RelationUL session at witness length `length`
-// positioned at the given within-length rank. At the instance's own
-// length it seeks through the shared counting index (built and cached on
-// first use — a rank seek is an index consumer, so the build is never
-// thrown away); at other lengths (range sessions) the enumerator builds
-// its own index on demand.
-func (in *Instance) openSeekedAt(length int, rank *big.Int, workers int, sopts enumerate.StreamOptions) (enumerate.Session, error) {
+// openSeeked opens a RelationUL session at witness length `length`
+// positioned so that the next word has the given within-length rank —
+// the one seek path of SeekRank options, rank tokens and range seeks. idx
+// is an index covering the length (the range index of a range seek); nil
+// resolves [length, length] through the cache.
+func (in *Instance) openSeeked(length int, rank *big.Int, idx *lengthrange.RangeIndex, sopts enumerate.StreamOptions) (enumerate.Session, error) {
 	if in.class != ClassUL {
 		return nil, fmt.Errorf("core: rank seek requires an unambiguous instance (RelationUL)")
 	}
-	if length == in.length {
-		if _, err := in.ufaCtx(sopts.Ctx); err != nil {
+	if idx == nil {
+		var err error
+		if idx, err = in.index(sopts.Ctx, length, length); err != nil {
 			return nil, err
 		}
 	}
-	e, err := in.newUFAEnumAt(length)
+	e, err := in.newUFAEnumAt(length, idx)
 	if err != nil {
 		return nil, err
 	}
 	if err := e.SeekRank(rank); err != nil {
 		return nil, err
 	}
-	if workers > 1 {
+	if sopts.Workers > 1 {
 		return e.StreamFrom(enumerate.SuffixFrontier(e.Cursor()), sopts)
 	}
 	return e, nil
 }
 
 // newUFAEnumAt opens an Algorithm 1 enumerator for the given witness
-// length, attaching the instance's shared counting index when the length
-// matches and the index is already built (enumeration alone does not
-// force the index; rank seeking and parallel streams build their own on
-// demand).
-func (in *Instance) newUFAEnumAt(length int) (*enumerate.UFAEnumerator, error) {
+// length with idx (an index covering the length, or nil) attached.
+// Enumeration alone does not force an index: rank seeking resolves one,
+// and a parallel stream without one builds its own for steal sizing.
+func (in *Instance) newUFAEnumAt(length int, idx *lengthrange.RangeIndex) (*enumerate.UFAEnumerator, error) {
 	e, err := enumerate.NewUFA(in.n, length)
 	if err != nil {
 		return nil, err
 	}
-	if length == in.length {
-		if idx := in.sharedIndex(); idx != nil {
-			if err := e.AttachIndex(idx); err != nil {
-				return nil, err
-			}
+	if idx != nil {
+		if err := e.AttachIndex(idx); err != nil {
+			return nil, err
 		}
 	}
 	return e, nil
 }
 
 // Rank returns the 0-based index of the witness w in the instance's
-// enumeration order, or an error (wrapping countdag.ErrNotMember) when w
-// is not a witness. Exact ranked access is a RelationUL capability — for
-// RelationNL it would imply exact #NFA counting, which is #P-hard.
+// enumeration order, or an error (wrapping lengthrange.ErrNotMember) when
+// w is not a witness. Exact ranked access is a RelationUL capability —
+// for RelationNL it would imply exact #NFA counting, which is #P-hard.
 func (in *Instance) Rank(w automata.Word) (*big.Int, error) {
-	if in.class != ClassUL {
-		return nil, fmt.Errorf("core: Rank requires an unambiguous instance (RelationUL)")
-	}
-	s, err := in.ufa()
-	if err != nil {
-		return nil, err
-	}
-	return s.Rank(w)
+	return in.RankCtx(nil, w)
 }
 
 // RankCtx is Rank with cooperative cancellation: ctx is checked at every
@@ -539,25 +460,18 @@ func (in *Instance) RankCtx(ctx context.Context, w automata.Word) (*big.Int, err
 	if in.class != ClassUL {
 		return nil, fmt.Errorf("core: Rank requires an unambiguous instance (RelationUL)")
 	}
-	s, err := in.ufaCtx(ctx)
+	ri, err := in.index(ctx, in.length, in.length)
 	if err != nil {
 		return nil, err
 	}
-	return s.Rank(w)
+	return ri.RankAt(w)
 }
 
 // Unrank returns the witness at the given 0-based rank of the enumeration
 // order — random access into the witness stream. RelationUL only, like
 // Rank.
 func (in *Instance) Unrank(r *big.Int) (automata.Word, error) {
-	if in.class != ClassUL {
-		return nil, fmt.Errorf("core: Unrank requires an unambiguous instance (RelationUL)")
-	}
-	s, err := in.ufa()
-	if err != nil {
-		return nil, err
-	}
-	return s.Unrank(r)
+	return in.UnrankCtx(nil, r)
 }
 
 // UnrankCtx is Unrank with cooperative cancellation: ctx is checked at
@@ -567,11 +481,11 @@ func (in *Instance) UnrankCtx(ctx context.Context, r *big.Int) (automata.Word, e
 	if in.class != ClassUL {
 		return nil, fmt.Errorf("core: Unrank requires an unambiguous instance (RelationUL)")
 	}
-	s, err := in.ufaCtx(ctx)
+	ri, err := in.index(ctx, in.length, in.length)
 	if err != nil {
 		return nil, err
 	}
-	return s.Unrank(r)
+	return ri.UnrankAt(in.length, r)
 }
 
 // SampleDistinct draws k distinct witnesses uniformly without replacement
@@ -593,14 +507,14 @@ func (in *Instance) SampleDistinctCtx(ctx context.Context, k int) ([]automata.Wo
 	if err := in.opts.Limits.CheckSampleBatch(k); err != nil {
 		return nil, err
 	}
-	s, err := in.ufaCtx(ctx)
+	ri, err := in.index(ctx, in.length, in.length)
 	if err != nil {
 		return nil, err
 	}
 	in.mu.Lock()
-	ws, err := s.SampleDistinct(k, in.rng)
+	ws, err := ri.SampleDistinctAt(in.length, k, in.rng)
 	in.mu.Unlock()
-	if err == sample.ErrEmpty {
+	if err == lengthrange.ErrEmpty {
 		return nil, ErrEmpty
 	}
 	return ws, err
@@ -675,18 +589,19 @@ func (in *Instance) Enumerate(opts CursorOptions) (enumerate.Session, error) {
 }
 
 func (in *Instance) openSession(opts CursorOptions) (enumerate.Session, error) {
-	return in.openSessionAt(in.length, opts)
+	return in.openSessionAt(in.length, opts, nil)
 }
 
 // openSessionAt is openSession generalized over the witness length: the
 // instance's own length for Enumerate, any length in a range for the
-// per-length sessions an EnumerateRange chain opens. Cursor lengths are
-// validated against `length` (fingerprint before any length-sized
-// precomputation, on every resume path). Admission runs first; the
-// returned session carries opts.Ctx — parallel streams through their own
-// watcher, serial sessions through the enumerate.WithContext boundary
-// wrapper.
-func (in *Instance) openSessionAt(length int, opts CursorOptions) (enumerate.Session, error) {
+// per-length sessions an EnumerateRange chain opens, where idx is the
+// range's index when one is in hand (nil otherwise; seeks then resolve
+// their own). Cursor lengths are validated against `length` (fingerprint
+// before any length-sized precomputation, on every resume path).
+// Admission runs first; the returned session carries opts.Ctx — parallel
+// streams through their own watcher, serial sessions through the
+// enumerate.WithContext boundary wrapper.
+func (in *Instance) openSessionAt(length int, opts CursorOptions, idx *lengthrange.RangeIndex) (enumerate.Session, error) {
 	if err := in.opts.Limits.CheckLength(length); err != nil {
 		return nil, err
 	}
@@ -699,7 +614,7 @@ func (in *Instance) openSessionAt(length int, opts CursorOptions) (enumerate.Ses
 			return nil, err
 		}
 	}
-	s, err := in.openSessionAtRaw(length, opts)
+	s, err := in.openSessionAtRaw(length, opts, idx)
 	if err != nil {
 		return nil, err
 	}
@@ -711,7 +626,7 @@ func (in *Instance) openSessionAt(length int, opts CursorOptions) (enumerate.Ses
 	return s, nil
 }
 
-func (in *Instance) openSessionAtRaw(length int, opts CursorOptions) (enumerate.Session, error) {
+func (in *Instance) openSessionAtRaw(length int, opts CursorOptions, idx *lengthrange.RangeIndex) (enumerate.Session, error) {
 	sopts := enumerate.StreamOptions{
 		Ctx:            opts.Ctx,
 		Workers:        opts.Workers,
@@ -728,7 +643,7 @@ func (in *Instance) openSessionAtRaw(length int, opts CursorOptions) (enumerate.
 		if opts.Cursor != "" {
 			return nil, fmt.Errorf("core: SeekRank and Cursor are mutually exclusive")
 		}
-		return in.openSeekedAt(length, opts.SeekRank, opts.Workers, sopts)
+		return in.openSeeked(length, opts.SeekRank, idx, sopts)
 	}
 	if opts.Cursor != "" {
 		// A frontier token (multi-cell position of a parallel session)
@@ -770,7 +685,7 @@ func (in *Instance) openSessionAtRaw(length int, opts CursorOptions) (enumerate.
 			if c.Rank == nil {
 				return nil, fmt.Errorf("core: rank cursor carries no rank")
 			}
-			return in.openSeekedAt(length, c.Rank, opts.Workers, sopts)
+			return in.openSeeked(length, c.Rank, idx, sopts)
 		}
 		if c.Kind != kind {
 			return nil, fmt.Errorf("core: cursor kind %q does not match instance class %s", c.Kind, in.class)
@@ -790,7 +705,7 @@ func (in *Instance) openSessionAtRaw(length int, opts CursorOptions) (enumerate.
 	}
 	if opts.Workers > 1 {
 		if in.class == ClassUL {
-			e, err := in.newUFAEnumAt(length)
+			e, err := in.newUFAEnumAt(length, idx)
 			if err != nil {
 				return nil, err
 			}
@@ -799,7 +714,7 @@ func (in *Instance) openSessionAtRaw(length int, opts CursorOptions) (enumerate.
 		return enumerate.NewNFAStream(in.n, length, sopts)
 	}
 	if in.class == ClassUL {
-		return in.newUFAEnumAt(length)
+		return in.newUFAEnumAt(length, idx)
 	}
 	return enumerate.NewNFA(in.n, length)
 }
@@ -810,27 +725,18 @@ func (in *Instance) EnumerateFrom(token string) (enumerate.Session, error) {
 	return in.Enumerate(CursorOptions{Cursor: token})
 }
 
-// rangeIndex lazily builds (and caches) the shared cross-length counting
-// index over [lo, hi] — one backward big.Int sweep serving TotalRange,
-// RankRange/UnrankRange, range sampling and global rank seeks, however
-// many consumers. RelationUL only: exact ranged access for an ambiguous
-// NFA would imply exact #NFA counting, which is #P-hard.
-func (in *Instance) rangeIndex(lo, hi int) (*lengthrange.RangeIndex, error) {
-	return in.rangeIndexCtx(nil, lo, hi)
-}
-
-// rangeIndexCtx is rangeIndex with cooperative cancellation and cache
-// consultation: the cross-length index is resolved through the instance's
-// compiled-index cache keyed by (canonical automaton, [lo, hi]), so
-// concurrent requests for the same range share one build and retention is
-// byte-budgeted LRU (the old per-instance slot cache bounded the entry
-// COUNT but not the bytes — a few wide ranges could pin unbounded big.Int
-// tables). On a miss the sweep runs detached; ctx cancels only this
-// caller's wait, and the build is abandoned within one layer once no
-// waiter remains (lengthrange.BuildCtx checks at every layer); a nil ctx
-// never cancels. Admission (range span and estimated footprint) is
-// enforced before the sweep allocates anything length-sized.
-func (in *Instance) rangeIndexCtx(ctx context.Context, lo, hi int) (*lengthrange.RangeIndex, error) {
+// index resolves the counting index over [lo, hi] — [n, n] for the
+// instance's own length — through the instance's compiled-index cache
+// keyed by (canonical automaton, [lo, hi]): one index per range serves
+// counts, ranks, draws and seeks, concurrent requests for the same range
+// share one build, and retention is byte-budgeted LRU. On a miss the
+// sweep runs detached; ctx cancels only this caller's wait, and the
+// build is abandoned within one layer once no waiter remains
+// (lengthrange.BuildCtx checks at every layer); a nil ctx never cancels.
+// Admission (range span and estimated footprint) is enforced before the
+// sweep allocates anything length-sized. RelationUL only: exact counting
+// for an ambiguous NFA is #P-hard.
+func (in *Instance) index(ctx context.Context, lo, hi int) (*lengthrange.RangeIndex, error) {
 	if in.class != ClassUL {
 		return nil, fmt.Errorf("core: ranged access over a length range requires an unambiguous instance (RelationUL)")
 	}
@@ -864,7 +770,7 @@ func (in *Instance) TotalRange(lo, hi int) (*big.Int, error) {
 // checked at every layer of the (lazy) cross-length index build; a nil
 // ctx never cancels.
 func (in *Instance) TotalRangeCtx(ctx context.Context, lo, hi int) (*big.Int, error) {
-	ri, err := in.rangeIndexCtx(ctx, lo, hi)
+	ri, err := in.index(ctx, lo, hi)
 	if err != nil {
 		return nil, err
 	}
@@ -873,7 +779,7 @@ func (in *Instance) TotalRangeCtx(ctx context.Context, lo, hi int) (*big.Int, er
 
 // RankRange returns the global 0-based index of the witness w in the
 // length-lexicographic enumeration order over [lo, hi] (len(w) must lie
-// in the range), or an error wrapping countdag.ErrNotMember when w is
+// in the range), or an error wrapping lengthrange.ErrNotMember when w is
 // not a witness. RelationUL only.
 func (in *Instance) RankRange(lo, hi int, w automata.Word) (*big.Int, error) {
 	return in.RankRangeCtx(nil, lo, hi, w)
@@ -883,7 +789,7 @@ func (in *Instance) RankRange(lo, hi int, w automata.Word) (*big.Int, error) {
 // at every layer of the (lazy) cross-length index build; a nil ctx never
 // cancels.
 func (in *Instance) RankRangeCtx(ctx context.Context, lo, hi int, w automata.Word) (*big.Int, error) {
-	ri, err := in.rangeIndexCtx(ctx, lo, hi)
+	ri, err := in.index(ctx, lo, hi)
 	if err != nil {
 		return nil, err
 	}
@@ -901,7 +807,7 @@ func (in *Instance) UnrankRange(lo, hi int, r *big.Int) (automata.Word, error) {
 // checked at every layer of the (lazy) cross-length index build; a nil
 // ctx never cancels.
 func (in *Instance) UnrankRangeCtx(ctx context.Context, lo, hi int, r *big.Int) (automata.Word, error) {
-	ri, err := in.rangeIndexCtx(ctx, lo, hi)
+	ri, err := in.index(ctx, lo, hi)
 	if err != nil {
 		return nil, err
 	}
@@ -913,7 +819,7 @@ func (in *Instance) UnrankRangeCtx(ctx context.Context, lo, hi int, r *big.Int) 
 // exact count), consuming the instance's internal RNG stream like
 // Sample. RelationUL only; ErrEmpty when the whole range is empty.
 func (in *Instance) SampleRange(lo, hi int) (automata.Word, error) {
-	ri, err := in.rangeIndex(lo, hi)
+	ri, err := in.index(nil, lo, hi)
 	if err != nil {
 		return nil, err
 	}
@@ -948,7 +854,7 @@ func (in *Instance) SampleManyRangeCtx(ctx context.Context, lo, hi, k, workers i
 	if err := in.opts.Limits.CheckSampleBatch(k); err != nil {
 		return nil, err
 	}
-	ri, err := in.rangeIndexCtx(ctx, lo, hi)
+	ri, err := in.index(ctx, lo, hi)
 	if err != nil {
 		return nil, err
 	}
@@ -990,16 +896,12 @@ func (in *Instance) EnumerateRange(lo, hi int, opts CursorOptions) (enumerate.Se
 		return nil, err
 	}
 	fp := enumerate.Fingerprint(in.n)
-	// seekIdx is set by the SeekRank branch below: with the cross-length
-	// index already in hand, the seek factory derives the decision vector
-	// from its shared tables and positions the enumerator by replay,
-	// instead of letting UFAEnumerator.SeekRank run a second per-length
-	// counting sweep over numbers the range index already holds.
+	// seekIdx is set by the SeekRank branch below: with the range index
+	// already in hand, every per-length session attaches it, so the seek
+	// and any parallel stream's steal sizing read its tables instead of
+	// building a single-length index for numbers it already holds.
 	var seekIdx *lengthrange.RangeIndex
 	factory := func(length int, cursor string, seek *big.Int) (enumerate.Session, error) {
-		if seek != nil && seekIdx != nil && in.class == ClassUL {
-			return in.openRangeSeeked(seekIdx, length, seek, opts)
-		}
 		return in.openSessionAt(length, CursorOptions{
 			Ctx:            opts.Ctx,
 			Cursor:         cursor,
@@ -1009,7 +911,7 @@ func (in *Instance) EnumerateRange(lo, hi int, opts CursorOptions) (enumerate.Se
 			Ordered:        opts.Ordered,
 			MergeBudget:    opts.MergeBudget,
 			StealThreshold: opts.StealThreshold,
-		})
+		}, seekIdx)
 	}
 	var s enumerate.Session
 	var err error
@@ -1017,7 +919,7 @@ func (in *Instance) EnumerateRange(lo, hi int, opts CursorOptions) (enumerate.Se
 	case opts.SeekRank != nil && opts.Cursor != "":
 		return nil, fmt.Errorf("core: SeekRank and Cursor are mutually exclusive")
 	case opts.SeekRank != nil:
-		ri, rerr := in.rangeIndexCtx(opts.Ctx, lo, hi)
+		ri, rerr := in.index(opts.Ctx, lo, hi)
 		if rerr != nil {
 			return nil, rerr
 		}
@@ -1028,25 +930,25 @@ func (in *Instance) EnumerateRange(lo, hi int, opts CursorOptions) (enumerate.Se
 			return nil, fmt.Errorf("core: seek rank %v out of range [0, %v]", r, grand)
 		}
 		if r.Cmp(grand) == 0 {
-			s = lengthrange.ExhaustedRangeSession(lo, hi, fp)
+			s = enumerate.ExhaustedRangeSession(lo, hi, fp)
 		} else {
 			n, within, serr := ri.SplitRank(r)
 			if serr != nil {
 				return nil, serr
 			}
-			s, err = lengthrange.NewRangeSessionAt(lo, hi, n, within, fp, factory)
+			s, err = enumerate.NewRangeSessionAt(lo, hi, n, within, fp, factory)
 		}
 	case opts.Cursor != "":
-		c, perr := lengthrange.ParseRangeToken(opts.Cursor)
+		c, perr := enumerate.ParseRangeToken(opts.Cursor)
 		if perr != nil {
 			return nil, perr
 		}
 		if c.Lo != lo || c.Hi != hi {
 			return nil, fmt.Errorf("core: cursor range [%d, %d] does not match requested range [%d, %d]", c.Lo, c.Hi, lo, hi)
 		}
-		s, err = lengthrange.ResumeRangeSession(c, fp, factory)
+		s, err = enumerate.ResumeRangeSession(c, fp, factory)
 	default:
-		s, err = lengthrange.NewRangeSession(lo, hi, fp, factory)
+		s, err = enumerate.NewRangeSession(lo, hi, fp, factory)
 	}
 	if err != nil {
 		return nil, err
@@ -1055,50 +957,13 @@ func (in *Instance) EnumerateRange(lo, hi int, opts CursorOptions) (enumerate.Se
 	// site) at every length-advance boundary; per-length inner sessions
 	// already carry the context through the factory, so cancellation stops
 	// the session within one delivery batch wherever it lands.
-	if rs, ok := s.(*lengthrange.RangeSession); ok {
+	if rs, ok := s.(*enumerate.RangeSession); ok {
 		rs.SetContext(opts.Ctx)
 	}
 	if opts.Limit > 0 {
 		s = &limitedSession{Session: s, left: opts.Limit}
 	}
 	return s, nil
-}
-
-// openRangeSeeked opens a session at `length` positioned at the given
-// within-length rank (the next word emitted has that rank), deriving the
-// decision vector from the cross-length index's shared tables and
-// replaying it — O(n·m) validation, no countdag build. Parallel sessions
-// re-shard the suffix like openSeekedAt (the stream builds its own index
-// for exact steal sizing, as every parallel UFA stream does).
-func (in *Instance) openRangeSeeked(ri *lengthrange.RangeIndex, length int, seek *big.Int, opts CursorOptions) (enumerate.Session, error) {
-	e, err := enumerate.NewUFA(in.n, length)
-	if err != nil {
-		return nil, err
-	}
-	positioned := e
-	if seek.Sign() > 0 {
-		// Position = the word at rank seek−1 was emitted.
-		prev := new(big.Int).Sub(seek, big.NewInt(1))
-		choices, err := ri.UnrankChoicesAt(length, prev)
-		if err != nil {
-			return nil, err
-		}
-		positioned, err = e.OpenShardAt(e.Shards(1)[0], choices)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if opts.Workers > 1 {
-		return positioned.StreamFrom(enumerate.SuffixFrontier(positioned.Cursor()), enumerate.StreamOptions{
-			Ctx:            opts.Ctx,
-			Workers:        opts.Workers,
-			Shards:         opts.Shards,
-			Ordered:        opts.Ordered,
-			MergeBudget:    opts.MergeBudget,
-			StealThreshold: opts.StealThreshold,
-		})
-	}
-	return enumerate.WithContext(opts.Ctx, positioned), nil
 }
 
 // EnumerateRangeFrom is EnumerateRange resuming from an el1:R: token,
@@ -1110,7 +975,7 @@ func (in *Instance) openRangeSeeked(ri *lengthrange.RangeIndex, length int, seek
 // prefer EnumerateRange with their own [lo, hi] bound — the fingerprint
 // is a checksum, not a MAC.
 func (in *Instance) EnumerateRangeFrom(token string, opts CursorOptions) (enumerate.Session, error) {
-	c, err := lengthrange.ParseRangeToken(token)
+	c, err := enumerate.ParseRangeToken(token)
 	if err != nil {
 		return nil, err
 	}
@@ -1157,14 +1022,14 @@ func (in *Instance) Witnesses(limit int) ([]string, error) {
 // RNG, so batch callers should prefer SampleManyParallel.
 func (in *Instance) Sample() (automata.Word, error) {
 	if in.class == ClassUL {
-		s, err := in.ufa()
+		ri, err := in.index(nil, in.length, in.length)
 		if err != nil {
 			return nil, err
 		}
 		in.mu.Lock()
-		w, err := s.Sample(in.rng)
+		w, err := ri.Sample(in.rng)
 		in.mu.Unlock()
-		if err == sample.ErrEmpty {
+		if err == lengthrange.ErrEmpty {
 			return nil, ErrEmpty
 		}
 		return w, err
@@ -1271,16 +1136,16 @@ func (in *Instance) SampleManyParallelCtx(ctx context.Context, k, workers int) (
 		}
 		return out, nil
 	}
-	s, err := in.ufaCtx(ctx)
+	ri, err := in.index(ctx, in.length, in.length)
 	if err != nil {
 		return nil, err
 	}
-	// The sampler only reads the frozen counting index, so SampleMany fans
+	// The draws only read the frozen counting index, so SampleMany fans
 	// chunked draw sessions across the workers — each chunk's RNG stream
 	// derives from (seed, chunk), so the batch never depends on the worker
 	// count.
-	ws, err := s.SampleManyCtx(ctx, in.seed, streamULBatch, k, workers)
-	if err == sample.ErrEmpty {
+	ws, err := ri.SampleManyCtx(ctx, in.seed, streamULBatch, k, workers)
+	if err == lengthrange.ErrEmpty {
 		return nil, ErrEmpty
 	}
 	return ws, err

@@ -9,7 +9,6 @@ import (
 	"repro/internal/automata"
 	"repro/internal/enumerate"
 	"repro/internal/exact"
-	"repro/internal/lengthrange"
 )
 
 // rangeInstance builds a RelationUL instance over a random DFA.
@@ -157,7 +156,7 @@ func TestRangeTokenRoundTripThroughCore(t *testing.T) {
 			if !ok {
 				t.Fatalf("workers=%d k=%d: session not resumable", workers, k)
 			}
-			if !lengthrange.IsRangeToken(tok) {
+			if !enumerate.IsRangeToken(tok) {
 				t.Fatalf("workers=%d k=%d: token %q is not an el1:R: token", workers, k, tok)
 			}
 			// Resume through the explicit-range API and the token-only one.

@@ -1,5 +1,11 @@
 package countdag_test
 
+// These tests pin the names this package keeps for the serving benchmark:
+// BuildCtx on an unrolled DAG gives the single-length index [n, n], and
+// the index answers through Rank and Unrank as the former DAG-based index
+// did — in Algorithm 1's enumeration order, over the decision vectors of
+// the enumerator's own DAG.
+
 import (
 	"errors"
 	"math/big"
@@ -10,27 +16,35 @@ import (
 	"repro/internal/countdag"
 	"repro/internal/enumerate"
 	"repro/internal/exact"
+	"repro/internal/lengthrange"
 	"repro/internal/oracle"
 	"repro/internal/sample"
 	"repro/internal/unroll"
 )
 
 // buildIndex unrolls with backward pruning (the enumeration DAG) and
-// indexes it.
+// indexes it through BuildCtx.
 func buildIndex(t testing.TB, n *automata.NFA, length, workers int) *countdag.Index {
 	t.Helper()
 	dag, err := unroll.Build(n, length, unroll.Options{PruneBackward: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return countdag.Build(dag, workers)
+	x, err := countdag.BuildCtx(nil, dag, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.Lo() != length || x.Hi() != length {
+		t.Fatalf("BuildCtx covers [%d, %d], want [%d, %d]", x.Lo(), x.Hi(), length, length)
+	}
+	return x
 }
 
 // TestTotalMatchesExactCount: the index root count is |L_n| on random UFAs
 // (including empty slices) and the paper example.
 func TestTotalMatchesExactCount(t *testing.T) {
 	paper, length := automata.PaperExample()
-	if got := buildIndex(t, paper, length, 1).Total(); got.Cmp(big.NewInt(4)) != 0 {
+	if got := buildIndex(t, paper, length, 1).TotalRange(); got.Cmp(big.NewInt(4)) != 0 {
 		t.Fatalf("paper example total = %v, want 4", got)
 	}
 	rng := rand.New(rand.NewSource(71))
@@ -38,7 +52,7 @@ func TestTotalMatchesExactCount(t *testing.T) {
 		dfa := automata.RandomDFA(rng, automata.Binary(), 2+rng.Intn(10), 0.4)
 		n := rng.Intn(9)
 		want := exact.CountUFA(dfa, n)
-		got := buildIndex(t, dfa, n, 1).Total()
+		got := buildIndex(t, dfa, n, 1).TotalRange()
 		if got.Cmp(want) != 0 {
 			t.Fatalf("trial %d (n=%d): total = %v, want %v", trial, n, got, want)
 		}
@@ -54,11 +68,11 @@ func TestBuildWorkerEquivalence(t *testing.T) {
 		n := 6 + rng.Intn(6)
 		serial := buildIndex(t, dfa, n, 1)
 		parallel := buildIndex(t, dfa, n, 4)
-		if serial.Total().Cmp(parallel.Total()) != 0 {
-			t.Fatalf("trial %d: totals differ: %v vs %v", trial, serial.Total(), parallel.Total())
+		if serial.TotalRange().Cmp(parallel.TotalRange()) != 0 {
+			t.Fatalf("trial %d: totals differ: %v vs %v", trial, serial.TotalRange(), parallel.TotalRange())
 		}
 		var r big.Int
-		for i := int64(0); big.NewInt(i).Cmp(serial.Total()) < 0 && i < 200; i++ {
+		for i := int64(0); big.NewInt(i).Cmp(serial.TotalRange()) < 0 && i < 200; i++ {
 			r.SetInt64(i)
 			a, err1 := serial.Unrank(&r)
 			b, err2 := parallel.Unrank(&r)
@@ -88,8 +102,8 @@ func TestUnrankOrderMatchesEnumeration(t *testing.T) {
 		}
 		words := enumerate.CollectWords(e, 0)
 		x := buildIndex(t, dfa, length, 1)
-		if x.Total().Cmp(big.NewInt(int64(len(words)))) != 0 {
-			t.Fatalf("trial %d: total %v, enumerated %d", trial, x.Total(), len(words))
+		if x.TotalRange().Cmp(big.NewInt(int64(len(words)))) != 0 {
+			t.Fatalf("trial %d: total %v, enumerated %d", trial, x.TotalRange(), len(words))
 		}
 		for i, w := range words {
 			got, err := x.Unrank(big.NewInt(int64(i)))
@@ -123,11 +137,11 @@ func TestUnrankOrderMatchesEnumeration(t *testing.T) {
 			probe[i] = rng.Intn(2)
 		}
 		if !inLang[alpha.FormatWord(probe)] {
-			if _, err := x.Rank(probe); !errors.Is(err, countdag.ErrNotMember) {
+			if _, err := x.Rank(probe); !errors.Is(err, lengthrange.ErrNotMember) {
 				t.Fatalf("trial %d: Rank(non-member %v) = %v, want ErrNotMember", trial, probe, err)
 			}
 		}
-		if _, err := x.Rank(probe[:0]); length > 0 && !errors.Is(err, countdag.ErrNotMember) {
+		if _, err := x.Rank(probe[:0]); length > 0 && !errors.Is(err, lengthrange.ErrNotMember) {
 			t.Fatalf("trial %d: Rank(short word) accepted", trial)
 		}
 	}
@@ -142,7 +156,7 @@ func TestUnrankChoicesSeekEquivalence(t *testing.T) {
 		dfa := automata.RandomDFA(rng, automata.Binary(), 3+rng.Intn(6), 0.5)
 		length := 2 + rng.Intn(6)
 		x := buildIndex(t, dfa, length, 1)
-		total := x.Total().Int64()
+		total := x.TotalRange().Int64()
 		if total == 0 {
 			continue
 		}
@@ -154,7 +168,11 @@ func TestUnrankChoicesSeekEquivalence(t *testing.T) {
 			if _, ok := e.Next(); !ok {
 				t.Fatalf("trial %d: enumeration ended at %d of %d", trial, i, total)
 			}
-			choices, w, _, err := x.UnrankChoices(big.NewInt(i))
+			choices, err := x.UnrankChoicesAt(length, big.NewInt(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := x.UnrankAt(length, big.NewInt(i))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +185,7 @@ func TestUnrankChoicesSeekEquivalence(t *testing.T) {
 					t.Fatalf("trial %d rank %d: cursor %v vs choices %v", trial, i, c.Pos, choices)
 				}
 			}
-			r2, err := x.RankOfChoices(choices)
+			r2, err := x.RankOfChoicesAt(length, choices)
 			if err != nil || r2.Cmp(big.NewInt(i)) != 0 {
 				t.Fatalf("trial %d: RankOfChoices(%v) = %v (%v), want %d", trial, choices, r2, err, i)
 			}
@@ -178,17 +196,22 @@ func TestUnrankChoicesSeekEquivalence(t *testing.T) {
 	}
 }
 
-// TestSubtreeSpanPartitions: the children of any vertex partition its rank
-// interval, in edge order, with no gaps — the prefix-sum invariant every
-// consumer leans on.
+// TestSubtreeSpanPartitions: the children of any vertex of the unrolled
+// DAG partition its rank interval, in the DAG's edge order, with no gaps
+// — the prefix-sum invariant every consumer leans on.
 func TestSubtreeSpanPartitions(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	dfa := automata.RandomDFA(rng, automata.Binary(), 8, 0.5)
 	const length = 8
+	dag, err := unroll.Build(dfa, length, unroll.Options{PruneBackward: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	x := buildIndex(t, dfa, length, 1)
-	var walk func(path []int)
-	walk = func(path []int) {
-		first, count, err := x.SubtreeSpan(path)
+	// walk visits the subtree of the vertex in state q reached by path.
+	var walk func(path []int, q int)
+	walk = func(path []int, q int) {
+		first, count, err := x.SubtreeSpanAt(length, path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,18 +221,21 @@ func TestSubtreeSpanPartitions(t *testing.T) {
 			}
 			return
 		}
-		q, err := x.PathVertex(path)
-		if err != nil {
-			t.Fatal(err)
+		edges := dag.StartSuccs()
+		if len(path) > 0 {
+			edges = dag.Succs(len(path), q)
 		}
-		cum := x.EdgeCum(len(path), q)
+		cum := x.EdgeCumAt(length, len(path), q)
+		if len(cum) != len(edges)+1 {
+			t.Fatalf("path %v: %d prefix sums for %d DAG edges", path, len(cum), len(edges))
+		}
 		// Children cover [first, first+count) contiguously.
 		if cum[len(cum)-1].Cmp(count) != 0 {
 			t.Fatalf("path %v: edge sums %v != subtree count %v", path, cum[len(cum)-1], count)
 		}
 		if len(path) < 2 { // bound the exhaustive walk
 			for i := 0; i < len(cum)-1; i++ {
-				childFirst, childCount, err := x.SubtreeSpan(append(append([]int(nil), path...), i))
+				childFirst, childCount, err := x.SubtreeSpanAt(length, append(append([]int(nil), path...), i))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -221,11 +247,11 @@ func TestSubtreeSpanPartitions(t *testing.T) {
 				if childCount.Cmp(wantCount) != 0 {
 					t.Fatalf("path %v child %d: count %v, want %v", path, i, childCount, wantCount)
 				}
-				walk(append(append([]int(nil), path...), i))
+				walk(append(append([]int(nil), path...), i), edges[i].To)
 			}
 		}
 	}
-	walk(nil)
+	walk(nil, -1)
 }
 
 // TestZeroLength: the n = 0 index has total 1 (ε accepted) or 0, and
@@ -236,8 +262,8 @@ func TestZeroLength(t *testing.T) {
 	acc.SetFinal(0, true)
 	acc.AddTransition(0, 0, 0)
 	x := buildIndex(t, acc, 0, 1)
-	if x.Total().Cmp(big.NewInt(1)) != 0 {
-		t.Fatalf("ε-accepting total = %v", x.Total())
+	if x.TotalRange().Cmp(big.NewInt(1)) != 0 {
+		t.Fatalf("ε-accepting total = %v", x.TotalRange())
 	}
 	w, err := x.Unrank(big.NewInt(0))
 	if err != nil || len(w) != 0 {
@@ -249,36 +275,34 @@ func TestZeroLength(t *testing.T) {
 	}
 	rej := automata.Chain(alpha, automata.Word{0})
 	x2 := buildIndex(t, rej, 0, 1)
-	if x2.Total().Sign() != 0 {
-		t.Fatalf("ε-rejecting total = %v", x2.Total())
+	if x2.TotalRange().Sign() != 0 {
+		t.Fatalf("ε-rejecting total = %v", x2.TotalRange())
 	}
-	if _, err := x2.Rank(automata.Word{}); !errors.Is(err, countdag.ErrNotMember) {
+	if _, err := x2.Rank(automata.Word{}); !errors.Is(err, lengthrange.ErrNotMember) {
 		t.Fatalf("Rank(ε) on empty slice: %v", err)
 	}
 }
 
-// TestZeroLengthMatchesOracle: an n = 0 index is the degenerate arena —
-// s_start is the only vertex and has no edges — and every accessor agrees
-// with the brute-force oracle: Count(0, start) is 1 exactly when ε is
-// accepted, EdgeCum(0, ·) is the empty prefix [0], SubtreeSpan(nil)
-// spans the whole slice, and Unrank, Rank and Sample give ε or fail
-// cleanly.
+// TestZeroLengthMatchesOracle: an n = 0 index has no decision layer, and
+// every accessor agrees with the brute-force oracle: the total is 1
+// exactly when ε is accepted, EdgeCumAt has no vertex to report,
+// SubtreeSpanAt(nil) spans the whole slice, and Unrank, Rank and Sample
+// give ε or fail cleanly.
 func TestZeroLengthMatchesOracle(t *testing.T) {
 	alpha := automata.Binary()
 	all, _ := automata.OverflowBoundary(2)
 	for _, nfa := range []*automata.NFA{all, automata.Chain(alpha, automata.Word{0})} {
 		x := buildIndex(t, nfa, 0, 1)
 		want := oracle.Count(nfa, 0)
-		start := nfa.Start()
-		if got := x.Count(0, start); got.Cmp(want) != 0 {
-			t.Fatalf("Count(0, start) = %v, oracle %v", got, want)
+		if got, err := x.TotalAt(0); err != nil || got.Cmp(want) != 0 {
+			t.Fatalf("TotalAt(0) = %v, %v; oracle %v", got, err, want)
 		}
-		if cum := x.EdgeCum(0, start); len(cum) != 1 || cum[0].Sign() != 0 {
-			t.Fatalf("EdgeCum(0, start) = %v, want [0]", cum)
+		if cum := x.EdgeCumAt(0, 0, nfa.Start()); cum != nil {
+			t.Fatalf("EdgeCumAt(0, 0, start) = %v, want nil", cum)
 		}
-		first, count, err := x.SubtreeSpan(nil)
+		first, count, err := x.SubtreeSpanAt(0, nil)
 		if err != nil || first.Sign() != 0 || count.Cmp(want) != 0 {
-			t.Fatalf("SubtreeSpan(nil) = %v, %v, %v; want 0, %v", first, count, err, want)
+			t.Fatalf("SubtreeSpanAt(0, nil) = %v, %v, %v; want 0, %v", first, count, err, want)
 		}
 		s := sample.NewUFASamplerIndex(nfa, x)
 		w, err := s.Sample(rand.New(rand.NewSource(1)))
@@ -286,7 +310,7 @@ func TestZeroLengthMatchesOracle(t *testing.T) {
 			if !errors.Is(err, sample.ErrEmpty) {
 				t.Fatalf("Sample on the empty slice: %v, %v", w, err)
 			}
-			if _, err := x.Rank(automata.Word{}); !errors.Is(err, countdag.ErrNotMember) {
+			if _, err := x.Rank(automata.Word{}); !errors.Is(err, lengthrange.ErrNotMember) {
 				t.Fatalf("Rank(ε) on the empty slice: %v", err)
 			}
 			continue
@@ -322,8 +346,11 @@ func FuzzRankUnrank(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := countdag.Build(dag, 2)
-		total := x.Total()
+		x, err := countdag.BuildCtx(nil, dag, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := x.TotalRange()
 		if total.Sign() > 0 {
 			r := new(big.Int).Mod(new(big.Int).SetUint64(rank), total)
 			w, err := x.Unrank(r)
@@ -348,7 +375,7 @@ func FuzzRankUnrank(f *testing.F) {
 		}
 		r, err := x.Rank(w)
 		if err != nil {
-			if !errors.Is(err, countdag.ErrNotMember) {
+			if !errors.Is(err, lengthrange.ErrNotMember) {
 				t.Fatalf("Rank(%v) failed without ErrNotMember: %v", w, err)
 			}
 			return

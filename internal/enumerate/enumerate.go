@@ -47,20 +47,21 @@
 // # The counting index and ranked access
 //
 // Algorithm 1 enumerators can carry the ranked counting index of
-// internal/countdag (EnsureIndex/AttachIndex): per-vertex subtree counts
-// and per-edge prefix sums over the same DAG, frozen and shared by every
-// fork. It upgrades three things. Positions gain a rank form — an 'r'
-// token whose payload is a single big integer, the number of words
-// emitted — minted by RankCursor and resumed by NewUFAFromRank/SeekRank
-// in O(n·log Δ) steps instead of a replay; any rank is directly
-// addressable (NewUFAAt). Cells gain exact sizes — Remaining reports the
-// exact word count a cell has yet to produce, which the scheduler uses
-// for steal-victim selection in place of the words-since-last-split
-// proxy. And SplitSteal gains a balanced mode: still carving at the
-// shallowest unexhausted branch (the only sound split layer — a deeper
-// one would orphan that layer's remaining siblings), but choosing how
-// many sibling subtrees the thief takes so the stolen share lands closest
-// to half the cell's remaining words.
+// internal/lengthrange (EnsureIndex, or AttachIndex with any index whose
+// range covers the enumerator's length): per-vertex subtree counts and
+// per-edge prefix sums in the DAG's own decision order, frozen and shared
+// by every fork. It upgrades three things. Positions gain a rank form — an
+// 'r' token whose payload is a single big integer, the number of words
+// emitted — minted by RankCursor and resumed by NewUFAFromRank/SeekRank in
+// O(n·log Δ) steps instead of a replay; any rank is directly addressable
+// (NewUFAAt). Cells gain exact sizes — Remaining reports the exact word
+// count a cell has yet to produce, which the scheduler uses for
+// steal-victim selection in place of the words-since-last-split proxy. And
+// SplitSteal gains a balanced mode: still carving at the shallowest
+// unexhausted branch (the only sound split layer — a deeper one would
+// orphan that layer's remaining siblings), but choosing how many sibling
+// subtrees the thief takes so the stolen share lands closest to half the
+// cell's remaining words.
 //
 // # Cells
 //
@@ -134,6 +135,16 @@
 // resuming fully untrusted tokens should additionally bound the token
 // length against their own instance, as core.Instance does.
 //
+// # Range sessions
+//
+// RangeSession (rangesession.go) enumerates the union of L_n over a
+// length range [lo, hi] in length-lexicographic order by chaining
+// per-length sessions, and serializes its position as an el1:R: envelope
+// around the in-flight per-length token — so every el1: dialect lives in
+// this package. A per-length enumerator may attach the range's counting
+// index (core does on a range seek) and reads its tables at its own
+// length.
+//
 // The concurrency contract: a single enumerator must not be shared between
 // goroutines, but the precomputed tables (DAG adjacency, co-reachability
 // sets) are frozen after construction and are shared by every shard
@@ -165,7 +176,7 @@ import (
 
 	"repro/internal/automata"
 	"repro/internal/bitset"
-	"repro/internal/countdag"
+	"repro/internal/lengthrange"
 	"repro/internal/par"
 	"repro/internal/unroll"
 )
@@ -273,12 +284,12 @@ func fpFor(n *automata.NFA, length int) uint32 {
 type UFAEnumerator struct {
 	dag *unroll.DAG
 	fp  uint32
-	// idx is the ranked counting index over dag (nil until EnsureIndex or
-	// AttachIndex): it upgrades the enumerator with O(n) rank seeking
-	// (SeekRank, RankCursor) and gives the work-stealing scheduler exact
-	// remaining-cell sizes (Remaining, size-balanced SplitSteal). Frozen
-	// once set; forks share it.
-	idx *countdag.Index
+	// idx is a ranked counting index covering dag.N (nil until
+	// EnsureIndex or AttachIndex): it upgrades the enumerator with O(n)
+	// rank seeking (SeekRank, RankCursor) and gives the work-stealing
+	// scheduler exact remaining-cell sizes (Remaining, size-balanced
+	// SplitSteal). Frozen once set; forks share it.
+	idx *lengthrange.RangeIndex
 
 	// Iterator state: the current path as (vertex per layer, edge index per
 	// layer). path[t] is the state at layer t (t ≥ 1); choice[t] is the
@@ -339,27 +350,33 @@ func (e *UFAEnumerator) fork() *UFAEnumerator {
 	return c
 }
 
-// EnsureIndex returns the enumerator's ranked counting index, building it
-// on first call (serially; one backward pass over the DAG). Not
-// safe to call concurrently with other methods — attach the index before
-// sharing forks (Stream does this before launching workers).
-func (e *UFAEnumerator) EnsureIndex() *countdag.Index {
+// EnsureIndex returns the enumerator's ranked counting index, building
+// the single-length one on first call (serially; one backward sweep of
+// the automaton). Not safe to call concurrently with other methods —
+// attach the index before sharing forks (Stream does this before
+// launching workers).
+func (e *UFAEnumerator) EnsureIndex() (*lengthrange.RangeIndex, error) {
 	if e.idx == nil {
-		e.idx = countdag.Build(e.dag, 1)
+		idx, err := lengthrange.Build(e.dag.Src, e.dag.N, e.dag.N, 1)
+		if err != nil {
+			return nil, err
+		}
+		e.idx = idx
 	}
-	return e.idx
+	return e.idx, nil
 }
 
-// AttachIndex installs an index built elsewhere — typically core's shared
-// instance index. The index must cover the same (automaton, length,
-// backward-pruned) unrolling; countdag indexes are position-valid across
-// identically-built DAGs.
-func (e *UFAEnumerator) AttachIndex(idx *countdag.Index) error {
+// AttachIndex installs an index built elsewhere — typically core's cached
+// one, single-length or the range index of a range session. It must be
+// built on the enumerator's automaton, over a range that covers the
+// enumerator's length: the index addresses length n by the decision
+// indices of the backward-pruned length-n DAG, whichever range it spans.
+func (e *UFAEnumerator) AttachIndex(idx *lengthrange.RangeIndex) error {
 	if idx == nil {
 		return fmt.Errorf("enumerate: nil index")
 	}
-	if idx.N() != e.dag.N {
-		return fmt.Errorf("enumerate: index covers length %d, enumerator %d", idx.N(), e.dag.N)
+	if n := e.dag.N; n < idx.Lo() || n > idx.Hi() {
+		return fmt.Errorf("enumerate: index covers lengths [%d, %d], enumerator %d", idx.Lo(), idx.Hi(), n)
 	}
 	e.idx = idx
 	return nil
@@ -373,8 +390,14 @@ func (e *UFAEnumerator) SeekRank(r *big.Int) error {
 	if e.started || e.floor != 0 || e.lo != 0 || e.ceil != nil {
 		return fmt.Errorf("enumerate: SeekRank needs a fresh full-range enumerator")
 	}
-	idx := e.EnsureIndex()
-	total := idx.Total()
+	idx, err := e.EnsureIndex()
+	if err != nil {
+		return err
+	}
+	total, err := idx.TotalAt(e.dag.N)
+	if err != nil {
+		return err
+	}
 	if r.Sign() < 0 || r.Cmp(total) > 0 {
 		return fmt.Errorf("enumerate: seek rank %v out of range [0, %v]", r, total)
 	}
@@ -386,15 +409,31 @@ func (e *UFAEnumerator) SeekRank(r *big.Int) error {
 		return nil
 	}
 	// Position = the word at rank r-1 was emitted.
-	prev := new(big.Int).Sub(r, big.NewInt(1))
-	choices, w, path, err := idx.UnrankChoices(prev)
+	choices, err := idx.UnrankChoicesAt(e.dag.N, new(big.Int).Sub(r, bigOne))
 	if err != nil {
 		return err
 	}
-	copy(e.choice, choices)
-	copy(e.word, w)
-	copy(e.path, path)
+	if err := e.setPos(choices, "seek"); err != nil {
+		return err
+	}
 	e.started = true
+	return nil
+}
+
+// setPos replays decisions pos[0..len(pos)) from the start into the
+// iterator state, validating each against the DAG; what names the
+// decision vector in errors.
+func (e *UFAEnumerator) setPos(pos []int, what string) error {
+	for t, i := range pos {
+		edges := e.edgesAt(t)
+		if i < 0 || i >= len(edges) {
+			return fmt.Errorf("enumerate: %s decision %d at layer %d out of range (%d edges)", what, i, t, len(edges))
+		}
+		e.choice[t] = i
+		edge := edges[i]
+		e.word[t] = edge.Symbol
+		e.path[t+1] = edge.To
+	}
 	return nil
 }
 
@@ -522,15 +561,21 @@ func (e *UFAEnumerator) Token() (string, bool) { return e.Cursor().Token(), true
 // is built on demand; like Cursor, a shard-restricted enumerator yields
 // the global position of its last emitted word.
 func (e *UFAEnumerator) RankCursor() (Cursor, error) {
-	idx := e.EnsureIndex()
-	c := Cursor{Kind: KindUFARank, Length: e.dag.N, FP: e.fp, State: CursorMid, Rank: new(big.Int)}
+	idx, err := e.EnsureIndex()
+	if err != nil {
+		return Cursor{}, err
+	}
+	n := e.dag.N
+	c := Cursor{Kind: KindUFARank, Length: n, FP: e.fp, State: CursorMid, Rank: new(big.Int)}
 	switch {
 	case e.done:
-		c.Rank.Set(idx.Total())
+		if c.Rank, err = idx.TotalAt(n); err != nil {
+			return Cursor{}, err
+		}
 	case !e.started:
 		// rank 0
 	default:
-		r, err := idx.RankOfChoices(e.choice)
+		r, err := idx.RankOfChoicesAt(n, e.choice)
 		if err != nil {
 			return Cursor{}, err
 		}
@@ -564,7 +609,7 @@ func (e *UFAEnumerator) Remaining() (*big.Int, bool) {
 	if end == nil {
 		end = e.choice[:e.floor]
 	}
-	endFirst, endCount, err := e.idx.SubtreeSpan(end)
+	endFirst, endCount, err := e.idx.SubtreeSpanAt(n, end)
 	if err != nil {
 		return nil, false
 	}
@@ -572,23 +617,20 @@ func (e *UFAEnumerator) Remaining() (*big.Int, bool) {
 	// cur = rank of the next word to emit.
 	var cur *big.Int
 	if e.started {
-		r, err := e.idx.RankOfChoices(e.choice)
+		r, err := e.idx.RankOfChoicesAt(n, e.choice)
 		if err != nil {
 			return nil, false
 		}
 		cur = r.Add(r, bigOne)
 	} else {
-		first, _, err := e.idx.SubtreeSpan(e.choice[:e.floor])
+		first, _, err := e.idx.SubtreeSpanAt(n, e.choice[:e.floor])
 		if err != nil {
 			return nil, false
 		}
 		cur = first
 		if e.floor < n {
-			q, err := e.idx.PathVertex(e.choice[:e.floor])
-			if err != nil {
-				return nil, false
-			}
-			cum := e.idx.EdgeCum(e.floor, q)
+			// The floor vertex: path[floor] was set when the cell opened.
+			cum := e.idx.EdgeCumAt(n, e.floor, e.path[e.floor])
 			lo := e.lo
 			if lo > len(cum)-1 {
 				lo = len(cum) - 1
@@ -650,15 +692,8 @@ func NewUFAFrom(n *automata.NFA, c Cursor) (*UFAEnumerator, error) {
 		if len(c.Pos) != c.Length {
 			return nil, fmt.Errorf("enumerate: cursor has %d decisions, want %d", len(c.Pos), c.Length)
 		}
-		for t := 0; t < c.Length; t++ {
-			edges := e.edgesAt(t)
-			if c.Pos[t] < 0 || c.Pos[t] >= len(edges) {
-				return nil, fmt.Errorf("enumerate: cursor decision %d at layer %d out of range (%d edges)", c.Pos[t], t, len(edges))
-			}
-			e.choice[t] = c.Pos[t]
-			edge := edges[c.Pos[t]]
-			e.word[t] = edge.Symbol
-			e.path[t+1] = edge.To
+		if err := e.setPos(c.Pos, "cursor"); err != nil {
+			return nil, err
 		}
 		e.started = true
 		return e, nil
@@ -807,15 +842,8 @@ func (e *UFAEnumerator) OpenShardAt(s Shard, pos []int) (*UFAEnumerator, error) 
 		}
 		return c, nil
 	}
-	for t, i := range s.prefix {
-		edges := c.edgesAt(t)
-		if i < 0 || i >= len(edges) {
-			return nil, fmt.Errorf("enumerate: shard decision %d at layer %d out of range (%d edges)", i, t, len(edges))
-		}
-		c.choice[t] = i
-		edge := edges[i]
-		c.word[t] = edge.Symbol
-		c.path[t+1] = edge.To
+	if err := c.setPos(s.prefix, "shard"); err != nil {
+		return nil, err
 	}
 	c.floor = len(s.prefix)
 	c.lo = s.lo
@@ -833,15 +861,8 @@ func (e *UFAEnumerator) OpenShardAt(s Shard, pos []int) (*UFAEnumerator, error) 
 	if c.floor < n && pos[c.floor] < s.lo {
 		return nil, fmt.Errorf("enumerate: shard position below the cell's lower bound at layer %d", c.floor)
 	}
-	for t := 0; t < n; t++ {
-		edges := c.edgesAt(t)
-		if pos[t] < 0 || pos[t] >= len(edges) {
-			return nil, fmt.Errorf("enumerate: shard position decision %d at layer %d out of range (%d edges)", pos[t], t, len(edges))
-		}
-		c.choice[t] = pos[t]
-		edge := edges[pos[t]]
-		c.word[t] = edge.Symbol
-		c.path[t+1] = edge.To
+	if err := c.setPos(pos, "shard position"); err != nil {
+		return nil, err
 	}
 	c.started = true
 	return c, nil
@@ -919,14 +940,14 @@ func (e *UFAEnumerator) splitBalanced() (s Shard, ok, fellBack bool) {
 	// subtree sizes.
 	var ceilLimit *big.Int
 	if e.ceil != nil {
-		first, count, err := e.idx.SubtreeSpan(e.ceil)
+		first, count, err := e.idx.SubtreeSpanAt(n, e.ceil)
 		if err != nil {
 			return Shard{}, false, true
 		}
 		ceilLimit = first.Add(first, count)
 	}
 	// base tracks the first rank of the subtree pinned by e.choice[:t].
-	base, _, err := e.idx.SubtreeSpan(e.choice[:e.floor])
+	base, _, err := e.idx.SubtreeSpanAt(n, e.choice[:e.floor])
 	if err != nil {
 		return Shard{}, false, true
 	}
@@ -936,11 +957,7 @@ func (e *UFAEnumerator) splitBalanced() (s Shard, ok, fellBack bool) {
 	truncated := false
 	onCeil := pathOnCeil(e.choice, e.ceil, e.floor)
 	for t := e.floor; t < n; t++ {
-		q := -1
-		if t > 0 {
-			q = e.path[t]
-		}
-		cum := e.idx.EdgeCum(t, q)
+		cum := e.idx.EdgeCumAt(n, t, e.path[t])
 		hi = len(cum) - 2 // last edge index
 		truncated = false
 		if onCeil && t < len(e.ceil) && e.ceil[t] <= hi {
@@ -959,11 +976,7 @@ func (e *UFAEnumerator) splitBalanced() (s Shard, ok, fellBack bool) {
 	if split < 0 {
 		return Shard{}, false, false
 	}
-	q := -1
-	if split > 0 {
-		q = e.path[split]
-	}
-	cum := e.idx.EdgeCum(split, q)
+	cum := e.idx.EdgeCumAt(n, split, e.path[split])
 	// Exclusive end of the stealable range at the split layer.
 	cellEnd := new(big.Int)
 	if truncated && ceilLimit != nil {

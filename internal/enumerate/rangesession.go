@@ -1,4 +1,4 @@
-package lengthrange
+package enumerate
 
 import (
 	"context"
@@ -10,19 +10,17 @@ import (
 	"strings"
 
 	"repro/internal/automata"
-	"repro/internal/enumerate"
 	"repro/internal/faultinject"
 )
 
 // KindRange is the cursor kind byte of a cross-length range session
-// token. The wire format extends the el1: namespace of
-// internal/enumerate:
+// token. The wire format extends the el1: namespace of the cursors:
 //
 //	el1:R:<base64url payload>
 //
 // with payload uvarint(fingerprint) ∘ uvarint(lo) ∘ uvarint(hi) ∘
 // uvarint(cur) ∘ state byte ∘ inner token bytes. The fingerprint is
-// enumerate.Fingerprint of the automaton (NOT length-bound — the
+// Fingerprint of the automaton (NOT length-bound — the
 // envelope spans lengths; each embedded inner token still carries its
 // own length-bound fingerprint). cur is the length the session is
 // positioned in; the state byte is 'd' (the whole range is drained, no
@@ -33,24 +31,15 @@ import (
 // count by the remaining payload and the range invariants lo ≤ cur ≤ hi,
 // and resume paths check the envelope fingerprint and the inner token's
 // embedded length against cur BEFORE any length-sized precomputation —
-// the same fingerprint-first discipline the enumerate tokens follow (a
+// the same fingerprint-first discipline the other el1: tokens follow (a
 // checksum, not a MAC: callers resuming fully untrusted tokens should
 // bound lo/hi against their own configuration, as core does by requiring
 // the envelope range to equal the requested one).
 const KindRange byte = 'R'
 
-// tokenPrefix mirrors the enumerate wire-format version tag.
-const tokenPrefix = "el1"
-
-// Cursor state bytes, shared with the enumerate cursor vocabulary.
-const (
-	stateMid  byte = 'm'
-	stateDone byte = 'd'
-)
-
 // RangeCursor is a decoded cross-length session position.
 type RangeCursor struct {
-	// FP is enumerate.Fingerprint of the automaton the session ran on.
+	// FP is Fingerprint of the automaton the session ran on.
 	FP uint32
 	// Lo, Hi delimit the session's length range; Cur is the length the
 	// session is positioned in (Hi for a done session).
@@ -69,16 +58,16 @@ func (c RangeCursor) Token() string {
 	buf = binary.AppendUvarint(buf, uint64(c.Hi))
 	buf = binary.AppendUvarint(buf, uint64(c.Cur))
 	if c.Done {
-		buf = append(buf, stateDone)
+		buf = append(buf, byte(CursorDone))
 	} else {
-		buf = append(buf, stateMid)
+		buf = append(buf, byte(CursorMid))
 		buf = append(buf, c.Inner...)
 	}
 	return tokenPrefix + ":" + string(KindRange) + ":" + base64.RawURLEncoding.EncodeToString(buf)
 }
 
 // IsRangeToken reports whether the token claims the range kind, so
-// callers can route it here instead of enumerate.ParseToken.
+// callers can route it here instead of ParseToken.
 func IsRangeToken(token string) bool {
 	return strings.HasPrefix(token, tokenPrefix+":"+string(KindRange)+":")
 }
@@ -92,22 +81,22 @@ func ParseRangeToken(token string) (RangeCursor, error) {
 	var c RangeCursor
 	parts := strings.Split(token, ":")
 	if len(parts) != 3 || parts[0] != tokenPrefix || parts[1] != string(KindRange) {
-		return c, fmt.Errorf("lengthrange: malformed range token (want %s:%c:<payload>)", tokenPrefix, KindRange)
+		return c, fmt.Errorf("enumerate: malformed range token (want %s:%c:<payload>)", tokenPrefix, KindRange)
 	}
 	raw, err := base64.RawURLEncoding.DecodeString(parts[2])
 	if err != nil {
-		return c, fmt.Errorf("lengthrange: bad range token payload: %v", err)
+		return c, fmt.Errorf("enumerate: bad range token payload: %v", err)
 	}
 	fp, k := binary.Uvarint(raw)
 	if k <= 0 || fp > math.MaxUint32 {
-		return c, fmt.Errorf("lengthrange: bad range token fingerprint")
+		return c, fmt.Errorf("enumerate: bad range token fingerprint")
 	}
 	raw = raw[k:]
 	c.FP = uint32(fp)
 	uv := func(what string) (int, error) {
 		v, k := binary.Uvarint(raw)
 		if k <= 0 || v > math.MaxInt32 {
-			return 0, fmt.Errorf("lengthrange: bad range token %s", what)
+			return 0, fmt.Errorf("enumerate: bad range token %s", what)
 		}
 		raw = raw[k:]
 		return int(v), nil
@@ -122,26 +111,26 @@ func ParseRangeToken(token string) (RangeCursor, error) {
 		return c, err
 	}
 	if c.Lo > c.Hi || c.Cur < c.Lo || c.Cur > c.Hi {
-		return c, fmt.Errorf("lengthrange: inconsistent range token bounds lo=%d cur=%d hi=%d", c.Lo, c.Cur, c.Hi)
+		return c, fmt.Errorf("enumerate: inconsistent range token bounds lo=%d cur=%d hi=%d", c.Lo, c.Cur, c.Hi)
 	}
 	if len(raw) == 0 {
-		return c, fmt.Errorf("lengthrange: truncated range token (missing state)")
+		return c, fmt.Errorf("enumerate: truncated range token (missing state)")
 	}
 	state := raw[0]
 	raw = raw[1:]
 	switch state {
-	case stateDone:
+	case byte(CursorDone):
 		c.Done = true
 		if len(raw) != 0 {
-			return c, fmt.Errorf("lengthrange: trailing bytes after done-state range token")
+			return c, fmt.Errorf("enumerate: trailing bytes after done-state range token")
 		}
-	case stateMid:
+	case byte(CursorMid):
 		if len(raw) == 0 {
-			return c, fmt.Errorf("lengthrange: mid-state range token carries no inner token")
+			return c, fmt.Errorf("enumerate: mid-state range token carries no inner token")
 		}
 		c.Inner = string(raw)
 	default:
-		return c, fmt.Errorf("lengthrange: unknown range token state %q", state)
+		return c, fmt.Errorf("enumerate: unknown range token state %q", state)
 	}
 	return c, nil
 }
@@ -153,7 +142,7 @@ func ParseRangeToken(token string) (RangeCursor, error) {
 // length-sized precomputation — core.Instance wires this to its own
 // session opener, which already enforces exactly that), or a session
 // positioned at the 0-based within-length rank when seek is non-nil.
-type SessionFactory func(length int, cursor string, seek *big.Int) (enumerate.Session, error)
+type SessionFactory func(length int, cursor string, seek *big.Int) (Session, error)
 
 // RangeSession enumerates the union of L_n for n in [lo, hi] in
 // length-lexicographic order — all length-lo words in their engine
@@ -161,7 +150,7 @@ type SessionFactory func(length int, cursor string, seek *big.Int) (enumerate.Se
 // SessionFactory; each per-length session carries the full engine
 // contract (work-stealing parallel streams included), so a parallel
 // range session reuses the steal scheduler within every length. It
-// implements enumerate.Session: Token serializes the position as an
+// implements Session: Token serializes the position as an
 // el1:R: envelope around the in-flight per-length token, and resuming
 // (ResumeRangeSession) continues bitwise where the session stopped. A
 // RangeSession is for one goroutine.
@@ -170,7 +159,7 @@ type RangeSession struct {
 	fp     uint32
 	open   SessionFactory
 	cur    int
-	s      enumerate.Session
+	s      Session
 	err    error
 	done   bool
 	// closedTok preserves the session's position across Close: every
@@ -192,7 +181,7 @@ type RangeSession struct {
 }
 
 // NewRangeSession opens a fresh session over [lo, hi] starting at the
-// first length-lo word. fp is enumerate.Fingerprint of the automaton
+// first length-lo word. fp is Fingerprint of the automaton
 // (embedded in resume tokens).
 func NewRangeSession(lo, hi int, fp uint32, open SessionFactory) (*RangeSession, error) {
 	return NewRangeSessionAt(lo, hi, lo, nil, fp, open)
@@ -204,10 +193,10 @@ func NewRangeSession(lo, hi int, fp uint32, open SessionFactory) (*RangeSession,
 // start length — together the two place the session at any global rank.
 func NewRangeSessionAt(lo, hi, start int, seek *big.Int, fp uint32, open SessionFactory) (*RangeSession, error) {
 	if lo < 0 || lo > hi {
-		return nil, fmt.Errorf("lengthrange: bad length range [%d, %d]", lo, hi)
+		return nil, fmt.Errorf("enumerate: bad length range [%d, %d]", lo, hi)
 	}
 	if start < lo || start > hi {
-		return nil, fmt.Errorf("lengthrange: start length %d outside [%d, %d]", start, lo, hi)
+		return nil, fmt.Errorf("enumerate: start length %d outside [%d, %d]", start, lo, hi)
 	}
 	s, err := open(start, "", seek)
 	if err != nil {
@@ -230,7 +219,7 @@ func ExhaustedRangeSession(lo, hi int, fp uint32) *RangeSession {
 // requires them to equal the requested range.
 func ResumeRangeSession(c RangeCursor, fp uint32, open SessionFactory) (*RangeSession, error) {
 	if c.FP != fp {
-		return nil, fmt.Errorf("lengthrange: range token fingerprint %08x does not match automaton (%08x)", c.FP, fp)
+		return nil, fmt.Errorf("enumerate: range token fingerprint %08x does not match automaton (%08x)", c.FP, fp)
 	}
 	if c.Done {
 		return ExhaustedRangeSession(c.Lo, c.Hi, fp), nil
@@ -242,7 +231,7 @@ func ResumeRangeSession(c RangeCursor, fp uint32, open SessionFactory) (*RangeSe
 	return &RangeSession{lo: c.Lo, hi: c.Hi, fp: fp, open: open, cur: c.Cur, s: s}, nil
 }
 
-// Next implements enumerate.Session: it drains the current length's
+// Next implements Session: it drains the current length's
 // session and advances to the next length until the range is exhausted.
 func (rs *RangeSession) Next() (automata.Word, bool) {
 	for !rs.done {
@@ -295,7 +284,7 @@ func (rs *RangeSession) fail(err error) {
 // the per-length sessions the factory opens carry their own ctx.
 func (rs *RangeSession) SetContext(ctx context.Context) { rs.ctx = ctx }
 
-// Token implements enumerate.Session: the el1:R: envelope around the
+// Token implements Session: the el1:R: envelope around the
 // current per-length session's own resume token. A session that ended in
 // an error answers the checkpoint captured at failure time when one
 // exists (cancellation and injected faults leave a resumable frontier)
@@ -324,10 +313,10 @@ func (rs *RangeSession) token() (string, bool) {
 	return RangeCursor{FP: rs.fp, Lo: rs.lo, Hi: rs.hi, Cur: rs.cur, Inner: inner}.Token(), true
 }
 
-// Err implements enumerate.Session.
+// Err implements Session.
 func (rs *RangeSession) Err() error { return rs.err }
 
-// Close implements enumerate.Session, closing the in-flight per-length
+// Close implements Session, closing the in-flight per-length
 // session. The session's position token is captured first, so Token
 // keeps answering the true resume point after Close. Safe to call more
 // than once.
@@ -348,11 +337,11 @@ func (rs *RangeSession) Close() {
 }
 
 // Unwrap exposes the most recent per-length session — kept across
-// length advances, drain and Close — so enumerate.SessionStats can
+// length advances, drain and Close — so SessionStats can
 // reach the scheduler statistics of a parallel range stream (those of
 // the last length's stream; earlier lengths' streams are released as
 // the chain advances).
-func (rs *RangeSession) Unwrap() enumerate.Session { return rs.s }
+func (rs *RangeSession) Unwrap() Session { return rs.s }
 
 // Length returns the witness length the session is currently positioned
 // in (the length of the next word, unless the session is exhausted).

@@ -997,12 +997,13 @@ func freshInits(shards []Shard) []initialSeg {
 }
 
 // ensureStreamIndex builds the counting index before workers launch when
-// the scheduler will use it (stealing on): the forked cell enumerators
-// then all share it, enabling exact victim selection and size-balanced
-// splits.
+// the scheduler will use it (stealing on) and none is attached: the
+// forked cell enumerators then all share it, enabling exact victim
+// selection and size-balanced splits. A build that fails (an arena too
+// large for its offsets) leaves the stream on the index-free proxy.
 func (e *UFAEnumerator) ensureStreamIndex(opts StreamOptions) {
 	if _, stealing := opts.stealThreshold(); stealing {
-		e.EnsureIndex()
+		_, _ = e.EnsureIndex()
 	}
 }
 

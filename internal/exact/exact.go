@@ -30,48 +30,6 @@ func CountUFA(n *automata.NFA, length int) *big.Int {
 	return automata.CountPaths(n, length)
 }
 
-// CountUFAAllLengths returns |L_t(N)| for every t in 0..length, sharing one
-// dynamic program. Used by samplers that need counts at every layer.
-func CountUFAAllLengths(n *automata.NFA, length int) []*big.Int {
-	m := n.NumStates()
-	out := make([]*big.Int, length+1)
-	cur := make([]*big.Int, m)
-	next := make([]*big.Int, m)
-	for q := 0; q < m; q++ {
-		cur[q] = big.NewInt(0)
-		next[q] = big.NewInt(0)
-	}
-	cur[n.Start()].SetInt64(1)
-	sumFinals := func(v []*big.Int) *big.Int {
-		s := big.NewInt(0)
-		for q := 0; q < m; q++ {
-			if n.IsFinal(q) {
-				s.Add(s, v[q])
-			}
-		}
-		return s
-	}
-	out[0] = sumFinals(cur)
-	for t := 1; t <= length; t++ {
-		for q := 0; q < m; q++ {
-			next[q].SetInt64(0)
-		}
-		for q := 0; q < m; q++ {
-			if cur[q].Sign() == 0 {
-				continue
-			}
-			for a := 0; a < n.Alphabet().Size(); a++ {
-				for _, p := range n.Successors(q, a) {
-					next[p].Add(next[p], cur[q])
-				}
-			}
-		}
-		cur, next = next, cur
-		out[t] = sumFinals(cur)
-	}
-	return out
-}
-
 // CompletionCounts returns, for every state q and remaining length r in
 // 0..length, the number of accepting paths of length r starting at q. The
 // result is indexed out[r][q]. For a UFA, out[r][q] = |{w : |w| = r, w

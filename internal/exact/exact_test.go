@@ -109,19 +109,6 @@ func TestCountNFAEmptyAndEpsilon(t *testing.T) {
 	}
 }
 
-func TestCountUFAAllLengths(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 15; trial++ {
-		n := automata.RandomDFA(rng, automata.Binary(), 2+rng.Intn(5), 0.4)
-		all := CountUFAAllLengths(n, 6)
-		for length := 0; length <= 6; length++ {
-			if all[length].Cmp(CountUFA(n, length)) != 0 {
-				t.Fatalf("trial %d: length %d mismatch", trial, length)
-			}
-		}
-	}
-}
-
 func TestCompletionCounts(t *testing.T) {
 	n, length := automata.PaperExample()
 	cc := CompletionCounts(n, length)

@@ -25,7 +25,7 @@
 // # Determinism
 //
 // A site fires on its configured hit ordinal, counted per Configure call:
-// "countdag.build.layer:3" fails the third layer barrier crossed after the
+// "lengthrange.build.layer:3" fails the third layer barrier crossed after the
 // configuration was installed, every run, regardless of scheduling. Hits
 // are counted with one atomic; concurrent sites (delivery batches of a
 // parallel stream) therefore fire on a deterministic global ordinal even
@@ -49,10 +49,9 @@ type Site string
 // The registered sites. Adding a checkpoint means adding its site here —
 // the suite iterates the registry, so a new site is automatically driven.
 const (
-	// SiteCountdagLayer fires at a countdag.BuildCtx backward-sweep layer
-	// barrier (every sweep attempt, at every limb width).
-	SiteCountdagLayer Site = "countdag.build.layer"
-	// SiteRangeLayer fires at a lengthrange.BuildCtx sweep layer barrier.
+	// SiteRangeLayer fires at a lengthrange.BuildCtx backward-sweep layer
+	// barrier (every sweep attempt, at every limb width): the build of the
+	// exact counting index, single-length or range.
 	SiteRangeLayer Site = "lengthrange.build.layer"
 	// SiteFprasLayer fires at an fpras build layer barrier.
 	SiteFprasLayer Site = "fpras.build.layer"
@@ -66,11 +65,11 @@ const (
 	// SiteMergeSpill fires when the ordered merge spills a cell to its
 	// cursor (soft or hard spill).
 	SiteMergeSpill Site = "enumerate.merge.spill"
-	// SiteSampleChunk fires at a SampleMany chunk boundary (sample and
-	// lengthrange batched draws) and between fpras SampleN draws.
+	// SiteSampleChunk fires at a SampleMany chunk boundary (the counting
+	// index's batched draws) and between fpras SampleN draws.
 	SiteSampleChunk Site = "sample.chunk"
 	// SiteRangeAdvance fires when a range session advances to its next
-	// per-length session (lengthrange session chain).
+	// per-length session (enumerate.RangeSession).
 	SiteRangeAdvance Site = "lengthrange.session.advance"
 	// SiteCacheFill fires at the compiled-index cache's fill boundary,
 	// before a lookup can start or join a build (instcache.Cache).
@@ -81,7 +80,7 @@ const (
 // every checkpoint.
 func Sites() []Site {
 	return []Site{
-		SiteCountdagLayer, SiteRangeLayer, SiteFprasLayer,
+		SiteRangeLayer, SiteFprasLayer,
 		SiteDeliveryBatch, SiteStealSplit, SiteMergeSpill,
 		SiteSampleChunk, SiteRangeAdvance, SiteCacheFill,
 	}
@@ -117,8 +116,8 @@ var active atomic.Pointer[config]
 func Enabled() bool { return active.Load() != nil }
 
 // Configure installs an injection configuration from a spec of
-// comma-separated site:ordinal pairs — "countdag.build.layer:3" fails the
-// third countdag layer barrier after this call. Ordinals are 1-based and
+// comma-separated site:ordinal pairs — "lengthrange.build.layer:3" fails the
+// third counting-index layer barrier after this call. Ordinals are 1-based and
 // must be positive; sites must be registered. The NFA_FAULTS environment
 // variable must be set (tests use t.Setenv), or ErrDisabled is returned
 // and nothing is installed. Call Reset to disarm.

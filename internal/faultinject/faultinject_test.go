@@ -27,14 +27,14 @@ func TestDisabledWithoutEnv(t *testing.T) {
 func TestFireAtNthHit(t *testing.T) {
 	t.Setenv(EnvVar, "1")
 	t.Cleanup(Reset)
-	if err := Configure("countdag.build.layer:3"); err != nil {
+	if err := Configure("lengthrange.build.layer:3"); err != nil {
 		t.Fatal(err)
 	}
 	if !Enabled() {
 		t.Fatal("Enabled() = false after Configure")
 	}
 	for i := 1; i <= 5; i++ {
-		err := Hit(SiteCountdagLayer)
+		err := Hit(SiteRangeLayer)
 		if i == 3 {
 			if !errors.Is(err, ErrInjected) {
 				t.Fatalf("hit %d: err = %v, want ErrInjected", i, err)
@@ -162,8 +162,8 @@ func TestConcurrentHitsFireExactlyOnce(t *testing.T) {
 
 func TestSitesRegistryStable(t *testing.T) {
 	sites := Sites()
-	if len(sites) != 9 {
-		t.Fatalf("registry has %d sites, want 9", len(sites))
+	if len(sites) != 8 {
+		t.Fatalf("registry has %d sites, want 8", len(sites))
 	}
 	seen := map[Site]bool{}
 	for _, s := range sites {

@@ -248,15 +248,16 @@ func TestRangeAdvanceFaultTokenResumes(t *testing.T) {
 }
 
 // TestBuildLayerFaultsReleasePartialBuilds: injected faults inside the
-// countdag, lengthrange, and fpras backward sweeps surface as errors
+// counting-index sweep (reached through a single-length entry point and
+// through a range one) and the fpras backward sweep surface as errors
 // from the triggering entry point, and the next call — after disarming —
 // rebuilds from scratch and succeeds: a failed build leaves no poisoned
 // cached state behind.
 func TestBuildLayerFaultsReleasePartialBuilds(t *testing.T) {
 	leakcheck.Check(t)
-	t.Run("countdag", func(t *testing.T) {
+	t.Run("single-length", func(t *testing.T) {
 		inst := newInstance(t, automata.All(automata.Binary()), 8, core.Options{})
-		arm(t, "countdag.build.layer:2")
+		arm(t, "lengthrange.build.layer:2")
 		if _, err := inst.Rank(automata.Word{0, 0, 0, 0, 0, 0, 0, 0}); !errors.Is(err, faultinject.ErrInjected) {
 			t.Fatalf("Rank under injection: %v, want ErrInjected", err)
 		}

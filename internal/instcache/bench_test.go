@@ -18,17 +18,17 @@ func BenchmarkKeyFor(b *testing.B) {
 	}
 }
 
-// BenchmarkWarmLookup measures a full warm UFAIndex hit, key included.
+// BenchmarkWarmLookup measures a full warm lookup hit, key included.
 func BenchmarkWarmLookup(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	n := automata.Normalize(automata.RandomDFA(rng, automata.Binary(), 64, 0.5))
 	c := New(DefaultBudget)
-	if _, _, err := c.UFAIndex(nil, KeyFor(n), 20, 1000, buildUFA(n, 20)); err != nil {
+	if _, _, err := c.RangeIndex(nil, KeyFor(n), 20, 20, 1000, buildAt(n, 20)); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, hit, err := c.UFAIndex(nil, KeyFor(n), 20, 1000, buildUFA(n, 20)); err != nil || !hit {
+		if _, hit, err := c.RangeIndex(nil, KeyFor(n), 20, 20, 1000, buildAt(n, 20)); err != nil || !hit {
 			b.Fatal("expected warm hit")
 		}
 	}
@@ -43,13 +43,13 @@ func BenchmarkWarmLookupRelabelled(b *testing.B) {
 	base := automata.RandomDFA(rng, automata.Binary(), 64, 0.5)
 	rel := automata.Relabel(base, rng.Perm(base.NumStates()))
 	c := New(DefaultBudget)
-	if _, _, err := c.UFAIndex(nil, KeyFor(base), 20, 1000, buildUFA(automata.Normalize(base), 20)); err != nil {
+	if _, _, err := c.RangeIndex(nil, KeyFor(base), 20, 20, 1000, buildAt(automata.Normalize(base), 20)); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		key := KeyFor(rel)
-		if _, hit, err := c.UFAIndex(nil, key, 20, 1000, buildUFA(key.Norm(), 20)); err != nil || !hit {
+		if _, hit, err := c.RangeIndex(nil, key, 20, 20, 1000, buildAt(key.Norm(), 20)); err != nil || !hit {
 			b.Fatal("expected warm hit")
 		}
 	}

@@ -1,12 +1,12 @@
 // Package instcache is a concurrency-safe, byte-budgeted LRU cache of
-// compiled instances — frozen countdag / lengthrange counting indexes —
-// shared across core.Instance values, so a serving workload that sees the
-// same automaton twice (or two structurally-isomorphic regexes from
-// different tenants) pays the backward counting sweep once. It is the
-// preprocess-once / answer-many split applied across *requests* rather
-// than per instance: the expensive preprocessing is keyed by what it
-// actually depends on, the automaton's identity, not by which Instance
-// happened to ask first.
+// compiled instances — frozen lengthrange counting indexes, one per
+// automaton and length range — shared across core.Instance values, so a
+// serving workload that sees the same automaton twice (or two
+// structurally-isomorphic regexes from different tenants) pays the
+// backward counting sweep once. It is the preprocess-once / answer-many
+// split applied across *requests* rather than per instance: the expensive
+// preprocessing is keyed by what it actually depends on, the automaton's
+// identity, not by which Instance happened to ask first.
 //
 // # Keying contract
 //
@@ -42,10 +42,11 @@
 //     NONdeterministic UFAs stay separate (no canonical form exists whose
 //     order matches theirs; relabelling permutes sorted successor lists).
 //
-// The full entry identity binds, besides the normalized class: the index
-// kind (single-length vs cross-length) and the witness length or [lo, hi]
-// range. The limb width an index was built at is not part of it: every
-// answer is bitwise the same at every width.
+// The full entry identity binds, besides the normalized class, the
+// [lo, hi] range; a single witness length n is the range [n, n], so a
+// single-length lookup and a range lookup at [n, n] share one entry. The
+// limb width an index was built at is not part of it: every answer is
+// bitwise the same at every width.
 //
 // Because entries bind to exact normalized structure, a hit is sound for
 // EVERY consumer — including the enumerator's balanced splitting, which
@@ -57,7 +58,7 @@
 // # Builds, cancellation, eviction
 //
 // Builds are deduplicated singleflight-style: N concurrent requests for
-// the same (class, length/range) trigger exactly one build; everyone
+// the same (class, range) trigger exactly one build; everyone
 // else blocks on it. The build runs in a detached goroutine under its own
 // cancellable context, and waiters are reference-counted: a cancelled
 // leader merely stops waiting — the build keeps running and hands its
@@ -79,11 +80,9 @@
 // # Frozen sharing
 //
 // Cached indexes are shared frozen: every consumer receives the same
-// *countdag.Index / *lengthrange.RangeIndex, and the bigmut invariant
-// (enforced repo-wide by nfalint) forbids mutating any big.Int obtained
-// from them — accessors either hand out frozen shared tables or defensive
-// copies, exactly as when the index was instance-private. The cache adds
-// no copying and relies on that contract across the cache boundary.
+// *lengthrange.RangeIndex. Its methods only read, and every *big.Int they
+// return is converted fresh, so nothing a consumer holds aliases the
+// shared tables; the cache adds no copying.
 package instcache
 
 import (
@@ -94,15 +93,15 @@ import (
 	"sync"
 
 	"repro/internal/automata"
-	"repro/internal/countdag"
 	"repro/internal/faultinject"
 	"repro/internal/lengthrange"
 )
 
 // DefaultBudget is the byte budget used when a core.Instance has no shared
-// cache configured and falls back to a private one: large enough for a few
-// wide-range big.Int tables, small enough that an unshared instance can't
-// pin unbounded memory (the bound the old per-instance slot cache lacked).
+// cache configured and falls back to a private one, in the currency of
+// admission.EstimateIndexBytes: enough estimated index bytes for many
+// wide ranges, small enough that an unshared instance can't pin unbounded
+// memory.
 const DefaultBudget int64 = 64 << 20
 
 // Key is the memoized identity of one automaton: the normal form and its
@@ -162,24 +161,10 @@ type class struct {
 	strong string
 }
 
-// entry kinds; part of the entry identity.
-const (
-	kindUFA uint8 = iota + 1
-	kindRange
-)
-
-// entryKey is the full identity of one cached artifact.
+// entryKey is the full identity of one cached index.
 type entryKey struct {
 	cls    *class
-	kind   uint8
 	lo, hi int
-}
-
-func (ek entryKey) kindString() string {
-	if ek.kind == kindUFA {
-		return "ufa"
-	}
-	return "range"
 }
 
 // flight is one in-progress deduplicated build.
@@ -192,7 +177,7 @@ type flight struct {
 	refs int // guarded by Cache.mu
 
 	// Result fields; written before done is closed, read only after.
-	val any
+	val *lengthrange.RangeIndex
 	err error
 }
 
@@ -200,10 +185,10 @@ type flight struct {
 // or being filled (flight non-nil).
 type entry struct {
 	key    entryKey
-	val    any           // guarded by Cache.mu
-	bytes  int64         // guarded by Cache.mu
-	flight *flight       // guarded by Cache.mu
-	elem   *list.Element // guarded by Cache.mu; nil while not resident
+	val    *lengthrange.RangeIndex // guarded by Cache.mu
+	bytes  int64                   // guarded by Cache.mu
+	flight *flight                 // guarded by Cache.mu
+	elem   *list.Element           // guarded by Cache.mu; nil while not resident
 
 	hits   uint64 // guarded by Cache.mu
 	misses uint64 // guarded by Cache.mu
@@ -243,66 +228,16 @@ func New(budget int64) *Cache {
 // Budget returns the configured byte budget (<= 0 means unbounded).
 func (c *Cache) Budget() int64 { return c.budget }
 
-// UFAIndex returns the single-length counting index for (key, length),
-// building it with build on a miss,
-// and reports whether the call was served from a resident entry. ctx
-// cancels only this caller's wait — an in-flight build owned by other
-// waiters keeps running; a build with no waiters left is cancelled.
-func (c *Cache) UFAIndex(ctx context.Context, key *Key, length int, est int64, build func(context.Context) (*countdag.Index, error)) (*countdag.Index, bool, error) {
-	v, hit, err := c.getOrBuild(ctx, key, kindUFA, length, length, est, func(bctx context.Context) (any, error) {
-		return build(bctx)
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return v.(*countdag.Index), hit, nil
-}
-
-// RangeIndex is UFAIndex for the cross-length index over [lo, hi].
+// RangeIndex returns the counting index over [lo, hi] for key, building
+// it with build on a miss, and reports whether the call was served from a
+// resident entry. A single length n is the range [n, n]. ctx cancels only
+// this caller's wait — an in-flight build owned by other waiters keeps
+// running; a build with no waiters left is cancelled.
 func (c *Cache) RangeIndex(ctx context.Context, key *Key, lo, hi int, est int64, build func(context.Context) (*lengthrange.RangeIndex, error)) (*lengthrange.RangeIndex, bool, error) {
-	v, hit, err := c.getOrBuild(ctx, key, kindRange, lo, hi, est, func(bctx context.Context) (any, error) {
-		return build(bctx)
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return v.(*lengthrange.RangeIndex), hit, nil
-}
-
-// resolveClass resolves the key's structural class: the pre-hash selects
-// a bucket, automata.Equal verifies membership exactly. The string keys —
-// including the Minimize-based strong key — are computed only when the
-// class has never been seen: first insert or a genuine pre-hash collision
-// introducing a new class.
-func (c *Cache) resolveClass(key *Key) *class {
-	c.mu.Lock()
-	for _, cl := range c.classes[key.pre] {
-		if automata.Equal(key.norm, cl.norm) {
-			c.mu.Unlock()
-			return cl
-		}
-	}
-	c.mu.Unlock()
-	// Expensive phase (codec marshal + Minimize), outside the lock.
-	iso, strong := key.Iso(), key.Strong()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, cl := range c.classes[key.pre] {
-		if automata.Equal(key.norm, cl.norm) {
-			return cl
-		}
-	}
-	cl := &class{norm: key.norm, pre: key.pre, iso: iso, strong: strong}
-	c.classes[key.pre] = append(c.classes[key.pre], cl)
-	c.strongComputes++
-	return cl
-}
-
-func (c *Cache) getOrBuild(ctx context.Context, key *Key, kind uint8, lo, hi int, est int64, build func(context.Context) (any, error)) (any, bool, error) {
 	if err := faultinject.Check(ctx, faultinject.SiteCacheFill); err != nil {
 		return nil, false, err
 	}
-	ek := entryKey{cls: c.resolveClass(key), kind: kind, lo: lo, hi: hi}
+	ek := entryKey{cls: c.resolveClass(key), lo: lo, hi: hi}
 
 	c.mu.Lock()
 	e := c.entries[ek]
@@ -348,6 +283,43 @@ func (c *Cache) getOrBuild(ctx context.Context, key *Key, kind uint8, lo, hi int
 	}
 }
 
+// UFAIndex is RangeIndex over [length, length].
+//
+// Deprecated: use RangeIndex(ctx, key, n, n, est, build). The serving
+// benchmark (perfbench, a separate module) still calls it.
+func (c *Cache) UFAIndex(ctx context.Context, key *Key, length int, est int64, build func(context.Context) (*lengthrange.RangeIndex, error)) (*lengthrange.RangeIndex, bool, error) {
+	return c.RangeIndex(ctx, key, length, length, est, build)
+}
+
+// resolveClass resolves the key's structural class: the pre-hash selects
+// a bucket, automata.Equal verifies membership exactly. The string keys —
+// including the Minimize-based strong key — are computed only when the
+// class has never been seen: first insert or a genuine pre-hash collision
+// introducing a new class.
+func (c *Cache) resolveClass(key *Key) *class {
+	c.mu.Lock()
+	for _, cl := range c.classes[key.pre] {
+		if automata.Equal(key.norm, cl.norm) {
+			c.mu.Unlock()
+			return cl
+		}
+	}
+	c.mu.Unlock()
+	// Expensive phase (codec marshal + Minimize), outside the lock.
+	iso, strong := key.Iso(), key.Strong()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, cl := range c.classes[key.pre] {
+		if automata.Equal(key.norm, cl.norm) {
+			return cl
+		}
+	}
+	cl := &class{norm: key.norm, pre: key.pre, iso: iso, strong: strong}
+	c.classes[key.pre] = append(c.classes[key.pre], cl)
+	c.strongComputes++
+	return cl
+}
+
 // abandon drops one waiter from a flight; the last waiter to leave
 // cancels the detached build (if it is still running).
 func (c *Cache) abandon(f *flight) {
@@ -367,7 +339,7 @@ func (c *Cache) abandon(f *flight) {
 
 // runBuild executes one deduplicated build on a detached goroutine and
 // publishes the result to the entry and every waiter.
-func (c *Cache) runBuild(e *entry, f *flight, bctx context.Context, est int64, build func(context.Context) (any, error)) {
+func (c *Cache) runBuild(e *entry, f *flight, bctx context.Context, est int64, build func(context.Context) (*lengthrange.RangeIndex, error)) {
 	defer f.cancel() // release the flight context in every path
 	val, err := build(bctx)
 	c.mu.Lock()
@@ -382,7 +354,7 @@ func (c *Cache) runBuild(e *entry, f *flight, bctx context.Context, est int64, b
 	close(f.done)
 }
 
-func (c *Cache) installLocked(e *entry, val any, est int64) {
+func (c *Cache) installLocked(e *entry, val *lengthrange.RangeIndex, est int64) {
 	e.val = val
 	e.bytes = est
 	e.elem = c.lru.PushFront(e)
@@ -442,7 +414,6 @@ func (c *Cache) Stats() Stats {
 type EntryStats struct {
 	Iso    string
 	Strong string
-	Kind   string
 	Lo, Hi int
 	Bytes  int64
 	Hits   uint64
@@ -451,7 +422,7 @@ type EntryStats struct {
 }
 
 // EntryStats returns per-entry counters for every resident entry, in a
-// deterministic order (strong key, then iso key, then kind, then range).
+// deterministic order (strong key, then iso key, then range).
 func (c *Cache) EntryStats() []EntryStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -463,7 +434,6 @@ func (c *Cache) EntryStats() []EntryStats {
 		out = append(out, EntryStats{
 			Iso:    e.key.cls.iso,
 			Strong: e.key.cls.strong,
-			Kind:   e.key.kindString(),
 			Lo:     e.key.lo,
 			Hi:     e.key.hi,
 			Bytes:  e.bytes,
@@ -479,9 +449,6 @@ func (c *Cache) EntryStats() []EntryStats {
 		}
 		if a.Iso != b.Iso {
 			return a.Iso < b.Iso
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
 		}
 		if a.Lo != b.Lo {
 			return a.Lo < b.Lo

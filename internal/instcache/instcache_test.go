@@ -3,7 +3,6 @@ package instcache
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -12,11 +11,9 @@ import (
 	"time"
 
 	"repro/internal/automata"
-	"repro/internal/countdag"
 	"repro/internal/faultinject"
 	"repro/internal/leakcheck"
 	"repro/internal/lengthrange"
-	"repro/internal/unroll"
 )
 
 func testDFA(t testing.TB, seed int64, states int) *automata.NFA {
@@ -25,20 +22,22 @@ func testDFA(t testing.TB, seed int64, states int) *automata.NFA {
 	return automata.Trim(automata.RandomDFA(rng, automata.Binary(), states, 0.5))
 }
 
-func buildUFA(n *automata.NFA, length int) func(context.Context) (*countdag.Index, error) {
-	return func(ctx context.Context) (*countdag.Index, error) {
-		dag, err := unroll.Build(n, length, unroll.Options{PruneBackward: true})
-		if err != nil {
-			return nil, err
-		}
-		return countdag.BuildCtx(ctx, dag, 1)
+// buildAt builds the single-length index [length, length].
+func buildAt(n *automata.NFA, length int) func(context.Context) (*lengthrange.RangeIndex, error) {
+	return func(ctx context.Context) (*lengthrange.RangeIndex, error) {
+		return lengthrange.BuildCtx(ctx, n, length, length, 1)
 	}
 }
 
+// stub returns a distinct placeholder index: the cache never reads an
+// index, it only stores and hands out the pointer, so the white-box tests
+// compare identities.
+func stub() *lengthrange.RangeIndex { return new(lengthrange.RangeIndex) }
+
 // ekFor resolves the entry key a lookup would use; white-box, for the
 // handoff tests' flight peeking.
-func ekFor(c *Cache, key *Key, kind uint8, lo, hi int) entryKey {
-	return entryKey{cls: c.resolveClass(key), kind: kind, lo: lo, hi: hi}
+func ekFor(c *Cache, key *Key, lo, hi int) entryKey {
+	return entryKey{cls: c.resolveClass(key), lo: lo, hi: hi}
 }
 
 // waitRefs polls until the entry's flight has the given waiter count; the
@@ -64,15 +63,17 @@ func waitRefs(t *testing.T, c *Cache, ek entryKey, want int) *flight {
 	return nil
 }
 
+// TestUFAIndexHitIsSameIndex: the single-length form (kept for the
+// serving benchmark) caches like any range.
 func TestUFAIndexHitIsSameIndex(t *testing.T) {
 	c := New(DefaultBudget)
 	n := testDFA(t, 1, 8)
 	key := KeyFor(n)
-	idx1, hit1, err := c.UFAIndex(nil, key, 6, 100, buildUFA(n, 6))
+	idx1, hit1, err := c.UFAIndex(nil, key, 6, 100, buildAt(n, 6))
 	if err != nil || hit1 {
 		t.Fatalf("first lookup: hit=%v err=%v", hit1, err)
 	}
-	idx2, hit2, err := c.UFAIndex(nil, key, 6, 100, buildUFA(n, 6))
+	idx2, hit2, err := c.UFAIndex(nil, key, 6, 100, buildAt(n, 6))
 	if err != nil || !hit2 {
 		t.Fatalf("second lookup: hit=%v err=%v", hit2, err)
 	}
@@ -101,10 +102,10 @@ func TestRelabelledDFASharesEntryWithoutReminimizing(t *testing.T) {
 		t.Fatal("relabelled DFA keys should share the normal form")
 	}
 
-	if _, hit, err := c.UFAIndex(nil, kn, 5, 100, buildUFA(kn.Norm(), 5)); err != nil || hit {
+	if _, hit, err := c.RangeIndex(nil, kn, 5, 5, 100, buildAt(kn.Norm(), 5)); err != nil || hit {
 		t.Fatalf("cold lookup: hit=%v err=%v", hit, err)
 	}
-	idx, hit, err := c.UFAIndex(nil, kr, 5, 100, buildUFA(kr.Norm(), 5))
+	idx, hit, err := c.RangeIndex(nil, kr, 5, 5, 100, buildAt(kr.Norm(), 5))
 	if err != nil || !hit {
 		t.Fatalf("relabelled lookup should hit: hit=%v err=%v", hit, err)
 	}
@@ -135,10 +136,10 @@ func TestNondeterministicRelabellingsGetSeparateEntries(t *testing.T) {
 	n.SetFinal(2, true)
 	r := automata.Relabel(n, []int{0, 2, 1})
 
-	if _, _, err := c.UFAIndex(nil, KeyFor(n), 4, 50, buildUFA(n, 4)); err != nil {
+	if _, _, err := c.RangeIndex(nil, KeyFor(n), 4, 4, 50, buildAt(n, 4)); err != nil {
 		t.Fatal(err)
 	}
-	_, hit, err := c.UFAIndex(nil, KeyFor(r), 4, 50, buildUFA(r, 4))
+	_, hit, err := c.RangeIndex(nil, KeyFor(r), 4, 4, 50, buildAt(r, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,27 +151,32 @@ func TestNondeterministicRelabellingsGetSeparateEntries(t *testing.T) {
 	}
 }
 
-func TestRangeAndUFAEntriesAreDistinct(t *testing.T) {
+// TestSingleLengthAndRangeShareEntry: a single length is the range
+// [n, n], so a single-length lookup and a range lookup at [n, n] for one
+// key resolve to one entry — the same index, built once.
+func TestSingleLengthAndRangeShareEntry(t *testing.T) {
 	c := New(DefaultBudget)
 	n := testDFA(t, 5, 8)
 	key := KeyFor(n)
-	if _, hit, err := c.UFAIndex(nil, key, 4, 50, buildUFA(n, 4)); err != nil || hit {
-		t.Fatalf("ufa: hit=%v err=%v", hit, err)
+	single, hit, err := c.UFAIndex(nil, key, 4, 50, buildAt(n, 4))
+	if err != nil || hit {
+		t.Fatalf("single length: hit=%v err=%v", hit, err)
 	}
 	ri, hit, err := c.RangeIndex(nil, key, 4, 4, 50, func(ctx context.Context) (*lengthrange.RangeIndex, error) {
 		return lengthrange.BuildCtx(ctx, key.Norm(), 4, 4, 1)
 	})
-	if err != nil || hit || ri == nil {
-		t.Fatalf("range: hit=%v err=%v", hit, err)
+	if err != nil || !hit {
+		t.Fatalf("range [n, n] should hit the single-length entry: hit=%v err=%v", hit, err)
+	}
+	if ri != single {
+		t.Fatal("single-length and [n, n] lookups returned different indexes")
+	}
+	if st := c.Stats(); st.Builds != 1 || st.Entries != 1 {
+		t.Fatalf("want one build and one entry, got %+v", st)
 	}
 	es := c.EntryStats()
-	if len(es) != 2 || es[0].Kind == es[1].Kind {
-		t.Fatalf("want one ufa + one range entry, got %+v", es)
-	}
-	for _, e := range es {
-		if e.Iso == "" || e.Strong == "" {
-			t.Fatalf("entry stats missing class keys: %+v", e)
-		}
+	if len(es) != 1 || es[0].Lo != 4 || es[0].Hi != 4 || es[0].Iso == "" || es[0].Strong == "" {
+		t.Fatalf("entry stats: %+v", es)
 	}
 }
 
@@ -190,10 +196,10 @@ func TestConcurrentSameKeySingleBuild(t *testing.T) {
 			defer wg.Done()
 			start.Wait()
 			// Each goroutine builds its own Key, as separate instances would.
-			idx, _, err := c.UFAIndex(context.Background(), KeyFor(n), 8, 100, func(ctx context.Context) (*countdag.Index, error) {
+			idx, _, err := c.RangeIndex(context.Background(), KeyFor(n), 8, 8, 100, func(ctx context.Context) (*lengthrange.RangeIndex, error) {
 				calls.Add(1)
 				time.Sleep(2 * time.Millisecond) // widen the dedup window
-				return buildUFA(n, 8)(ctx)
+				return buildAt(n, 8)(ctx)
 			})
 			results[i], errs[i] = idx, err
 		}(i)
@@ -222,24 +228,25 @@ func TestConcurrentCancelledLeaderHandsOffWithoutRebuild(t *testing.T) {
 	var calls atomic.Int64
 	release := make(chan struct{})
 	started := make(chan struct{})
-	build := func(ctx context.Context) (any, error) {
+	value := stub()
+	build := func(ctx context.Context) (*lengthrange.RangeIndex, error) {
 		calls.Add(1)
 		close(started)
 		select {
 		case <-release:
-			return "value", nil
+			return value, nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	}
 	key := KeyFor(testDFA(t, 7, 6))
-	ek := ekFor(c, key, kindUFA, 3, 3)
+	ek := ekFor(c, key, 3, 3)
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	defer cancelLeader()
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.getOrBuild(leaderCtx, key, kindUFA, 3, 3, 10, build)
+		_, _, err := c.RangeIndex(leaderCtx, key, 3, 3, 10, build)
 		leaderErr <- err
 	}()
 	<-started
@@ -247,7 +254,7 @@ func TestConcurrentCancelledLeaderHandsOffWithoutRebuild(t *testing.T) {
 
 	followerVal := make(chan any, 1)
 	go func() {
-		v, _, err := c.getOrBuild(context.Background(), key, kindUFA, 3, 3, 10, build)
+		v, _, err := c.RangeIndex(context.Background(), key, 3, 3, 10, build)
 		if err != nil {
 			followerVal <- err
 		} else {
@@ -264,9 +271,9 @@ func TestConcurrentCancelledLeaderHandsOffWithoutRebuild(t *testing.T) {
 	}
 	close(release)
 	switch v := (<-followerVal).(type) {
-	case string:
-		if v != "value" {
-			t.Fatalf("follower got %q", v)
+	case *lengthrange.RangeIndex:
+		if v != value {
+			t.Fatal("follower got another index")
 		}
 	default:
 		t.Fatalf("follower failed: %v", v)
@@ -275,7 +282,7 @@ func TestConcurrentCancelledLeaderHandsOffWithoutRebuild(t *testing.T) {
 		t.Fatalf("handoff must not rebuild: %d build calls", got)
 	}
 	// The result was installed; a fresh lookup hits.
-	if _, hit, err := c.getOrBuild(nil, key, kindUFA, 3, 3, 10, build); err != nil || !hit {
+	if _, hit, err := c.RangeIndex(nil, key, 3, 3, 10, build); err != nil || !hit {
 		t.Fatalf("post-handoff lookup: hit=%v err=%v", hit, err)
 	}
 }
@@ -285,19 +292,19 @@ func TestConcurrentAllWaitersCancelledLeavesEntryUnpoisoned(t *testing.T) {
 	c := New(DefaultBudget)
 	var calls atomic.Int64
 	started := make(chan struct{})
-	buildBlocking := func(ctx context.Context) (any, error) {
+	buildBlocking := func(ctx context.Context) (*lengthrange.RangeIndex, error) {
 		calls.Add(1)
 		close(started)
 		<-ctx.Done() // only the flight's own context can stop this build
 		return nil, ctx.Err()
 	}
 	key := KeyFor(testDFA(t, 8, 6))
-	ek := ekFor(c, key, kindUFA, 2, 2)
+	ek := ekFor(c, key, 2, 2)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, _, err := c.getOrBuild(ctx, key, kindUFA, 2, 2, 10, buildBlocking)
+		_, _, err := c.RangeIndex(ctx, key, 2, 2, 10, buildBlocking)
 		errCh <- err
 	}()
 	<-started
@@ -322,11 +329,12 @@ func TestConcurrentAllWaitersCancelledLeavesEntryUnpoisoned(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	v, hit, err := c.getOrBuild(nil, key, kindUFA, 2, 2, 10, func(context.Context) (any, error) {
+	fresh := stub()
+	v, hit, err := c.RangeIndex(nil, key, 2, 2, 10, func(context.Context) (*lengthrange.RangeIndex, error) {
 		calls.Add(1)
-		return "fresh", nil
+		return fresh, nil
 	})
-	if err != nil || hit || v != "fresh" {
+	if err != nil || hit || v != fresh {
 		t.Fatalf("retry after abandonment: v=%v hit=%v err=%v", v, hit, err)
 	}
 	if got := calls.Load(); got != 2 {
@@ -342,8 +350,8 @@ func TestEvictionNeverExceedsBudget(t *testing.T) {
 	key := KeyFor(testDFA(t, 9, 6))
 	mk := func(length int, est int64) {
 		t.Helper()
-		v, _, err := c.getOrBuild(nil, key, kindUFA, length, length, est, func(context.Context) (any, error) {
-			return fmt.Sprintf("v%d", length), nil
+		v, _, err := c.RangeIndex(nil, key, length, length, est, func(context.Context) (*lengthrange.RangeIndex, error) {
+			return stub(), nil
 		})
 		if err != nil || v == nil {
 			t.Fatalf("insert %d: %v", length, err)
@@ -355,7 +363,7 @@ func TestEvictionNeverExceedsBudget(t *testing.T) {
 	mk(1, 40)
 	mk(2, 40)
 	// Touch entry 1 so entry 2 is the LRU victim.
-	if _, hit, _ := c.getOrBuild(nil, key, kindUFA, 1, 1, 40, nil); !hit {
+	if _, hit, _ := c.RangeIndex(nil, key, 1, 1, 40, nil); !hit {
 		t.Fatal("touch of entry 1 missed")
 	}
 	mk(3, 40)
@@ -363,7 +371,7 @@ func TestEvictionNeverExceedsBudget(t *testing.T) {
 	if st.Evictions != 1 || st.Entries != 2 || st.Bytes != 80 {
 		t.Fatalf("after LRU eviction: %+v", st)
 	}
-	if _, hit, _ := c.getOrBuild(nil, key, kindUFA, 1, 1, 40, nil); !hit {
+	if _, hit, _ := c.RangeIndex(nil, key, 1, 1, 40, nil); !hit {
 		t.Fatal("recently-touched entry was evicted")
 	}
 	es := c.EntryStats()
@@ -381,12 +389,13 @@ func TestOversizeEntryIsServedButNotRetained(t *testing.T) {
 	c := New(100)
 	key := KeyFor(testDFA(t, 10, 6))
 	var calls atomic.Int64
-	build := func(context.Context) (any, error) {
+	big := stub()
+	build := func(context.Context) (*lengthrange.RangeIndex, error) {
 		calls.Add(1)
-		return "big", nil
+		return big, nil
 	}
-	v, hit, err := c.getOrBuild(nil, key, kindUFA, 1, 1, 10_000, build)
-	if err != nil || hit || v != "big" {
+	v, hit, err := c.RangeIndex(nil, key, 1, 1, 10_000, build)
+	if err != nil || hit || v != big {
 		t.Fatalf("oversize fill: v=%v hit=%v err=%v", v, hit, err)
 	}
 	st := c.Stats()
@@ -394,7 +403,7 @@ func TestOversizeEntryIsServedButNotRetained(t *testing.T) {
 		t.Fatalf("oversize entry must be evicted immediately: %+v", st)
 	}
 	// Next request rebuilds — correctness over retention.
-	if _, hit, err := c.getOrBuild(nil, key, kindUFA, 1, 1, 10_000, build); err != nil || hit {
+	if _, hit, err := c.RangeIndex(nil, key, 1, 1, 10_000, build); err != nil || hit {
 		t.Fatalf("re-request: hit=%v err=%v", hit, err)
 	}
 	if calls.Load() != 2 {
@@ -406,16 +415,17 @@ func TestBuildErrorIsNotCached(t *testing.T) {
 	c := New(DefaultBudget)
 	key := KeyFor(testDFA(t, 11, 6))
 	boom := errors.New("boom")
-	_, _, err := c.getOrBuild(nil, key, kindUFA, 1, 1, 10, func(context.Context) (any, error) {
+	_, _, err := c.RangeIndex(nil, key, 1, 1, 10, func(context.Context) (*lengthrange.RangeIndex, error) {
 		return nil, boom
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("want boom, got %v", err)
 	}
-	v, hit, err := c.getOrBuild(nil, key, kindUFA, 1, 1, 10, func(context.Context) (any, error) {
-		return "ok", nil
+	ok := stub()
+	v, hit, err := c.RangeIndex(nil, key, 1, 1, 10, func(context.Context) (*lengthrange.RangeIndex, error) {
+		return ok, nil
 	})
-	if err != nil || hit || v != "ok" {
+	if err != nil || hit || v != ok {
 		t.Fatalf("retry after error: v=%v hit=%v err=%v", v, hit, err)
 	}
 	if st := c.Stats(); st.BuildErrors != 1 || st.Builds != 2 {
@@ -431,7 +441,7 @@ func TestFaultInjectionAtFillBoundary(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	c := New(DefaultBudget)
 	n := testDFA(t, 12, 6)
-	_, _, err := c.UFAIndex(nil, KeyFor(n), 3, 10, buildUFA(n, 3))
+	_, _, err := c.RangeIndex(nil, KeyFor(n), 3, 3, 10, buildAt(n, 3))
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("want injected fault, got %v", err)
 	}
@@ -439,7 +449,7 @@ func TestFaultInjectionAtFillBoundary(t *testing.T) {
 		t.Fatalf("faulted fill must not start a build: %+v", st)
 	}
 	faultinject.Reset()
-	if _, hit, err := c.UFAIndex(nil, KeyFor(n), 3, 10, buildUFA(n, 3)); err != nil || hit {
+	if _, hit, err := c.RangeIndex(nil, KeyFor(n), 3, 3, 10, buildAt(n, 3)); err != nil || hit {
 		t.Fatalf("retry after fault: hit=%v err=%v", hit, err)
 	}
 }
@@ -486,11 +496,12 @@ func TestWLCollisionResolvesToSeparateEntries(t *testing.T) {
 	// case the exact Equal verification exists for.
 	kb = &Key{norm: kb.norm, pre: ka.pre}
 	c := New(DefaultBudget)
-	if _, _, err := c.getOrBuild(nil, ka, kindUFA, 1, 1, 10, func(context.Context) (any, error) { return "a", nil }); err != nil {
+	ia, ib := stub(), stub()
+	if _, _, err := c.RangeIndex(nil, ka, 1, 1, 10, func(context.Context) (*lengthrange.RangeIndex, error) { return ia, nil }); err != nil {
 		t.Fatal(err)
 	}
-	v, hit, err := c.getOrBuild(nil, kb, kindUFA, 1, 1, 10, func(context.Context) (any, error) { return "b", nil })
-	if err != nil || hit || v != "b" {
+	v, hit, err := c.RangeIndex(nil, kb, 1, 1, 10, func(context.Context) (*lengthrange.RangeIndex, error) { return ib, nil })
+	if err != nil || hit || v != ib {
 		t.Fatalf("collision bucket must split: v=%v hit=%v err=%v", v, hit, err)
 	}
 	if st := c.Stats(); st.Builds != 2 || st.StrongComputes != 2 {

@@ -5,13 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/automata"
-	"repro/internal/countdag"
-	"repro/internal/unroll"
 )
 
 // BenchmarkRangeBuild: the E18 build comparison on the 64-state depth-20
 // family (N = 16 lengths) — the shared cross-length sweep must do
-// measurably less work than hi−lo+1 independent countdag builds (the
+// measurably less work than hi−lo+1 single-length [n, n] builds (the
 // acceptance bar is ≥ 2× fewer allocs/op; measured ≈ 5×, because the
 // shared tables are keyed by remaining length and so track the single
 // longest length instead of the sum over all of them).
@@ -31,11 +29,9 @@ func BenchmarkRangeBuild(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for n := lo; n <= hi; n++ {
-				dag, err := unroll.Build(dfa, n, unroll.Options{PruneBackward: true})
-				if err != nil {
+				if _, err := Build(dfa, n, n, 1); err != nil {
 					b.Fatal(err)
 				}
-				countdag.Build(dag, 1)
 			}
 		}
 	})

@@ -1,4 +1,4 @@
-package lengthrange
+package lengthrange_test
 
 import (
 	"context"
@@ -27,7 +27,7 @@ func FuzzRangeCursor(f *testing.F) {
 	fpAll := enumerate.Fingerprint(all)
 
 	// Seed corpus: every envelope shape the session mints, plus forgeries.
-	rs, err := NewRangeSession(0, 3, fpAll, ufaFactory(all))
+	rs, err := enumerate.NewRangeSession(0, 3, fpAll, ufaFactory(all))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func FuzzRangeCursor(f *testing.F) {
 	// session mints at its failure frontier (cancel ⇒ checkpoint) is a
 	// legitimate resume input, so the fuzzer starts from it.
 	cctx, cancel := context.WithCancel(context.Background())
-	crs, err := NewRangeSession(0, 3, fpAll, ufaFactory(all))
+	crs, err := enumerate.NewRangeSession(0, 3, fpAll, ufaFactory(all))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -71,15 +71,15 @@ func FuzzRangeCursor(f *testing.F) {
 	// A mid envelope whose inner token is a rank cursor.
 	re, _ := enumerate.NewUFA(paper, paperLen)
 	if c, err := re.RankCursor(); err == nil {
-		f.Add(RangeCursor{FP: enumerate.Fingerprint(paper), Lo: paperLen, Hi: paperLen + 2, Cur: paperLen, Inner: c.Token()}.Token())
+		f.Add(enumerate.RangeCursor{FP: enumerate.Fingerprint(paper), Lo: paperLen, Hi: paperLen + 2, Cur: paperLen, Inner: c.Token()}.Token())
 	}
 	// Forged-length envelopes: a huge cur (truncated-bound DoS probe) and
 	// an inner token whose own length disagrees with cur.
-	f.Add(RangeCursor{FP: fpAll, Lo: 0, Hi: 1 << 30, Cur: 1 << 29, Inner: "el1:u:AAAA"}.Token())
+	f.Add(enumerate.RangeCursor{FP: fpAll, Lo: 0, Hi: 1 << 30, Cur: 1 << 29, Inner: "el1:u:AAAA"}.Token())
 	ue, _ := enumerate.NewUFA(all, 2)
 	ue.Next()
 	if tok, ok := ue.Token(); ok {
-		f.Add(RangeCursor{FP: fpAll, Lo: 0, Hi: 5, Cur: 4, Inner: tok}.Token()) // inner length 2 ≠ cur 4
+		f.Add(enumerate.RangeCursor{FP: fpAll, Lo: 0, Hi: 5, Cur: 4, Inner: tok}.Token()) // inner length 2 ≠ cur 4
 	}
 	// Truncated and garbage payloads.
 	for _, garbage := range []string{
@@ -90,7 +90,7 @@ func FuzzRangeCursor(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, token string) {
-		c, err := ParseRangeToken(token)
+		c, err := enumerate.ParseRangeToken(token)
 		if err != nil {
 			return
 		}
@@ -102,7 +102,7 @@ func FuzzRangeCursor(f *testing.F) {
 			t.Fatalf("decoder let inconsistent done/inner shape through: %+v", c)
 		}
 		// A token that parses must re-encode to an identical cursor.
-		c2, err := ParseRangeToken(c.Token())
+		c2, err := enumerate.ParseRangeToken(c.Token())
 		if err != nil {
 			t.Fatalf("re-encoded token rejected: %v", err)
 		}
@@ -137,7 +137,7 @@ func FuzzRangeCursor(f *testing.F) {
 				}
 				return enumerate.NewUFA(n, length)
 			}
-			s, err := ResumeRangeSession(c, enumerate.Fingerprint(n), factory)
+			s, err := enumerate.ResumeRangeSession(c, enumerate.Fingerprint(n), factory)
 			if err != nil {
 				continue
 			}
@@ -147,7 +147,7 @@ func FuzzRangeCursor(f *testing.F) {
 				}
 			}
 			if tok, ok := s.Token(); ok {
-				if _, err := ParseRangeToken(tok); err != nil {
+				if _, err := enumerate.ParseRangeToken(tok); err != nil {
 					t.Fatalf("resumed session minted unparseable token %q: %v", tok, err)
 				}
 			}

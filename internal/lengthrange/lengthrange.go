@@ -1,15 +1,20 @@
-// Package lengthrange builds one shared ranked counting index over ALL
-// witness lengths n in [lo, hi] of an unambiguous automaton — the
-// cross-length sharing the per-instance countdag cannot do (one
-// countdag.Index is bound to a single n; serving a length range used to
-// mean hi−lo+1 independent backward sweeps).
+// Package lengthrange is the exact counting index of the repository:
+// one ranked index over ALL witness lengths n in [lo, hi] of an
+// unambiguous automaton, with a single length as the range [n, n]. The
+// paper reduces exact COUNT, ranked access and uniform GEN for
+// RelationUL to one table of completion counts over the unrolled DAG
+// (Lemma 15, Proposition 14, §5.3.2–5.3.3); this package is that table,
+// and every consumer reads it: exact counts and ranked access (core),
+// uniform generation (internal/sample and the draw sessions below), rank
+// seeks, rank cursors and the work-stealing scheduler's exact cell sizes
+// (internal/enumerate).
 //
 // # Why one backward sweep suffices
 //
-// The per-vertex tables of the length-n counting DAG (internal/countdag)
-// depend only on the state and the REMAINING length, not on n and the
-// layer separately: at vertex (t, q) of the length-n DAG every successor
-// of an alive vertex is automatically forward-reachable, so the pruned
+// The per-vertex tables of the length-n counting DAG depend only on the
+// state and the REMAINING length, not on n and the layer separately: at
+// vertex (t, q) of the backward-pruned length-n DAG every successor of
+// an alive vertex is automatically forward-reachable, so the pruned
 // out-edge list — the edges (a, p) with at least one accepting completion
 // of length n−t−1 from p, in the DAG's decision order (successor state
 // ascending, then symbol ascending) — and its cumulative prefix sums are
@@ -19,16 +24,21 @@
 // any worker count), and every length n in [lo, hi] is served by the
 // slice of tables it needs: its total is the completion count of the
 // start state at r = n, and an unrank descent for length n reads the
-// tables at r = n, n−1, …, 1. Per-length answers are bitwise identical to
-// a countdag.Index built for that length (asserted by the equivalence
-// tests), at roughly the build cost of the single longest length instead
-// of the sum over all of them.
+// tables at r = n, n−1, …, 1. So the answers at one length are the same
+// bits whichever range the index covers (asserted by the equivalence
+// tests), and Algorithm 1's enumerator (internal/enumerate), which walks
+// the unrolled DAG itself, addresses the index by the same decision
+// indices.
 //
-// # The ranked API over the union of lengths
+// # The ranked API
 //
-// Rank-space is length-lexicographic: all length-lo words first (in the
-// countdag enumeration order of that length), then lo+1, and so on — the
-// order EnumerateRange emits. TotalRange is the union cardinality,
+// Per length (…At): TotalAt, RankAt/UnrankAt, and the accessors
+// Algorithm 1's rank seek and steal sizing need — SubtreeSpanAt,
+// RankOfChoicesAt, EdgeCumAt and UnrankChoicesAt, addressed by decision
+// vectors of the length-n DAG. Over the union, rank-space is
+// length-lexicographic: all length-lo words first (in the enumeration
+// order of that length), then lo+1, and so on — the order
+// enumerate.RangeSession emits. TotalRange is the union cardinality,
 // RankRange/UnrankRange convert between witnesses of any length in the
 // range and their global index, and Sample draws one uniform global rank
 // — which first selects a length with probability proportional to its
@@ -36,39 +46,46 @@
 // uniformly. SampleMany fans fixed-size chunks of draw sessions across
 // workers with per-chunk seed-derived RNG streams (bitwise identical for
 // every worker count), and a DrawSession performs zero heap allocations
-// per draw.
+// per draw. On a single-length index the global and per-length answers
+// coincide.
 //
 // # Memory model: one limb arena, one contract
 //
-// Like countdag, the index stores its counts as k-limb integers in the
-// format of internal/limb, the width fixed per index. Each
-// remaining-length layer's prefix-sum rows live in ONE flat arena
-// ([]uint64) with per-state int32 offsets, and the per-length totals
-// spine is one k-limb table as well: a global-rank descent — length
-// split plus unrank walk — is limb comparisons only. The sweep starts at
-// one limb and reruns at twice the width on the first carry out of the
-// top limb, in a prefix sum or in the spine (limb.Fit). Unlike countdag,
-// unreachable states can carry counts larger than any length's total
-// here — the sweep is backward only — so the carry check, not a total,
-// decides the width.
+// The index stores its counts as k-limb integers in the format of
+// internal/limb, the width fixed per index. Each remaining-length layer's
+// prefix-sum rows live in ONE flat arena ([]uint64) with per-state int32
+// offsets, and the per-length totals spine is one k-limb table as well: a
+// global-rank descent — length split plus unrank walk — is limb
+// comparisons only. The sweep starts at one limb and reruns at twice the
+// width on the first carry out of the top limb, in a prefix sum or in the
+// spine (limb.Fit); limb.ForceWidth raises the starting width, the test
+// hook that pins every answer bitwise identical across widths.
+// Unreachable states can carry counts larger than any length's total —
+// the sweep is backward only — so the carry check, not a total, decides
+// the width.
 //
 // Build freezes the index before returning: afterwards every method only
 // reads, so a RangeIndex is safe for unbounded concurrent use with no
-// locking. TotalAt converts a fresh value on each call but keeps the
-// do-not-mutate contract of the shared accessors; methods that compute
-// ranks or words (TotalRange, RankRange, UnrankRange, RankAt, UnrankAt,
-// Sample) return values the caller owns.
+// locking. No method hands out index-owned state: every *big.Int is
+// converted fresh from the arena and owned by the caller.
 //
 // Unambiguity is the caller's contract (core verifies it once at
 // instance construction): on an ambiguous automaton the index counts
 // accepting RUNS, so ranks and counts overshoot the language.
 //
-// The resumable cross-length enumeration session and its el1:R: token
-// format live in session.go.
+// # Cancellation
+//
+// BuildCtx checks its context at every remaining-length layer barrier of
+// every sweep attempt (also the lengthrange.build.layer fault-injection
+// site of internal/faultinject), so a cancelled caller abandons the build
+// within one layer. A cancelled or faulted build returns before any index
+// is published: the partial tables are released to the collector with
+// the error, and the next BuildCtx starts from scratch.
 package lengthrange
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -79,16 +96,19 @@ import (
 
 	"repro/internal/automata"
 	"repro/internal/bitset"
-	"repro/internal/countdag"
 	"repro/internal/faultinject"
 	"repro/internal/limb"
 	"repro/internal/par"
 	"repro/internal/unroll"
 )
 
-// ErrEmpty is returned by the samplers when the whole range is empty —
-// the paper's ⊥ answer.
-var ErrEmpty = errors.New("lengthrange: witness set is empty over the range")
+// ErrEmpty is returned by the samplers when the witness set they draw
+// from is empty — the paper's ⊥ answer.
+var ErrEmpty = errors.New("lengthrange: witness set is empty")
+
+// ErrNotMember is wrapped by the rank methods when the word is not a
+// witness of the covered lengths.
+var ErrNotMember = errors.New("lengthrange: word is not in the language slice")
 
 // RangeIndex is the frozen cross-length counting index. See the package
 // comment for the memory model and sharing contract.
@@ -282,28 +302,42 @@ func (x *RangeIndex) grand() []uint64 { return x.spine[len(x.spine)-x.k:] }
 // length-lexicographic rank space. The caller owns the result.
 func (x *RangeIndex) TotalRange() *big.Int { return limb.ToBig(x.grand()) }
 
-// TotalAt returns |L_n| for one length in the range. Do not mutate.
-func (x *RangeIndex) TotalAt(n int) (*big.Int, error) {
+// checkLength reports an error unless n lies in the covered range.
+func (x *RangeIndex) checkLength(n int) error {
 	if n < x.lo || n > x.hi {
-		return nil, fmt.Errorf("lengthrange: length %d outside [%d, %d]", n, x.lo, x.hi)
+		return fmt.Errorf("lengthrange: length %d outside [%d, %d]", n, x.lo, x.hi)
 	}
+	return nil
+}
+
+// totalAt is |L_n| in limbs (shared; read only); n must be in range.
+func (x *RangeIndex) totalAt(n int) []uint64 {
 	start := x.src.Start()
-	return limb.ToBig(x.comp[n][start*x.k : (start+1)*x.k]), nil
+	return x.comp[n][start*x.k : (start+1)*x.k]
+}
+
+// TotalAt returns |L_n| for one length in the range. The caller owns the
+// result.
+func (x *RangeIndex) TotalAt(n int) (*big.Int, error) {
+	if err := x.checkLength(n); err != nil {
+		return nil, err
+	}
+	return limb.ToBig(x.totalAt(n)), nil
 }
 
 // FirstRankOf returns the global rank of the first length-n word — the
 // offset of length n's span in the length-lexicographic order. The caller
 // owns the result.
 func (x *RangeIndex) FirstRankOf(n int) (*big.Int, error) {
-	if n < x.lo || n > x.hi {
-		return nil, fmt.Errorf("lengthrange: length %d outside [%d, %d]", n, x.lo, x.hi)
+	if err := x.checkLength(n); err != nil {
+		return nil, err
 	}
 	i := n - x.lo
 	return limb.ToBig(x.spine[i*x.k : (i+1)*x.k]), nil
 }
 
-// UnrankAt returns the word at rank r (0-based) WITHIN length n — bitwise
-// identical to countdag.Unrank on the length-n index. The caller owns the
+// UnrankAt returns the word at rank r (0-based) WITHIN length n, in the
+// enumeration order of Algorithm 1 at that length. The caller owns the
 // result; r is not modified.
 func (x *RangeIndex) UnrankAt(n int, r *big.Int) (automata.Word, error) {
 	w, _, err := x.unrankAt(n, r, false)
@@ -313,26 +347,105 @@ func (x *RangeIndex) UnrankAt(n int, r *big.Int) (automata.Word, error) {
 // UnrankChoicesAt returns the decision vector of the word at rank r
 // (0-based) within length n: choices[t] indexes the pruned out-edge list
 // at step t — exactly the per-layer decision indices of the length-n
-// counting DAG, so the vector positions an Algorithm 1 enumerator
-// (enumerate.OpenShardAt / a KindUFA cursor) without building that
-// length's countdag index. The caller owns the result.
+// unrolled DAG, so the vector positions an Algorithm 1 enumerator
+// (enumerate.UFAEnumerator.SeekRank, a KindUFA cursor). The caller owns
+// the result.
 func (x *RangeIndex) UnrankChoicesAt(n int, r *big.Int) ([]int, error) {
 	_, choices, err := x.unrankAt(n, r, true)
 	return choices, err
 }
 
-// unrankAt checks n and 0 ≤ r < |L_n| and descends to the word at rank r
-// within length n, also recording the decisions when withChoices is set.
-func (x *RangeIndex) unrankAt(n int, r *big.Int, withChoices bool) (automata.Word, []int, error) {
-	total, err := x.TotalAt(n)
+// SubtreeSpanAt returns, within length n, the rank of the first word of
+// the subtree reached by following the decisions of path from the start,
+// and the subtree's word count: the half-open rank interval [first,
+// first+count) is exactly the subtree's slice of the enumeration. A
+// full-length path denotes a single word (count 1); the empty path
+// denotes the whole length. The caller owns both results.
+func (x *RangeIndex) SubtreeSpanAt(n int, path []int) (first, count *big.Int, err error) {
+	sum, q, err := x.pathSum(n, path)
 	if err != nil {
 		return nil, nil, err
 	}
-	if r.Sign() < 0 || r.Cmp(total) >= 0 {
-		return nil, nil, fmt.Errorf("lengthrange: rank %v out of range [0, %v) at length %d", r, total, n)
+	r := n - len(path)
+	return limb.ToBig(sum), limb.ToBig(x.comp[r][q*x.k : (q+1)*x.k]), nil
+}
+
+// RankOfChoicesAt returns the rank within length n of the word at the
+// full decision vector pos. The caller owns the result.
+func (x *RangeIndex) RankOfChoicesAt(n int, pos []int) (*big.Int, error) {
+	if len(pos) != n {
+		return nil, fmt.Errorf("lengthrange: decision vector has %d entries, want %d", len(pos), n)
+	}
+	sum, _, err := x.pathSum(n, pos)
+	if err != nil {
+		return nil, err
+	}
+	return limb.ToBig(sum), nil
+}
+
+// pathSum follows path's decisions from the start state in length n's
+// decision order and returns the summed prefix weights of the chosen
+// edges (no carry: every partial sum is a rank, below |L_n|) and the state
+// reached.
+func (x *RangeIndex) pathSum(n int, path []int) ([]uint64, int, error) {
+	if err := x.checkLength(n); err != nil {
+		return nil, 0, err
+	}
+	if len(path) > n {
+		return nil, 0, fmt.Errorf("lengthrange: path length %d exceeds %d", len(path), n)
+	}
+	k := x.k
+	sum := make([]uint64, k)
+	q := x.src.Start()
+	for t, i := range path {
+		r := n - t
+		edges := x.edges[r][q]
+		if i < 0 || i >= len(edges) {
+			return nil, 0, fmt.Errorf("lengthrange: decision %d at layer %d out of range (%d edges)", i, t, len(edges))
+		}
+		o := int(x.off[r][q]) + i*k
+		limb.Add(sum, sum, x.rows[r][o:o+k])
+		q = edges[i].To
+	}
+	return sum, q, nil
+}
+
+// EdgeCumAt returns the prefix-sum row of one vertex of the length-n
+// DAG: the vertex at layer t in [0, n) in state q (the start state at
+// t = 0, q ignored). Entry i counts the words through its first i
+// out-edges and the last entry is the vertex's subtree count. nil for a
+// vertex with no completion or outside the DAG. The caller owns the
+// values.
+func (x *RangeIndex) EdgeCumAt(n, t, q int) []*big.Int {
+	if n < x.lo || n > x.hi || t < 0 || t >= n {
+		return nil
+	}
+	if t == 0 {
+		q = x.src.Start()
+	}
+	r := n - t
+	if q < 0 || q >= len(x.off[r]) || x.off[r][q] < 0 {
+		return nil
+	}
+	k := x.k
+	o := int(x.off[r][q])
+	out := make([]*big.Int, len(x.edges[r][q])+1)
+	for i := range out {
+		out[i] = limb.ToBig(x.rows[r][o+i*k : o+(i+1)*k])
+	}
+	return out
+}
+
+// unrankAt checks n and 0 ≤ r < |L_n| and descends to the word at rank r
+// within length n, also recording the decisions when withChoices is set.
+func (x *RangeIndex) unrankAt(n int, r *big.Int, withChoices bool) (automata.Word, []int, error) {
+	if err := x.checkLength(n); err != nil {
+		return nil, nil, err
 	}
 	rem := make([]uint64, x.k)
-	limb.FromBig(rem, r)
+	if r.Sign() < 0 || !limb.FromBig(rem, r) || limb.Cmp(rem, x.totalAt(n)) >= 0 {
+		return nil, nil, fmt.Errorf("lengthrange: rank %v out of range [0, %v) at length %d", r, limb.ToBig(x.totalAt(n)), n)
+	}
 	w := make(automata.Word, n)
 	var choices []int
 	if withChoices {
@@ -383,8 +496,7 @@ func (x *RangeIndex) positive(r, q int) bool {
 }
 
 // RankAt returns the rank of w within its own length's span (len(w) must
-// lie in the range) — bitwise identical to countdag.Rank on that length's
-// index — or an error wrapping countdag.ErrNotMember when w is not a
+// lie in the range), or an error wrapping ErrNotMember when w is not a
 // witness. For a UFA the accepting run is unique, so it is reconstructed
 // forward (reachable sets along w, pruned by the completion counts) and
 // then backward from the accepting final state.
@@ -400,19 +512,19 @@ func (x *RangeIndex) RankAt(w automata.Word) (*big.Int, error) {
 func (x *RangeIndex) rankAt(w automata.Word) ([]uint64, error) {
 	n := len(w)
 	if n < x.lo || n > x.hi {
-		return nil, fmt.Errorf("lengthrange: word length %d outside [%d, %d] (%w)", n, x.lo, x.hi, countdag.ErrNotMember)
+		return nil, fmt.Errorf("lengthrange: word length %d outside [%d, %d] (%w)", n, x.lo, x.hi, ErrNotMember)
 	}
 	sigma := x.src.Alphabet().Size()
 	for i, a := range w {
 		if a < 0 || a >= sigma {
-			return nil, fmt.Errorf("lengthrange: symbol %d at position %d out of range (%w)", a, i, countdag.ErrNotMember)
+			return nil, fmt.Errorf("lengthrange: symbol %d at position %d out of range (%w)", a, i, ErrNotMember)
 		}
 	}
 	k := x.k
 	rk := make([]uint64, k)
 	if n == 0 {
 		if !x.positive(0, x.src.Start()) {
-			return nil, fmt.Errorf("lengthrange: ε is not accepted (%w)", countdag.ErrNotMember)
+			return nil, fmt.Errorf("lengthrange: ε is not accepted (%w)", ErrNotMember)
 		}
 		return rk, nil
 	}
@@ -452,7 +564,7 @@ func (x *RangeIndex) rankAt(w automata.Word) ([]uint64, error) {
 		}
 	})
 	if final < 0 {
-		return nil, fmt.Errorf("lengthrange: no accepting run (%w)", countdag.ErrNotMember)
+		return nil, fmt.Errorf("lengthrange: no accepting run (%w)", ErrNotMember)
 	}
 	path[n] = final
 	for t := n - 1; t >= 1; t-- {
@@ -470,7 +582,7 @@ func (x *RangeIndex) rankAt(w automata.Word) ([]uint64, error) {
 			}
 		})
 		if prev < 0 {
-			return nil, fmt.Errorf("lengthrange: broken run reconstruction at position %d (%w)", t, countdag.ErrNotMember)
+			return nil, fmt.Errorf("lengthrange: broken run reconstruction at position %d (%w)", t, ErrNotMember)
 		}
 		path[t] = prev
 	}
@@ -487,7 +599,7 @@ func (x *RangeIndex) rankAt(w automata.Word) ([]uint64, error) {
 			}
 		}
 		if idx < 0 {
-			return nil, fmt.Errorf("lengthrange: run leaves the pruned tables at position %d (%w)", t, countdag.ErrNotMember)
+			return nil, fmt.Errorf("lengthrange: run leaves the pruned tables at position %d (%w)", t, ErrNotMember)
 		}
 		o := int(x.off[r][path[t]]) + idx*k
 		limb.Add(rk, rk, x.rows[r][o:o+k])
@@ -522,6 +634,19 @@ func (x *RangeIndex) UnrankRange(r *big.Int) (automata.Word, error) {
 	}
 	return w, nil
 }
+
+// Rank is RankRange.
+//
+// Deprecated: use RankRange, or RankAt for the rank within a length. The
+// serving benchmark (perfbench, a separate module) still calls Rank
+// through countdag.Index.
+func (x *RangeIndex) Rank(w automata.Word) (*big.Int, error) { return x.RankRange(w) }
+
+// Unrank is UnrankRange.
+//
+// Deprecated: use UnrankRange, or UnrankAt within a length. The serving
+// benchmark still calls Unrank through countdag.Index.
+func (x *RangeIndex) Unrank(r *big.Int) (automata.Word, error) { return x.UnrankRange(r) }
 
 // SplitRank resolves a global rank into (length, rank within that
 // length). The caller owns both results.
@@ -569,10 +694,53 @@ func (x *RangeIndex) Sample(rng *rand.Rand) (automata.Word, error) {
 	return w, nil
 }
 
+// SampleDistinctAt draws k distinct witnesses of length n uniformly
+// without replacement, by rejection in rank-space: ranks are drawn
+// uniformly (limb.Draw, the entropy stream of sample.RandBig) and repeats
+// discarded, so the result is a uniform k-subset of L_n in draw order.
+// ErrEmpty when L_n is empty, an error when k exceeds |L_n|. Rejection
+// is cheap while k ≤ |L_n|/2 and degrades gracefully (coupon-collector)
+// as k approaches |L_n|. The caller owns the result.
+func (x *RangeIndex) SampleDistinctAt(n, k int, rng *rand.Rand) ([]automata.Word, error) {
+	if k <= 0 {
+		return nil, nil
+	}
+	if err := x.checkLength(n); err != nil {
+		return nil, err
+	}
+	total := x.totalAt(n)
+	if limb.IsZero(total) {
+		return nil, ErrEmpty
+	}
+	if t := limb.ToBig(total); t.Cmp(big.NewInt(int64(k))) < 0 {
+		return nil, fmt.Errorf("lengthrange: %d distinct witnesses requested but |L_%d| = %v", k, n, t)
+	}
+	out := make([]automata.Word, 0, k)
+	seen := make(map[string]struct{}, k)
+	rem := make([]uint64, x.k)
+	var key []byte
+	for len(out) < k {
+		limb.Draw(rng, total, rem)
+		key = key[:0]
+		for _, l := range rem {
+			key = binary.LittleEndian.AppendUint64(key, l)
+		}
+		if _, dup := seen[string(key)]; dup {
+			continue
+		}
+		seen[string(key)] = struct{}{}
+		w := make(automata.Word, n)
+		if err := x.descend(rem, w, nil); err != nil {
+			return nil, err
+		}
+		out = append(out, w)
+	}
+	return out, nil
+}
+
 // sampleChunk is the number of draws one seed-derived RNG stream covers
 // in SampleMany: fixed (not worker-dependent) so the batch is identical
-// for every worker count — the same chunking discipline as
-// sample.UFASampler.SampleMany.
+// for every worker count.
 const sampleChunk = 64
 
 // SampleMany draws k independent uniform witnesses from the range across

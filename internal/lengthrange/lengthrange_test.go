@@ -6,28 +6,18 @@ import (
 	"testing"
 
 	"repro/internal/automata"
-	"repro/internal/countdag"
 	"repro/internal/exact"
-	"repro/internal/sample"
 	"repro/internal/stats"
-	"repro/internal/unroll"
 )
 
-// perLengthIndex builds the existing single-length engine's index — the
-// reference every range answer must be bitwise identical to.
-func perLengthIndex(t *testing.T, n *automata.NFA, length int) *countdag.Index {
-	t.Helper()
-	dag, err := unroll.Build(n, length, unroll.Options{PruneBackward: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return countdag.Build(dag, 1)
-}
-
 // TestRangeMatchesCountdagPerLength: for every length n in the range,
-// TotalAt, UnrankAt and RankAt are bitwise identical to a countdag.Index
-// built for that single length — the per-length equivalence contract of
-// the shared tables.
+// the [lo, hi] index answers bitwise what the single-length index [n, n]
+// answers — TotalAt, UnrankAt, RankAt, the decision vectors and subtree
+// spans Algorithm 1 reads, and the prefix rows of every vertex on the
+// walked paths — and the totals equal exact.CountUFA, the independent
+// path-counting DP. (The [n, n] index is what the former countdag
+// package computed from its own DAG sweep; the golden record in
+// internal/oracle pins both against that engine's output.)
 func TestRangeMatchesCountdagPerLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 12; trial++ {
@@ -38,13 +28,16 @@ func TestRangeMatchesCountdagPerLength(t *testing.T) {
 			t.Fatal(err)
 		}
 		for n := lo; n <= hi; n++ {
-			idx := perLengthIndex(t, nfa, n)
+			idx, err := Build(nfa, n, n, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
 			total, err := ri.TotalAt(n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if total.Cmp(idx.Total()) != 0 {
-				t.Fatalf("trial %d n=%d: TotalAt %v, countdag %v", trial, n, total, idx.Total())
+			if total.Cmp(idx.TotalRange()) != 0 {
+				t.Fatalf("trial %d n=%d: TotalAt %v, [n, n] %v", trial, n, total, idx.TotalRange())
 			}
 			if total.Cmp(exact.CountUFA(automata.Trim(nfa), n)) != 0 {
 				t.Fatalf("trial %d n=%d: TotalAt %v disagrees with exact.CountUFA", trial, n, total)
@@ -59,30 +52,80 @@ func TestRangeMatchesCountdagPerLength(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := idx.Unrank(r)
+				want, err := idx.UnrankAt(n, r)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if nfa.Alphabet().FormatWord(got) != nfa.Alphabet().FormatWord(want) {
-					t.Fatalf("trial %d n=%d rank %d: range %q, countdag %q",
+					t.Fatalf("trial %d n=%d rank %d: range %q, [n, n] %q",
 						trial, n, i, nfa.Alphabet().FormatWord(got), nfa.Alphabet().FormatWord(want))
 				}
 				gotRank, err := ri.RankAt(got)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantRank, err := idx.Rank(want)
+				wantRank, err := idx.RankAt(want)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if gotRank.Cmp(wantRank) != 0 || gotRank.Cmp(r) != 0 {
-					t.Fatalf("trial %d n=%d: RankAt(UnrankAt(%d)) = %v (countdag %v)", trial, n, i, gotRank, wantRank)
+					t.Fatalf("trial %d n=%d: RankAt(UnrankAt(%d)) = %v ([n, n] %v)", trial, n, i, gotRank, wantRank)
 				}
+				choices, err := ri.UnrankChoicesAt(n, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantChoices, err := idx.UnrankChoicesAt(n, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameSpans(t, ri, idx, n, choices, wantChoices)
 			}
-			if _, err := ri.UnrankAt(n, new(big.Int).Set(total)); err == nil && total.Sign() >= 0 {
+			if _, err := ri.UnrankAt(n, new(big.Int).Set(total)); err == nil {
 				t.Fatalf("trial %d n=%d: UnrankAt(total) accepted", trial, n)
 			}
 		}
+	}
+}
+
+// sameSpans checks that two indexes covering length n agree on a
+// decision vector and on everything read along it: the rank of the full
+// vector, the span of every prefix and the prefix row of every vertex.
+func sameSpans(t *testing.T, a, b *RangeIndex, n int, pa, pb []int) {
+	t.Helper()
+	if len(pa) != len(pb) {
+		t.Fatalf("n=%d: decision vectors %v and %v", n, pa, pb)
+	}
+	for i := range pa {
+		if pa[i] != pb[i] {
+			t.Fatalf("n=%d: decision vectors %v and %v", n, pa, pb)
+		}
+	}
+	ra, err1 := a.RankOfChoicesAt(n, pa)
+	rb, err2 := b.RankOfChoicesAt(n, pb)
+	if err1 != nil || err2 != nil || ra.Cmp(rb) != 0 {
+		t.Fatalf("n=%d: RankOfChoicesAt(%v) = %v / %v (%v / %v)", n, pa, ra, rb, err1, err2)
+	}
+	q := a.Automaton().Start()
+	for depth := 0; depth <= n; depth++ {
+		fa, ca, err1 := a.SubtreeSpanAt(n, pa[:depth])
+		fb, cb, err2 := b.SubtreeSpanAt(n, pa[:depth])
+		if err1 != nil || err2 != nil || fa.Cmp(fb) != 0 || ca.Cmp(cb) != 0 {
+			t.Fatalf("n=%d: SubtreeSpanAt(%v) = (%v, %v) / (%v, %v)", n, pa[:depth], fa, ca, fb, cb)
+		}
+		if depth == n {
+			break
+		}
+		ea, eb := a.EdgeCumAt(n, depth, q), b.EdgeCumAt(n, depth, q)
+		if len(ea) != len(eb) || len(ea) < 2 || ea[len(ea)-1].Cmp(ca) != 0 {
+			t.Fatalf("n=%d layer %d: EdgeCumAt %v / %v, subtree count %v", n, depth, ea, eb, ca)
+		}
+		for i := range ea {
+			if ea[i].Cmp(eb[i]) != 0 {
+				t.Fatalf("n=%d layer %d: EdgeCumAt %v / %v", n, depth, ea, eb)
+			}
+		}
+		q = a.edges[n-depth][q][pa[depth]].To
 	}
 }
 
@@ -401,17 +444,166 @@ func TestRangeEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
-// TestRandBigIntoExported: the exported zero-alloc entropy core matches
-// RandBig draw for draw (it is the same code path).
-func TestRandBigIntoExported(t *testing.T) {
-	a, b := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
-	max := big.NewInt(1000)
-	out := new(big.Int)
-	buf := make([]byte, 2)
-	for i := 0; i < 100; i++ {
-		sample.RandBigInto(a, max, out, buf)
-		if want := sample.RandBig(b, max); out.Cmp(want) != 0 {
-			t.Fatalf("draw %d: %v vs %v", i, out, want)
+// TestReturnedIntsAreFresh: no method hands out index-owned state —
+// mutating every *big.Int an index method returns and repeating the call
+// gives the original value — so cached indexes can be shared without a
+// do-not-mutate contract.
+func TestReturnedIntsAreFresh(t *testing.T) {
+	nfa, _ := automata.OverflowBoundary(2)
+	const lo, n, hi = 3, 5, 6
+	ri, err := Build(nfa, lo, hi, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := automata.Word{1, 0, 1, 1, 0}
+	calls := map[string]func() []*big.Int{
+		"TotalRange": func() []*big.Int { return []*big.Int{ri.TotalRange()} },
+		"TotalAt": func() []*big.Int {
+			v, _ := ri.TotalAt(n)
+			return []*big.Int{v}
+		},
+		"FirstRankOf": func() []*big.Int {
+			v, _ := ri.FirstRankOf(n)
+			return []*big.Int{v}
+		},
+		"SubtreeSpanAt": func() []*big.Int {
+			f, c, _ := ri.SubtreeSpanAt(n, []int{1, 0})
+			return []*big.Int{f, c}
+		},
+		"RankOfChoicesAt": func() []*big.Int {
+			v, _ := ri.RankOfChoicesAt(n, []int{1, 0, 1, 1, 0})
+			return []*big.Int{v}
+		},
+		"EdgeCumAt": func() []*big.Int { return ri.EdgeCumAt(n, 2, 0) },
+		"RankAt": func() []*big.Int {
+			v, _ := ri.RankAt(w)
+			return []*big.Int{v}
+		},
+		"RankRange": func() []*big.Int {
+			v, _ := ri.RankRange(w)
+			return []*big.Int{v}
+		},
+		"Rank": func() []*big.Int {
+			v, _ := ri.Rank(w)
+			return []*big.Int{v}
+		},
+		"SplitRank": func() []*big.Int {
+			_, v, _ := ri.SplitRank(big.NewInt(40))
+			return []*big.Int{v}
+		},
+	}
+	for name, call := range calls {
+		first := call()
+		want := make([]string, len(first))
+		for i, v := range first {
+			if v == nil {
+				t.Fatalf("%s: result %d is nil", name, i)
+			}
+			want[i] = v.String()
+			v.SetInt64(-12345)
 		}
+		for i, v := range call() {
+			if v.String() != want[i] {
+				t.Fatalf("%s: result %d reads %v after mutating an earlier result, want %s", name, i, v, want[i])
+			}
+		}
+	}
+	// Rank, Unrank and RankAt agree on the word: the forwarders are the
+	// range methods.
+	r, err := ri.Rank(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := ri.Unrank(r)
+	if err != nil || nfa.Alphabet().FormatWord(back) != nfa.Alphabet().FormatWord(w) {
+		t.Fatalf("Unrank(Rank(%v)) = %v, %v", w, back, err)
+	}
+}
+
+// TestPerLengthAccessorBounds: the per-length accessors reject lengths
+// outside the range and decisions outside a vertex's edge list, and
+// EdgeCumAt is nil off the DAG.
+func TestPerLengthAccessorBounds(t *testing.T) {
+	nfa, _ := automata.OverflowBoundary(2)
+	ri, err := Build(nfa, 3, 6, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ri.SubtreeSpanAt(2, nil); err == nil {
+		t.Fatal("SubtreeSpanAt below lo accepted")
+	}
+	if _, _, err := ri.SubtreeSpanAt(4, []int{0, 0, 0, 0, 0}); err == nil {
+		t.Fatal("SubtreeSpanAt with a path longer than n accepted")
+	}
+	if _, _, err := ri.SubtreeSpanAt(4, []int{0, 2}); err == nil {
+		t.Fatal("SubtreeSpanAt with an out-of-range decision accepted")
+	}
+	if _, err := ri.RankOfChoicesAt(4, []int{0, 1}); err == nil {
+		t.Fatal("RankOfChoicesAt with a short vector accepted")
+	}
+	if _, err := ri.RankOfChoicesAt(4, []int{0, 1, 0, 7}); err == nil {
+		t.Fatal("RankOfChoicesAt with an out-of-range decision accepted")
+	}
+	if _, err := ri.UnrankChoicesAt(7, big.NewInt(0)); err == nil {
+		t.Fatal("UnrankChoicesAt above hi accepted")
+	}
+	if _, err := ri.FirstRankOf(7); err == nil {
+		t.Fatal("FirstRankOf above hi accepted")
+	}
+	for _, c := range []struct{ n, t, q int }{{2, 0, 0}, {4, 4, 0}, {4, -1, 0}, {4, 1, 9}} {
+		if cum := ri.EdgeCumAt(c.n, c.t, c.q); cum != nil {
+			t.Fatalf("EdgeCumAt(%d, %d, %d) = %v, want nil", c.n, c.t, c.q, cum)
+		}
+	}
+	if cum := ri.EdgeCumAt(4, 0, -1); len(cum) != 3 || cum[2].Int64() != 16 {
+		t.Fatalf("EdgeCumAt at the start vertex = %v, want [0 8 16]", cum)
+	}
+}
+
+// TestSampleDistinctAt: k distinct witnesses of one length, each a
+// member, and the edge cases — k = 0, an empty length, k above the count.
+func TestSampleDistinctAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	nfa := automata.RandomDFA(rng, automata.Binary(), 6, 0.5)
+	ri, err := Build(nfa, 2, 7, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, _ := ri.TotalAt(7)
+	if total.Sign() == 0 {
+		t.Skip("empty length")
+	}
+	k := int(total.Int64())
+	ws, err := ri.SampleDistinctAt(7, k, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, w := range ws {
+		key := nfa.Alphabet().FormatWord(w)
+		if seen[key] || !nfa.Accepts(w) || len(w) != 7 {
+			t.Fatalf("draw %q: repeated, non-member or wrong length", key)
+		}
+		seen[key] = true
+	}
+	if len(seen) != k {
+		t.Fatalf("%d distinct draws, want %d", len(seen), k)
+	}
+	if _, err := ri.SampleDistinctAt(7, k+1, rng); err == nil {
+		t.Fatal("more distinct witnesses than |L_n| accepted")
+	}
+	if ws, err := ri.SampleDistinctAt(7, 0, rng); err != nil || ws != nil {
+		t.Fatalf("k = 0: %v, %v", ws, err)
+	}
+	if _, err := ri.SampleDistinctAt(9, 1, rng); err == nil {
+		t.Fatal("length outside the range accepted")
+	}
+	chain := automata.Chain(automata.Binary(), automata.Word{0, 1})
+	empty, err := Build(chain, 3, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := empty.SampleDistinctAt(3, 1, rng); err != ErrEmpty {
+		t.Fatalf("empty length: %v, want ErrEmpty", err)
 	}
 }

@@ -1,4 +1,4 @@
-package lengthrange
+package lengthrange_test
 
 import (
 	"fmt"
@@ -8,11 +8,15 @@ import (
 
 	"repro/internal/automata"
 	"repro/internal/enumerate"
+	"repro/internal/lengthrange"
 )
 
-// ufaFactory wires a RangeSession to the raw enumerate engine (core does
+// The range session lives in internal/enumerate; these tests drive it
+// over the range index, whose rank space it must follow word for word.
+
+// ufaFactory wires a range session to the raw enumerate engine (core does
 // the same through its session opener, with extra cursor-length checks).
-func ufaFactory(n *automata.NFA) SessionFactory {
+func ufaFactory(n *automata.NFA) enumerate.SessionFactory {
 	return func(length int, cursor string, seek *big.Int) (enumerate.Session, error) {
 		if cursor != "" {
 			return enumerate.Resume(n, cursor)
@@ -46,7 +50,7 @@ func TestRangeSessionLengthLex(t *testing.T) {
 		nfa := automata.RandomDFA(rng, automata.Binary(), 2+rng.Intn(5), 0.6)
 		lo, hi := rng.Intn(2), 3+rng.Intn(4)
 		fp := enumerate.Fingerprint(nfa)
-		rs, err := NewRangeSession(lo, hi, fp, ufaFactory(nfa))
+		rs, err := enumerate.NewRangeSession(lo, hi, fp, ufaFactory(nfa))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +77,7 @@ func TestRangeSessionLengthLex(t *testing.T) {
 			}
 		}
 		// Rank-for-rank agreement with the shared index.
-		ri, err := Build(nfa, lo, hi, 1)
+		ri, err := lengthrange.Build(nfa, lo, hi, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +104,7 @@ func TestRangeSessionResume(t *testing.T) {
 	nfa := automata.All(automata.Binary())
 	lo, hi := 0, 3
 	fp := enumerate.Fingerprint(nfa)
-	full, err := NewRangeSession(lo, hi, fp, ufaFactory(nfa))
+	full, err := enumerate.NewRangeSession(lo, hi, fp, ufaFactory(nfa))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +114,7 @@ func TestRangeSessionResume(t *testing.T) {
 		t.Fatalf("union size %d, want 15", len(want))
 	}
 	for k := 0; k <= len(want); k++ {
-		rs, err := NewRangeSession(lo, hi, fp, ufaFactory(nfa))
+		rs, err := enumerate.NewRangeSession(lo, hi, fp, ufaFactory(nfa))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,11 +124,11 @@ func TestRangeSessionResume(t *testing.T) {
 		if !ok {
 			t.Fatalf("k=%d: session not resumable", k)
 		}
-		c, err := ParseRangeToken(tok)
+		c, err := enumerate.ParseRangeToken(tok)
 		if err != nil {
 			t.Fatalf("k=%d: token rejected: %v", k, err)
 		}
-		resumed, err := ResumeRangeSession(c, fp, ufaFactory(nfa))
+		resumed, err := enumerate.ResumeRangeSession(c, fp, ufaFactory(nfa))
 		if err != nil {
 			t.Fatalf("k=%d: resume failed: %v", k, err)
 		}
@@ -148,11 +152,11 @@ func TestRangeSessionSeek(t *testing.T) {
 	nfa := automata.All(automata.Binary())
 	lo, hi := 1, 4
 	fp := enumerate.Fingerprint(nfa)
-	ri, err := Build(nfa, lo, hi, 1)
+	ri, err := lengthrange.Build(nfa, lo, hi, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := NewRangeSession(lo, hi, fp, ufaFactory(nfa))
+	full, err := enumerate.NewRangeSession(lo, hi, fp, ufaFactory(nfa))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +167,7 @@ func TestRangeSessionSeek(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := NewRangeSessionAt(lo, hi, n, within, fp, ufaFactory(nfa))
+		rs, err := enumerate.NewRangeSessionAt(lo, hi, n, within, fp, ufaFactory(nfa))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +189,7 @@ func TestRangeSessionSeek(t *testing.T) {
 func TestRangeTokenValidation(t *testing.T) {
 	nfa := automata.All(automata.Binary())
 	fp := enumerate.Fingerprint(nfa)
-	rs, err := NewRangeSession(1, 3, fp, ufaFactory(nfa))
+	rs, err := enumerate.NewRangeSession(1, 3, fp, ufaFactory(nfa))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,22 +197,22 @@ func TestRangeTokenValidation(t *testing.T) {
 	tok, _ := rs.Token()
 	rs.Close()
 
-	if !IsRangeToken(tok) {
+	if !enumerate.IsRangeToken(tok) {
 		t.Fatalf("minted token %q not recognized as range kind", tok)
 	}
-	c, err := ParseRangeToken(tok)
+	c, err := enumerate.ParseRangeToken(tok)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Round trip.
-	c2, err := ParseRangeToken(c.Token())
+	c2, err := enumerate.ParseRangeToken(c.Token())
 	if err != nil || c2 != c {
 		t.Fatalf("round trip %+v -> %+v (%v)", c, c2, err)
 	}
 	// Wrong envelope fingerprint fails before the factory runs.
 	bad := c
 	bad.FP++
-	if _, err := ResumeRangeSession(bad, fp, func(int, string, *big.Int) (enumerate.Session, error) {
+	if _, err := enumerate.ResumeRangeSession(bad, fp, func(int, string, *big.Int) (enumerate.Session, error) {
 		t.Fatal("factory must not run on fingerprint mismatch")
 		return nil, nil
 	}); err == nil {
@@ -217,7 +221,7 @@ func TestRangeTokenValidation(t *testing.T) {
 	// Inner token forged against another automaton fails inside the
 	// factory's own validation.
 	other, _ := automata.PaperExample()
-	if _, err := ResumeRangeSession(c, enumerate.Fingerprint(other), ufaFactory(other)); err == nil {
+	if _, err := enumerate.ResumeRangeSession(c, enumerate.Fingerprint(other), ufaFactory(other)); err == nil {
 		t.Fatal("cross-automaton envelope accepted")
 	}
 	// Malformed payloads.
@@ -225,22 +229,22 @@ func TestRangeTokenValidation(t *testing.T) {
 		"", "el1:R:", "el1:R:!!!", "el1:q:AAAA", "el2:R:AAAA",
 		"el1:R:AAAA", // truncated varints / bad state
 	} {
-		if _, err := ParseRangeToken(garbage); err == nil {
+		if _, err := enumerate.ParseRangeToken(garbage); err == nil {
 			t.Fatalf("garbage token %q accepted", garbage)
 		}
 	}
 	// Inconsistent bounds: cur outside [lo, hi].
-	forged := RangeCursor{FP: fp, Lo: 2, Hi: 5, Cur: 1, Inner: "x"}
-	if _, err := ParseRangeToken(forged.Token()); err == nil {
+	forged := enumerate.RangeCursor{FP: fp, Lo: 2, Hi: 5, Cur: 1, Inner: "x"}
+	if _, err := enumerate.ParseRangeToken(forged.Token()); err == nil {
 		t.Fatal("cur < lo accepted")
 	}
 	// Done tokens round trip and resume to an exhausted session.
-	doneTok := RangeCursor{FP: fp, Lo: 1, Hi: 3, Cur: 3, Done: true}.Token()
-	dc, err := ParseRangeToken(doneTok)
+	doneTok := enumerate.RangeCursor{FP: fp, Lo: 1, Hi: 3, Cur: 3, Done: true}.Token()
+	dc, err := enumerate.ParseRangeToken(doneTok)
 	if err != nil || !dc.Done {
 		t.Fatalf("done token: %+v (%v)", dc, err)
 	}
-	ds, err := ResumeRangeSession(dc, fp, ufaFactory(nfa))
+	ds, err := enumerate.ResumeRangeSession(dc, fp, ufaFactory(nfa))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +267,7 @@ func TestRangeSessionErrorNoDoneToken(t *testing.T) {
 		}
 		return inner(length, cursor, seek)
 	}
-	rs, err := NewRangeSession(1, 3, fp, failing)
+	rs, err := enumerate.NewRangeSession(1, 3, fp, failing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,13 +297,13 @@ func TestRangeSessionTokenAfterClose(t *testing.T) {
 	nfa := automata.All(automata.Binary())
 	lo, hi := 0, 3
 	fp := enumerate.Fingerprint(nfa)
-	full, err := NewRangeSession(lo, hi, fp, ufaFactory(nfa))
+	full, err := enumerate.NewRangeSession(lo, hi, fp, ufaFactory(nfa))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := drainRange(nfa, full, 0)
 	full.Close()
-	rs, err := NewRangeSession(lo, hi, fp, ufaFactory(nfa))
+	rs, err := enumerate.NewRangeSession(lo, hi, fp, ufaFactory(nfa))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,14 +313,14 @@ func TestRangeSessionTokenAfterClose(t *testing.T) {
 	if !ok {
 		t.Fatal("Token after Close answered ok=false")
 	}
-	c, err := ParseRangeToken(tok)
+	c, err := enumerate.ParseRangeToken(tok)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Done {
 		t.Fatalf("partly drained session minted a done token %q after Close", tok)
 	}
-	resumed, err := ResumeRangeSession(c, fp, ufaFactory(nfa))
+	resumed, err := enumerate.ResumeRangeSession(c, fp, ufaFactory(nfa))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +353,7 @@ func TestRangeSessionStatsAfterDrain(t *testing.T) {
 		}
 		return e.Stream(enumerate.StreamOptions{Workers: 2, Ordered: true}), nil
 	}
-	rs, err := NewRangeSession(1, 3, fp, parallel)
+	rs, err := enumerate.NewRangeSession(1, 3, fp, parallel)
 	if err != nil {
 		t.Fatal(err)
 	}

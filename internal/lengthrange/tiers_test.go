@@ -130,8 +130,8 @@ func TestRangeTierDifferentialGrid(t *testing.T) {
 // TestRangeTierOverflowMidIndex: a range of the OverflowBoundary family
 // that straddles 2^64 must widen to two limbs on its own, stay bitwise
 // consistent with closed-form totals (sigma^n) and base-sigma rank
-// semantics, and agree with a one-limb countdag index on the lengths
-// below the straddle — the cross-width, cross-engine check.
+// semantics, and agree with the one-limb single-length [n, n] index on
+// the lengths below the straddle — the cross-width, cross-range check.
 func TestRangeTierOverflowMidIndex(t *testing.T) {
 	// Pin the hook to its default: this test is about the automatic
 	// widening.
@@ -163,10 +163,13 @@ func TestRangeTierOverflowMidIndex(t *testing.T) {
 	}
 
 	// Lengths below the straddle are word-sized in isolation: the
-	// single-length engine serves them at one limb, and the two engines
+	// single-length index serves them at one limb, and the two indexes
 	// must agree bitwise across the widths.
 	for n := lo; n < straddle; n++ {
-		idx := perLengthIndex(t, nfa, n)
+		idx, err := Build(nfa, n, n, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if idx.Width() != 1 {
 			t.Fatalf("n=%d: per-length index below straddle has width %d", n, idx.Width())
 		}
@@ -178,17 +181,17 @@ func TestRangeTierOverflowMidIndex(t *testing.T) {
 		}
 		for _, r := range probes {
 			a, err1 := ri.UnrankAt(n, r)
-			b, err2 := idx.Unrank(r)
+			b, err2 := idx.UnrankAt(n, r)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("n=%d rank %v: %v / %v", n, r, err1, err2)
 			}
 			if nfa.Alphabet().FormatWord(a) != nfa.Alphabet().FormatWord(b) {
-				t.Fatalf("n=%d rank %v: range (two limbs) and countdag (one limb) disagree", n, r)
+				t.Fatalf("n=%d rank %v: range (two limbs) and [n, n] (one limb) disagree", n, r)
 			}
 			ra, err1 := ri.RankAt(a)
-			rb, err2 := idx.Rank(b)
+			rb, err2 := idx.RankAt(b)
 			if err1 != nil || err2 != nil || ra.Cmp(rb) != 0 || ra.Cmp(r) != 0 {
-				t.Fatalf("n=%d rank %v: RankAt %v, countdag %v (%v/%v)", n, r, ra, rb, err1, err2)
+				t.Fatalf("n=%d rank %v: RankAt %v, [n, n] %v (%v/%v)", n, r, ra, rb, err1, err2)
 			}
 		}
 	}

@@ -1,5 +1,5 @@
-// Package limb owns the count format of the exact counting indexes
-// (internal/countdag, internal/lengthrange): a count is k little-endian
+// Package limb owns the count format of the exact counting index
+// (internal/lengthrange): a count is k little-endian
 // uint64 limbs, with the width k fixed per index. Path counts grow like
 // |Σ|^n, so an index cannot know its width before it has counted; Fit
 // runs a sweep at the narrowest width and reruns it at twice the width

@@ -47,7 +47,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/enumerate"
 	"repro/internal/instcache"
-	"repro/internal/lengthrange"
 )
 
 // DefaultPageLimit caps an enum page when the request does not set one:
@@ -292,7 +291,7 @@ func (s *Server) prepare(req *Request) (*instanceRequest, int, error) {
 		length = ir.hi
 	case req.N != nil:
 		length = *req.N
-	case lengthrange.IsRangeToken(req.Cursor):
+	case enumerate.IsRangeToken(req.Cursor):
 		// An el1:R: cursor carries its own (fingerprint-validated) range;
 		// the instance length is irrelevant on that path.
 	default:
@@ -412,7 +411,7 @@ func (s *Server) handleEnum(ctx context.Context, w http.ResponseWriter, ir *inst
 	switch {
 	case ir.rangeMode:
 		sess, err = inst.EnumerateRange(ir.lo, ir.hi, opts)
-	case lengthrange.IsRangeToken(req.Cursor):
+	case enumerate.IsRangeToken(req.Cursor):
 		sess, err = inst.EnumerateRangeFrom(req.Cursor, opts)
 	default:
 		sess, err = inst.Enumerate(opts)

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/automata"
-	"repro/internal/countdag"
 	"repro/internal/enumerate"
 	"repro/internal/exact"
 	"repro/internal/lengthrange"
@@ -25,9 +24,9 @@ var updateExactGolden = flag.Bool("update", false, "rewrite testdata/golden_exac
 
 const exactGoldenPath = "testdata/golden_exact.txt"
 
-// exactCase is one pinned instance of the exact engines: the countdag
-// index (and everything built on it) at length n, and the lengthrange
-// index over [lo, hi].
+// exactCase is one pinned instance of the exact engines: the counting
+// index over the single length [n, n] (and everything built on it), and
+// the index over [lo, hi].
 type exactCase struct {
 	name   string
 	nfa    *automata.NFA
@@ -225,25 +224,27 @@ func exactRecord(t *testing.T, c exactCase) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "case %s states=%d sigma=%d n=%d range=[%d,%d]\n", c.name, c.nfa.NumStates(), c.nfa.Alphabet().Size(), c.n, c.lo, c.hi)
 
-	dag, err := unroll.Build(c.nfa, c.n, unroll.Options{PruneBackward: true})
+	idx, err := lengthrange.Build(c.nfa, c.n, c.n, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := countdag.Build(dag, 2)
-	total := idx.Total()
+	total := idx.TotalRange()
 	fmt.Fprintf(&b, "total %v\n", total)
 	for _, r := range goldenRanks(total) {
-		w, err := idx.Unrank(r)
+		w, err := idx.UnrankAt(c.n, r)
 		if err != nil {
 			t.Fatalf("%s: Unrank(%v): %v", c.name, r, err)
 		}
-		rk, err := idx.Rank(w)
+		rk, err := idx.RankAt(w)
 		if err != nil {
 			t.Fatalf("%s: Rank: %v", c.name, err)
 		}
 		fmt.Fprintf(&b, "unrank %v %s rank %v\n", r, digits(w), rk)
 	}
-	s := sample.NewUFASamplerIndex(c.nfa, idx)
+	s, err := sample.NewUFASampler(c.nfa, c.n)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, w := range []int{1, 4} {
 		ws, err := s.SampleMany(0x5EED, 3, 64, w)
 		b.WriteString(streamLine(fmt.Sprintf("sampleMany w=%d", w), ws, err))
@@ -270,6 +271,11 @@ func exactRecord(t *testing.T, c exactCase) string {
 		b.WriteString(streamLine("sample", ws, err))
 	}
 	if c.n > 0 && total.Sign() > 0 {
+		// Decision paths of the enumerator's own unrolled DAG.
+		dag, err := unroll.Build(c.nfa, c.n, unroll.Options{PruneBackward: true})
+		if err != nil {
+			t.Fatal(err)
+		}
 		starts := dag.StartSuccs()
 		for _, i := range []int{0, len(starts) - 1} {
 			paths := [][]int{{i}}
@@ -278,7 +284,7 @@ func exactRecord(t *testing.T, c exactCase) string {
 				paths = append(paths, []int{i, 0}, []int{i, next - 1})
 			}
 			for _, p := range paths {
-				first, count, err := idx.SubtreeSpan(p)
+				first, count, err := idx.SubtreeSpanAt(c.n, p)
 				if err != nil {
 					t.Fatalf("%s: SubtreeSpan(%v): %v", c.name, p, err)
 				}
@@ -370,7 +376,7 @@ func exactRecord(t *testing.T, c exactCase) string {
 		b.WriteString(streamLine("range sample", ws, err))
 	}
 	fp := enumerate.Fingerprint(c.nfa)
-	sess, err := lengthrange.NewRangeSession(c.lo, c.hi, fp, func(length int, cursor string, seek *big.Int) (enumerate.Session, error) {
+	sess, err := enumerate.NewRangeSession(c.lo, c.hi, fp, func(length int, cursor string, seek *big.Int) (enumerate.Session, error) {
 		if cursor != "" {
 			return enumerate.Resume(c.nfa, cursor)
 		}
@@ -389,12 +395,13 @@ func exactRecord(t *testing.T, c exactCase) string {
 }
 
 // TestExactGolden pins the exact engines' output — counts, ranks, words,
-// sample streams, steal splits and resume tokens of countdag, sample,
-// enumerate and lengthrange — against testdata/golden_exact.txt. The
-// cross-width suites compare two builds of the same code, so only this
-// test fails when a rewrite of the sweep, the descent or the draw changes
-// an output bit. Regenerate with -update only for a change meant to alter
-// the output.
+// sample streams, steal splits and resume tokens of the counting index
+// (single-length and range), sample and enumerate — against
+// testdata/golden_exact.txt, recorded when single lengths still had their
+// own DAG-based index (internal/countdag). The cross-width suites compare
+// two builds of the same code, so only this test fails when a rewrite of
+// the sweep, the descent or the draw changes an output bit. Regenerate
+// with -update only for a change meant to alter the output.
 func TestExactGolden(t *testing.T) {
 	var got strings.Builder
 	for _, c := range exactCases(t) {

@@ -3,8 +3,8 @@
 // Σⁿ enumeration with direct membership simulation, exact counting by
 // explicit listing, and rank-by-position. It is deliberately exponential
 // and deliberately independent of the production code paths — it shares
-// no DAG, no counting table and no prefix-sum logic with countdag,
-// enumerate, sample or lengthrange, so a bug in those layers cannot
+// no DAG, no counting table and no prefix-sum logic with lengthrange,
+// enumerate or sample, so a bug in those layers cannot
 // cancel out of a comparison. Use it only at small sizes (|Σ|ⁿ words are
 // materialized).
 //

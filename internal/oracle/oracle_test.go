@@ -7,13 +7,11 @@ import (
 	"testing"
 
 	"repro/internal/automata"
-	"repro/internal/countdag"
 	"repro/internal/enumerate"
 	"repro/internal/exact"
 	"repro/internal/lengthrange"
 	"repro/internal/sample"
 	"repro/internal/stats"
-	"repro/internal/unroll"
 )
 
 // The differential grid: seeds 1..20, witness lengths ≤ 8, small state
@@ -94,8 +92,9 @@ func TestOracleVsFlashlight(t *testing.T) {
 }
 
 // TestOracleVsCountdag: Algorithm 1's enumeration is a permutation of the
-// oracle set, and the counting index's Total/Rank/Unrank are consistent
-// with both the oracle set and the engine's own order.
+// oracle set, and the single-length counting index [n, n] (the former
+// countdag index) is consistent with both the oracle set and the engine's
+// own order — as is a wider [lo, hi] index at length n, rank for rank.
 func TestOracleVsCountdag(t *testing.T) {
 	for seed := int64(1); seed <= maxSeed; seed++ {
 		n := gridLength(seed)
@@ -114,35 +113,40 @@ func TestOracleVsCountdag(t *testing.T) {
 				t.Fatalf("seed %d: enumerated non-member %q", seed, w)
 			}
 		}
-		dag, err := unroll.Build(ufa, n, unroll.Options{PruneBackward: true})
+		idx, err := lengthrange.Build(ufa, n, n, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx := countdag.Build(dag, 2)
-		if idx.Total().Cmp(Count(ufa, n)) != 0 {
-			t.Fatalf("seed %d: countdag total %v, oracle %v", seed, idx.Total(), Count(ufa, n))
+		wide, err := lengthrange.Build(ufa, max(n-2, 0), n+1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if idx.TotalRange().Cmp(Count(ufa, n)) != 0 {
+			t.Fatalf("seed %d: [n, n] total %v, oracle %v", seed, idx.TotalRange(), Count(ufa, n))
 		}
 		for i, w := range got {
-			u, err := idx.Unrank(big.NewInt(int64(i)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ufa.Alphabet().FormatWord(u) != w {
-				t.Fatalf("seed %d: Unrank(%d) = %q, engine order %q", seed, i, ufa.Alphabet().FormatWord(u), w)
-			}
-			r, err := idx.Rank(u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.Int64() != int64(i) {
-				t.Fatalf("seed %d: Rank(Unrank(%d)) = %v", seed, i, r)
+			for _, x := range []*lengthrange.RangeIndex{idx, wide} {
+				u, err := x.UnrankAt(n, big.NewInt(int64(i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ufa.Alphabet().FormatWord(u) != w {
+					t.Fatalf("seed %d [%d, %d]: UnrankAt(%d) = %q, engine order %q", seed, x.Lo(), x.Hi(), i, ufa.Alphabet().FormatWord(u), w)
+				}
+				r, err := x.RankAt(u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Int64() != int64(i) {
+					t.Fatalf("seed %d [%d, %d]: RankAt(UnrankAt(%d)) = %v", seed, x.Lo(), x.Hi(), i, r)
+				}
 			}
 		}
-		// Every oracle non-member must be rejected by Rank.
+		// Every oracle non-member must be rejected by RankAt.
 		probe := make(automata.Word, n)
 		if !want[ufa.Alphabet().FormatWord(probe)] {
-			if _, err := idx.Rank(probe); err == nil {
-				t.Fatalf("seed %d: Rank accepted non-member", seed)
+			if _, err := idx.RankAt(probe); err == nil {
+				t.Fatalf("seed %d: RankAt accepted non-member", seed)
 			}
 		}
 	}
@@ -252,7 +256,7 @@ func TestOracleVsLengthRange(t *testing.T) {
 		}
 		// The chained session (parallel per length) emits exactly the union.
 		fp := enumerate.Fingerprint(ufa)
-		rs, err := lengthrange.NewRangeSession(lo, hi, fp, func(length int, cursor string, seek *big.Int) (enumerate.Session, error) {
+		rs, err := enumerate.NewRangeSession(lo, hi, fp, func(length int, cursor string, seek *big.Int) (enumerate.Session, error) {
 			if cursor != "" {
 				return enumerate.Resume(ufa, cursor)
 			}

@@ -8,12 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/automata"
-	"repro/internal/countdag"
 	"repro/internal/enumerate"
 	"repro/internal/lengthrange"
 	"repro/internal/limb"
-	"repro/internal/sample"
-	"repro/internal/unroll"
 )
 
 // TestOracleGridBothTiers replays the differential grid at the natural
@@ -43,24 +40,23 @@ func widthTranscript(t *testing.T, seed int64, k int) string {
 	alpha := ufa.Alphabet()
 	var sb strings.Builder
 
-	dag, err := unroll.Build(ufa, n, unroll.Options{PruneBackward: true})
+	idx, err := lengthrange.Build(ufa, n, n, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := countdag.Build(dag, 2)
 	if idx.Width() != k {
 		t.Fatalf("seed %d: width %d, want %d", seed, idx.Width(), k)
 	}
-	fmt.Fprintf(&sb, "total=%v\n", idx.Total())
+	fmt.Fprintf(&sb, "total=%v\n", idx.TotalRange())
 
 	// Every word by rank, with a rank round-trip.
 	var r big.Int
-	for i := int64(0); r.SetInt64(i).Cmp(idx.Total()) < 0; i++ {
-		w, err := idx.Unrank(&r)
+	for i := int64(0); r.SetInt64(i).Cmp(idx.TotalRange()) < 0; i++ {
+		w, err := idx.UnrankAt(n, &r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rk, err := idx.Rank(w)
+		rk, err := idx.RankAt(w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,18 +112,17 @@ func widthTranscript(t *testing.T, seed int64, k int) string {
 		rs.Close()
 	}
 
-	// Seeded sample streams through the index sampler.
-	if idx.Total().Sign() > 0 {
-		s := sample.NewUFASamplerIndex(ufa, idx)
+	// Seeded sample streams through the index.
+	if idx.TotalRange().Sign() > 0 {
 		rng := rand.New(rand.NewSource(seed * 11))
 		for d := 0; d < 30; d++ {
-			w, err := s.Sample(rng)
+			w, err := idx.Sample(rng)
 			if err != nil {
 				t.Fatal(err)
 			}
 			fmt.Fprintf(&sb, "s=%s\n", alpha.FormatWord(w))
 		}
-		ds := s.NewDrawSession(rand.New(rand.NewSource(seed * 13)))
+		ds := idx.NewDrawSession(rand.New(rand.NewSource(seed * 13)))
 		for d := 0; d < 30; d++ {
 			w, err := ds.Sample()
 			if err != nil {
@@ -166,7 +161,7 @@ func widthTranscript(t *testing.T, seed int64, k int) string {
 		}
 	}
 	fp := enumerate.Fingerprint(ufa)
-	sess, err := lengthrange.NewRangeSession(lo, n, fp, func(length int, cursor string, seek *big.Int) (enumerate.Session, error) {
+	sess, err := enumerate.NewRangeSession(lo, n, fp, func(length int, cursor string, seek *big.Int) (enumerate.Session, error) {
 		if cursor != "" {
 			return enumerate.Resume(ufa, cursor)
 		}

@@ -1,23 +1,22 @@
 // Package sample implements exact uniform generation of witnesses for
 // unambiguous automata — the GEN(MEM-UFA) algorithm of §5.3.3 of the paper
-// — rebuilt around the ranked counting index of internal/countdag: a draw
-// is one uniform random rank in [0, |W|) followed by one Unrank walk that
-// binary-searches the index's frozen per-edge prefix sums, O(n·log Δ)
+// — on the ranked counting index of internal/lengthrange: a draw is one
+// uniform random rank in [0, |W|) followed by one unrank walk that
+// searches the index's frozen per-edge prefix sums, O(n·log Δ)
 // comparisons and O(1) allocations per draw (none at all through a
 // DrawSession). The comparisons run on the index's k-limb counts (one
-// machine word in the common case; see countdag's memory model), and the
-// rank draw (limb.Draw) consumes RandBigInto's entropy exactly, so a
-// draw stream is bitwise the same at every limb width. Uniform ranks are
-// uniform witnesses exactly — no approximation for the unambiguous class
-// (Theorem 5).
+// machine word in the common case), and the rank draw (limb.Draw)
+// consumes RandBigInto's entropy exactly, so a draw stream is bitwise the
+// same at every limb width. Uniform ranks are uniform witnesses exactly —
+// no approximation for the unambiguous class (Theorem 5).
 //
 // Three samplers are provided, fastest first:
 //
 //   - UFASampler: the index-backed sampler (Sample/SampleDistinct/
 //     SampleMany, plus the Rank/Unrank random access the index gives for
-//     free). NewUFASampler builds the index once; NewUFASamplerIndex
-//     wraps an index that is already built, which is how core shares one
-//     index between counting, sampling and enumeration.
+//     free). NewUFASampler verifies unambiguity and builds the
+//     single-length index [n, n]; every draw, batch and draw session is
+//     the index's own.
 //
 //   - WalkSampler: the pre-index reference — the §5.3.3 completion-count
 //     walk that re-derives the residual counts edge by edge on every draw
@@ -34,35 +33,30 @@
 //
 // # Concurrency
 //
-// A sampler only reads its frozen index (see the countdag package comment
-// for the sharing contract), so one UFASampler may be shared by any number
-// of goroutines as long as each call brings its own rng — and each
-// DrawSession, which additionally owns reusable scratch, belongs to one
-// goroutine. SampleMany fans chunked draws across workers with
+// A sampler only reads its frozen index, so one UFASampler may be shared
+// by any number of goroutines as long as each call brings its own rng —
+// and each DrawSession, which additionally owns reusable scratch, belongs
+// to one goroutine. SampleMany fans chunked draws across workers with
 // per-chunk seed-derived RNG streams: the batch is a function of
 // (seed, stream, k) alone, bitwise identical for every worker count.
 package sample
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/big"
 	"math/rand"
 
 	"repro/internal/automata"
-	"repro/internal/countdag"
 	"repro/internal/exact"
-	"repro/internal/faultinject"
-	"repro/internal/limb"
-	"repro/internal/par"
+	"repro/internal/lengthrange"
 	"repro/internal/selfreduce"
-	"repro/internal/unroll"
 )
 
 // ErrEmpty is returned when the witness set is empty — the paper's ⊥
-// answer.
-var ErrEmpty = errors.New("sample: witness set is empty")
+// answer. It is the index's own sentinel, so errors from either package
+// compare equal.
+var ErrEmpty = lengthrange.ErrEmpty
 
 // RandBig returns a uniformly random integer in [0, max) using rng as the
 // entropy source. max must be positive.
@@ -78,8 +72,8 @@ func RandBig(rng *rand.Rand, max *big.Int) *big.Int {
 
 // RandBigInto is the allocation-free core of RandBig: it fills out with a
 // uniform value in [0, max) using buf (len ≥ ⌈max.BitLen()/8⌉) as scratch.
-// Exported for sampling sessions outside this package (the lengthrange
-// draw session) that need zero-allocation repeated draws.
+// limb.Draw reproduces its byte stream for the counting index's
+// zero-allocation draws.
 func RandBigInto(rng *rand.Rand, max, out *big.Int, buf []byte) {
 	bits := max.BitLen()
 	bytes := (bits + 7) / 8
@@ -97,39 +91,40 @@ func RandBigInto(rng *rand.Rand, max, out *big.Int, buf []byte) {
 	}
 }
 
-// UFASampler draws uniform elements of L_n(N) for an unambiguous N through
-// the ranked counting index: rank-space is [0, |W|), a draw is
-// Unrank(uniform rank).
+// UFASampler draws uniform elements of L_n(N) for an unambiguous N
+// through the single-length counting index: rank-space is [0, |W|), a
+// draw is the unrank of a uniform rank.
 type UFASampler struct {
-	n      *automata.NFA
 	length int
-	idx    *countdag.Index
+	idx    *lengthrange.RangeIndex
 }
 
-// NewUFASampler prepares a sampler for L_length(n), building the unrolled
-// DAG and its counting index (serially; pass an index built with workers
-// through NewUFASamplerIndex to parallelize or share the precomputation).
-// The automaton must be ε-free and unambiguous; unambiguity is verified
-// (it is cheap relative to repeated sampling) and an error is returned
-// otherwise, because sampling an ambiguous automaton this way would be
-// biased toward high-ambiguity strings.
+// NewUFASampler prepares a sampler for L_length(n), building the counting
+// index over [length, length] serially. The automaton must be ε-free and
+// unambiguous; unambiguity is verified (it is cheap relative to repeated
+// sampling) and an error is returned otherwise, because sampling an
+// ambiguous automaton this way would be biased toward high-ambiguity
+// strings.
 func NewUFASampler(n *automata.NFA, length int) (*UFASampler, error) {
 	if err := checkUFA(n, length); err != nil {
 		return nil, err
 	}
-	dag, err := unroll.Build(n, length, unroll.Options{PruneBackward: true})
+	idx, err := lengthrange.Build(n, length, length, 1)
 	if err != nil {
 		return nil, err
 	}
-	return &UFASampler{n: n, length: length, idx: countdag.Build(dag, 1)}, nil
+	return &UFASampler{length: length, idx: idx}, nil
 }
 
-// NewUFASamplerIndex wraps an already-built counting index (over the
-// backward-pruned unrolling of n to depth idx.N()). The automaton must be
-// the one the index was built on; unambiguity remains the caller's
-// contract here — core verifies it once at instance construction.
-func NewUFASamplerIndex(n *automata.NFA, idx *countdag.Index) *UFASampler {
-	return &UFASampler{n: n, length: idx.N(), idx: idx}
+// NewUFASamplerIndex wraps an already-built single-length index (its
+// range is [n, n]); unambiguity of its automaton is the caller's
+// contract.
+//
+// Deprecated: draw from the index itself (RangeIndex.SampleManyCtx and
+// friends). The serving benchmark (perfbench, a separate module whose
+// mirror still calls it) keeps it alive until the benchmark changes.
+func NewUFASamplerIndex(n *automata.NFA, idx *lengthrange.RangeIndex) *UFASampler {
+	return &UFASampler{length: idx.Hi(), idx: idx}
 }
 
 // checkUFA validates the sampler's preconditions.
@@ -147,20 +142,20 @@ func checkUFA(n *automata.NFA, length int) error {
 }
 
 // Index exposes the underlying counting index (for rank-seek enumeration
-// and diagnostics). Shared and frozen; see countdag for the contract.
-func (s *UFASampler) Index() *countdag.Index { return s.idx }
+// and diagnostics). Shared and frozen; see lengthrange for the contract.
+func (s *UFASampler) Index() *lengthrange.RangeIndex { return s.idx }
 
-// Count returns |L_n(N)| (exact). The caller owns the copy.
-func (s *UFASampler) Count() *big.Int { return new(big.Int).Set(s.idx.Total()) }
+// Count returns |L_n(N)| (exact). The caller owns the result.
+func (s *UFASampler) Count() *big.Int { return s.idx.TotalRange() }
 
 // Rank returns the index of w in the enumeration order of Algorithm 1, or
-// an error wrapping countdag.ErrNotMember when w is not a witness.
-func (s *UFASampler) Rank(w automata.Word) (*big.Int, error) { return s.idx.Rank(w) }
+// an error wrapping lengthrange.ErrNotMember when w is not a witness.
+func (s *UFASampler) Rank(w automata.Word) (*big.Int, error) { return s.idx.RankAt(w) }
 
 // Unrank returns the witness at the given rank (0-based, enumeration
 // order) — uniform generation's deterministic sibling: Sample is
 // Unrank(RandBig(total)).
-func (s *UFASampler) Unrank(r *big.Int) (automata.Word, error) { return s.idx.Unrank(r) }
+func (s *UFASampler) Unrank(r *big.Int) (automata.Word, error) { return s.idx.UnrankAt(s.length, r) }
 
 // Sample returns a uniformly random word of L_n(N), or ErrEmpty when the
 // slice is empty. It never fails otherwise (Theorem 5's generator is
@@ -168,147 +163,33 @@ func (s *UFASampler) Unrank(r *big.Int) (automata.Word, error) { return s.idx.Un
 // word is freshly allocated. Safe for concurrent use as long as each call
 // brings its own rng (a *rand.Rand is not concurrency-safe); batch callers
 // should prefer a DrawSession (zero allocations per draw) or SampleMany.
-func (s *UFASampler) Sample(rng *rand.Rand) (automata.Word, error) {
-	if s.idx.Total().Sign() == 0 {
-		return nil, ErrEmpty
-	}
-	var buf [4]uint64
-	w := make(automata.Word, s.length)
-	if err := s.idx.Draw(rng, limb.Scratch(buf[:], s.idx.Width()), w); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
+func (s *UFASampler) Sample(rng *rand.Rand) (automata.Word, error) { return s.idx.Sample(rng) }
 
-// SampleDistinct draws k distinct witnesses uniformly without replacement,
-// by rejection in rank-space: ranks are drawn uniformly and repeats
-// discarded, so the result is a uniform k-subset of L_n(N) (in draw
-// order). k > |W| returns ErrEmpty when the slice is empty, else an error.
-// Rejection is cheap while k ≤ |W|/2 and degrades gracefully (coupon-
-// collector) as k approaches |W|.
+// SampleDistinct draws k distinct witnesses uniformly without replacement
+// (RangeIndex.SampleDistinctAt: rejection in rank-space).
 func (s *UFASampler) SampleDistinct(k int, rng *rand.Rand) ([]automata.Word, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	total := s.idx.Total()
-	if total.Sign() == 0 {
-		return nil, ErrEmpty
-	}
-	if total.Cmp(big.NewInt(int64(k))) < 0 {
-		return nil, fmt.Errorf("sample: %d distinct witnesses requested but |W| = %v", k, total)
-	}
-	out := make([]automata.Word, 0, k)
-	seen := make(map[string]struct{}, k)
-	r := new(big.Int)
-	buf := make([]byte, (total.BitLen()+7)/8)
-	for len(out) < k {
-		RandBigInto(rng, total, r, buf)
-		key := string(r.Bytes())
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		w, err := s.idx.Unrank(r)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, w)
-	}
-	return out, nil
+	return s.idx.SampleDistinctAt(s.length, k, rng)
 }
-
-// sampleChunk is the number of draws one seed-derived RNG stream covers in
-// SampleMany: fixed (not worker-dependent) so the batch is identical for
-// every worker count.
-const sampleChunk = 64
 
 // SampleMany draws k independent uniform witnesses across up to `workers`
-// goroutines (≤ 1 = serial). Draw chunks of sampleChunk consecutive
-// indices share one RNG stream derived from (seed, stream, chunk) via
-// par.StreamRNG, so the batch depends on (seed, stream, k) only — bitwise
-// identical for every worker count — and each chunk reuses one
-// DrawSession's scratch, so the per-draw cost is one rank draw, one unrank
-// walk and the one retained word allocation.
+// goroutines (≤ 1 = serial), in fixed chunks with seed-derived RNG
+// streams: the batch depends on (seed, stream, k) only — bitwise
+// identical for every worker count (RangeIndex.SampleMany).
 func (s *UFASampler) SampleMany(seed int64, stream uint64, k, workers int) ([]automata.Word, error) {
-	return s.SampleManyCtx(nil, seed, stream, k, workers)
+	return s.idx.SampleMany(seed, stream, k, workers)
 }
 
-// SampleManyCtx is SampleMany with cooperative cancellation: a non-nil
-// ctx is checked at every chunk boundary (the faultinject sample.chunk
-// site), never inside a chunk, so the zero-alloc draw loop is untouched.
-// A successful call's batch is bitwise identical to SampleMany's for
-// every ctx and worker count.
+// SampleManyCtx is SampleMany with cooperative cancellation at chunk
+// boundaries (RangeIndex.SampleManyCtx).
 func (s *UFASampler) SampleManyCtx(ctx context.Context, seed int64, stream uint64, k, workers int) ([]automata.Word, error) {
-	if err := faultinject.Check(ctx, faultinject.SiteSampleChunk); err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		return nil, nil
-	}
-	if s.idx.Total().Sign() == 0 {
-		return nil, ErrEmpty
-	}
-	out := make([]automata.Word, k)
-	chunks := (k + sampleChunk - 1) / sampleChunk
-	err := par.ForEachIndexedCtx(ctx, chunks, workers, func(c int) error {
-		if err := faultinject.Check(ctx, faultinject.SiteSampleChunk); err != nil {
-			return err
-		}
-		d := s.NewDrawSession(par.StreamRNG(seed, stream, c, 0))
-		lo, hi := c*sampleChunk, (c+1)*sampleChunk
-		if hi > k {
-			hi = k
-		}
-		for i := lo; i < hi; i++ {
-			w, err := d.Sample()
-			if err != nil {
-				// Total is positive, so Sample cannot fail; guard anyway.
-				panic(err)
-			}
-			out[i] = append(automata.Word(nil), w...)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DrawSession is a single-goroutine sampling stream with reusable scratch:
-// Sample performs zero heap allocations per draw (the returned word is
-// valid until the next call). Obtain one per goroutine from
-// NewDrawSession.
-type DrawSession struct {
-	s     *UFASampler
-	rng   *rand.Rand
-	empty bool
-	rem   []uint64
-	w     automata.Word
+	return s.idx.SampleManyCtx(ctx, seed, stream, k, workers)
 }
 
 // NewDrawSession wraps rng with per-session scratch for allocation-free
-// repeated draws. The session must not be shared between goroutines.
-func (s *UFASampler) NewDrawSession(rng *rand.Rand) *DrawSession {
-	return &DrawSession{
-		s:     s,
-		rng:   rng,
-		empty: s.idx.Total().Sign() == 0,
-		rem:   make([]uint64, s.idx.Width()),
-		w:     make(automata.Word, s.length),
-	}
-}
-
-// Sample draws one uniform witness. The returned word aliases the
-// session's buffer and is only valid until the next call — copy to retain.
-func (d *DrawSession) Sample() (automata.Word, error) {
-	if d.empty {
-		return nil, ErrEmpty
-	}
-	if err := d.s.idx.Draw(d.rng, d.rem, d.w); err != nil {
-		return nil, err
-	}
-	return d.w, nil
+// repeated draws (RangeIndex.NewDrawSession). The session must not be
+// shared between goroutines.
+func (s *UFASampler) NewDrawSession(rng *rand.Rand) *lengthrange.DrawSession {
+	return s.idx.NewDrawSession(rng)
 }
 
 // WalkSampler is the pre-index reference sampler: the §5.3.3 walk over the

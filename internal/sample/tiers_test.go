@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/automata"
+	"repro/internal/lengthrange"
 	"repro/internal/limb"
 )
 
@@ -15,7 +16,9 @@ import (
 
 // TestSamplerTierDifferential: seeded Sample, DrawSession, and SampleMany
 // streams from a one-limb sampler are bitwise identical to the sampler
-// forced to three limbs over the same automaton.
+// forced to three limbs over the same automaton, and its Sample stream
+// is RandBig(total) unranked at length n by a [lo, hi] index covering n
+// (the draw the pre-index samplers made: one uniform rank, one unrank).
 func TestSamplerTierDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	for trial := 0; trial < 8; trial++ {
@@ -39,16 +42,24 @@ func TestSamplerTierDifferential(t *testing.T) {
 			t.Fatalf("trial %d: widths %d and %d, want 1 and 3",
 				trial, fast.Index().Width(), forced.Index().Width())
 		}
+		wide, err := lengthrange.Build(dfa, max(n-2, 0), n+2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := fast.Count()
 		rngA := rand.New(rand.NewSource(3000 + int64(trial)))
 		rngB := rand.New(rand.NewSource(3000 + int64(trial)))
+		rngC := rand.New(rand.NewSource(3000 + int64(trial)))
 		for d := 0; d < 60; d++ {
 			wa, err1 := fast.Sample(rngA)
 			wb, err2 := forced.Sample(rngB)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("trial %d draw %d: %v / %v", trial, d, err1, err2)
+			wc, err3 := wide.UnrankAt(n, RandBig(rngC, total))
+			if err1 != nil || err2 != nil || err3 != nil {
+				t.Fatalf("trial %d draw %d: %v / %v / %v", trial, d, err1, err2, err3)
 			}
-			if dfa.Alphabet().FormatWord(wa) != dfa.Alphabet().FormatWord(wb) {
-				t.Fatalf("trial %d draw %d: sample streams diverge: %v vs %v", trial, d, wa, wb)
+			if dfa.Alphabet().FormatWord(wa) != dfa.Alphabet().FormatWord(wb) ||
+				dfa.Alphabet().FormatWord(wa) != dfa.Alphabet().FormatWord(wc) {
+				t.Fatalf("trial %d draw %d: sample streams diverge: %v vs %v vs %v", trial, d, wa, wb, wc)
 			}
 		}
 		sa := fast.NewDrawSession(rand.New(rand.NewSource(4000 + int64(trial))))
