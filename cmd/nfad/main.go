@@ -50,8 +50,13 @@
 //
 //	422 Unprocessable Entity — admission.ErrRejected: the per-tenant
 //	    policy (X-Tenant → -tenant-limits, else -limits) rejected the
-//	    request BEFORE any length-sized precompute. The body says which
-//	    limit tripped.
+//	    request BEFORE any length-sized precompute, and a states= limit
+//	    rejects the automaton's declared "states:" count before anything
+//	    state-sized is allocated (the parse validates the text first, so
+//	    a malformed automaton is still a 400). The body says which limit
+//	    tripped. Without a states= limit (the zero configuration) the
+//	    declared count is trusted, as the witness length is without a
+//	    length= limit: the parser sizes the automaton's tables from it.
 //	408 Request Timeout — the request context was cancelled or its
 //	    deadline expired. For /v1/enum the body carries "token", the
 //	    checkpoint of the interrupted stream, and "words", the partial

@@ -116,4 +116,3 @@ func TestUsageErrors(t *testing.T) {
 		}
 	}
 }
-

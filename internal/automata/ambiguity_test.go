@@ -181,3 +181,130 @@ func TestCountPathsAmbiguityGapShape(t *testing.T) {
 		}
 	}
 }
+
+// referenceIsUnambiguous is the product test IsUnambiguous replaced,
+// which builds m² predecessor lists and has no deterministic shortcut.
+func referenceIsUnambiguous(n *NFA) bool {
+	m := n.NumStates()
+	id := func(p, q int) int { return p*m + q }
+	succ := func(v int, f func(w int)) {
+		p, q := v/m, v%m
+		for a := 0; a < n.alpha.Size(); a++ {
+			for _, pp := range n.delta[p][a] {
+				for _, qq := range n.delta[q][a] {
+					f(id(pp, qq))
+				}
+			}
+		}
+	}
+	reach := map[int]bool{id(n.start, n.start): true}
+	stack := []int{id(n.start, n.start)}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		succ(v, func(w int) {
+			if !reach[w] {
+				reach[w] = true
+				stack = append(stack, w)
+			}
+		})
+	}
+	preds := make([][]int, m*m)
+	for v := range reach {
+		succ(v, func(w int) { preds[w] = append(preds[w], v) })
+	}
+	co := map[int]bool{}
+	for p := 0; p < m; p++ {
+		for q := 0; q < m; q++ {
+			if n.final[p] && n.final[q] {
+				co[id(p, q)] = true
+				stack = append(stack, id(p, q))
+			}
+		}
+	}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, u := range preds[v] {
+			if !co[u] {
+				co[u] = true
+				stack = append(stack, u)
+			}
+		}
+	}
+	for v := range reach {
+		if v/m != v%m && co[v] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestIsUnambiguousMatchesProductReference compares IsUnambiguous with the
+// full product test on untrimmed random automata: DFAs (the shortcut),
+// sparse NFAs (mostly unambiguous) and dense ones (mostly ambiguous).
+func TestIsUnambiguousMatchesProductReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	seen := map[bool]int{}
+	for trial := 0; trial < 600; trial++ {
+		alpha := NewAlphabet([]string{"a", "b", "c"}[:1+rng.Intn(3)]...)
+		m := 1 + rng.Intn(9)
+		var n *NFA
+		switch trial % 3 {
+		case 0:
+			n = RandomDFA(rng, alpha, m, 0.4)
+		case 1:
+			n = Random(rng, alpha, m, 0.12, 0.3)
+		default:
+			n = Random(rng, alpha, m, 0.35, 0.3)
+		}
+		got, want := IsUnambiguous(n), referenceIsUnambiguous(n)
+		if got != want {
+			t.Fatalf("trial %d: IsUnambiguous=%v, product reference=%v\n%s", trial, got, want, MarshalString(n))
+		}
+		if !IsDeterministic(n) {
+			seen[got]++
+		}
+	}
+	if seen[true] == 0 || seen[false] == 0 {
+		t.Fatalf("nondeterministic corpus not diverse: %v", seen)
+	}
+}
+
+// TestIsUnambiguousDFAAllocatesNothing pins the deterministic shortcut: a
+// DFA never builds the product.
+func TestIsUnambiguousDFAAllocatesNothing(t *testing.T) {
+	d := RandomDFA(rand.New(rand.NewSource(3)), NewAlphabet("a", "b", "c", "d"), 256, 0.5)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if !IsUnambiguous(d) {
+			t.Fatal("a DFA is unambiguous")
+		}
+	}); allocs != 0 {
+		t.Fatalf("IsUnambiguous on a 256-state DFA allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestCountPathsPastOneLimb checks the limb DP where counts outgrow one
+// and two limbs mid-sweep: the all-words automaton over σ symbols has
+// σ^n paths of length n.
+func TestCountPathsPastOneLimb(t *testing.T) {
+	for _, sigma := range []int{2, 3, 4} {
+		names := []string{"a", "b", "c", "d"}[:sigma]
+		n := New(NewAlphabet(names...), 2)
+		for a := 0; a < sigma; a++ {
+			n.AddTransition(0, a, 0)
+			n.AddTransition(0, a, 1)
+		}
+		n.SetFinal(1, true)
+		for _, length := range []int{0, 1, 40, 65, 130} {
+			want := new(big.Int)
+			if length > 0 {
+				want.Exp(big.NewInt(int64(sigma)), big.NewInt(int64(length-1)), nil)
+				want.Mul(want, big.NewInt(int64(sigma)))
+			}
+			if got := CountPaths(n, length); got.Cmp(want) != 0 {
+				t.Fatalf("σ=%d n=%d: CountPaths = %v, want %v", sigma, length, got, want)
+			}
+		}
+	}
+}

@@ -152,14 +152,22 @@ func WLHash(n *NFA) uint64 {
 
 // Relabel returns a copy of n with states renumbered by perm, where
 // perm[old] = new. perm must be a permutation of [0, NumStates).
-// Successor lists stay sorted (AddTransition inserts in order), so the
-// result's codec depends only on the renamed structure, not on perm's
-// iteration order.
+// Successor lists are sorted after renaming, so the result's codec
+// depends only on the renamed structure, not on perm's iteration order.
 func Relabel(n *NFA, perm []int) *NFA {
 	if len(perm) != n.NumStates() {
 		panic(fmt.Sprintf("automata: Relabel perm has %d entries for %d states", len(perm), n.NumStates()))
 	}
-	out := New(n.alpha, n.NumStates())
+	b := newPacker(n.alpha, n.NumStates(), n.NumTransitions())
+	for q, row := range n.delta {
+		for a, lst := range row {
+			for _, p := range lst {
+				b.add(perm[p])
+			}
+			b.close(perm[q], a)
+		}
+	}
+	out := b.n
 	if n.NumStates() > 0 {
 		out.SetStart(perm[n.start])
 	}
@@ -168,9 +176,6 @@ func Relabel(n *NFA, perm []int) *NFA {
 			out.SetFinal(perm[q], true)
 		}
 	}
-	n.EachTransition(func(q int, a Symbol, p int) {
-		out.AddTransition(perm[q], a, perm[p])
-	})
 	for q, es := range n.eps {
 		for _, p := range es {
 			out.AddEpsilon(perm[q], perm[p])
@@ -196,11 +201,11 @@ func Relabel(n *NFA, perm []int) *NFA {
 // converge.
 func Canonicalize(d *NFA) *NFA {
 	m := d.NumStates()
-	perm := make([]int, m)
+	buf := make([]int, 2*m)
+	perm, order := buf[:m], buf[m:m]
 	for i := range perm {
 		perm[i] = -1
 	}
-	order := make([]int, 0, m)
 	if m > 0 {
 		perm[d.start] = 0
 		order = append(order, d.start)
@@ -273,7 +278,7 @@ func StructHash(n *NFA) uint64 {
 			h = mix64(h ^ mix64(uint64(q)<<40|uint64(p)<<1|1))
 		}
 	}
-	for _, name := range n.alpha.Names() {
+	for _, name := range n.alpha.names {
 		for i := 0; i < len(name); i++ {
 			h = mix64(h ^ uint64(name[i]))
 		}

@@ -16,6 +16,8 @@ package automata
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -117,13 +119,55 @@ type NFA struct {
 }
 
 // New returns an NFA with the given alphabet and number of states, start
-// state 0, no final states and no transitions.
+// state 0, no final states and no transitions. The per-state rows of
+// successor-list headers share one allocation.
 func New(alpha *Alphabet, states int) *NFA {
+	sigma := alpha.Size()
+	if sigma > 0 && states > math.MaxInt/sigma {
+		panic(fmt.Sprintf("automata: %d states over %d symbols overflow the transition table", states, sigma))
+	}
 	n := &NFA{alpha: alpha, final: make([]bool, states), delta: make([][][]int, states)}
+	rows := make([][]int, states*sigma)
 	for q := range n.delta {
-		n.delta[q] = make([][]int, alpha.Size())
+		n.delta[q] = rows[q*sigma : (q+1)*sigma : (q+1)*sigma]
 	}
 	return n
+}
+
+// packer lays the successor lists of a new automaton into one arena. For
+// every (q, a) in any order, callers add the list's targets and then
+// close it; close sorts and deduplicates the list and capacity-clips it
+// (arena[lo:hi:hi]), so a later AddTransition reallocates that list
+// instead of overwriting the next one. The arena is sized once, by the
+// transition count the caller passes, and does not grow unless the
+// caller passes too few. The parser, Trim and Relabel build through it:
+// O(states·σ + transitions) time in a constant number of allocations,
+// where AddTransition would allocate per list.
+type packer struct {
+	n     *NFA
+	arena []int
+	lo    int // start of the open list in arena
+}
+
+func newPacker(alpha *Alphabet, states, transitions int) packer {
+	return packer{n: New(alpha, states), arena: make([]int, 0, transitions)}
+}
+
+func (b *packer) add(p int) { b.arena = append(b.arena, p) }
+
+// close makes the targets added since the last close the successor list
+// of q on a.
+func (b *packer) close(q int, a Symbol) {
+	lst := b.arena[b.lo:]
+	if len(lst) > 1 {
+		slices.Sort(lst)
+		lst = slices.Compact(lst)
+		b.arena = b.arena[:b.lo+len(lst)]
+	}
+	if len(lst) > 0 {
+		b.n.delta[q][a] = lst[:len(lst):len(lst)]
+	}
+	b.lo = len(b.arena)
 }
 
 // Alphabet returns the automaton's alphabet.
@@ -343,28 +387,29 @@ func (n *NFA) Clone() *NFA {
 }
 
 // Reachable returns the set of states reachable from the start state via
-// any transitions (including ε).
+// any transitions (including ε). It allocates the set and one stack.
 func (n *NFA) Reachable() *bitset.Set {
 	seen := bitset.New(n.NumStates())
-	stack := []int{n.start}
+	stack := make([]int, 1, n.NumStates()) // a state is pushed at most once
+	stack[0] = n.start
 	seen.Add(n.start)
 	for len(stack) > 0 {
 		q := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		push := func(p int) {
-			if !seen.Has(p) {
-				seen.Add(p)
-				stack = append(stack, p)
-			}
-		}
 		for _, lst := range n.delta[q] {
 			for _, p := range lst {
-				push(p)
+				if !seen.Has(p) {
+					seen.Add(p)
+					stack = append(stack, p)
+				}
 			}
 		}
 		if n.eps != nil {
 			for _, p := range n.eps[q] {
-				push(p)
+				if !seen.Has(p) {
+					seen.Add(p)
+					stack = append(stack, p)
+				}
 			}
 		}
 	}
@@ -372,19 +417,11 @@ func (n *NFA) Reachable() *bitset.Set {
 }
 
 // CoReachable returns the set of states from which some final state is
-// reachable.
+// reachable. It allocates the set, one predecessor table and one stack.
 func (n *NFA) CoReachable() *bitset.Set {
-	preds := make([][]int, n.NumStates())
-	n.EachTransition(func(q int, _ Symbol, p int) {
-		preds[p] = append(preds[p], q)
-	})
-	for q, es := range n.eps {
-		for _, p := range es {
-			preds[p] = append(preds[p], q)
-		}
-	}
+	pred := n.transpose(false)
 	seen := bitset.New(n.NumStates())
-	var stack []int
+	stack := make([]int, 0, n.NumStates())
 	for q, f := range n.final {
 		if f {
 			seen.Add(q)
@@ -394,7 +431,7 @@ func (n *NFA) CoReachable() *bitset.Set {
 	for len(stack) > 0 {
 		q := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, p := range preds[q] {
+		for _, p := range pred[pred[q]:pred[q+1]] {
 			if !seen.Has(p) {
 				seen.Add(p)
 				stack = append(stack, p)
@@ -402,6 +439,73 @@ func (n *NFA) CoReachable() *bitset.Set {
 		}
 	}
 	return seen
+}
+
+// transpose returns the reversed transition relation as one table in
+// compressed-row form: keys 0..K-1 head the table with their list's
+// start, tab[K] is the end, and the predecessor list of key k is
+// tab[tab[k]:tab[k+1]]. With bySymbol the key of (p, a) is p·σ + a and
+// the list holds the q with p ∈ δ(q, a); without it the key is p and
+// the list holds every q with a labelled or ε-edge into p. With
+// bySymbol a list holds distinct q in ascending order. Without it a list
+// holds the labelled predecessors in ascending q order, then the ε
+// predecessors in ascending q order, one entry per edge into p: it may
+// go down where the ε entries start, and a q may repeat.
+func (n *NFA) transpose(bySymbol bool) []int {
+	m, sigma := n.NumStates(), n.alpha.Size()
+	keys, stride, sym := m, 1, 0
+	if bySymbol {
+		keys, stride, sym = m*sigma, sigma, 1
+	}
+	size := keys + 1 + n.NumTransitions()
+	if !bySymbol {
+		for _, es := range n.eps {
+			size += len(es)
+		}
+	}
+	tab := make([]int, size)
+	for _, row := range n.delta {
+		for a, lst := range row {
+			for _, p := range lst {
+				tab[p*stride+a*sym+1]++
+			}
+		}
+	}
+	if !bySymbol {
+		for _, es := range n.eps {
+			for _, p := range es {
+				tab[p+1]++
+			}
+		}
+	}
+	// tab[k] becomes the start of key k's list, then a write cursor that
+	// ends at the start of key k+1; the final shift restores the starts.
+	tab[0] = keys + 1
+	for k := 1; k <= keys; k++ {
+		tab[k] += tab[k-1]
+	}
+	for q, row := range n.delta {
+		for a, lst := range row {
+			for _, p := range lst {
+				k := p*stride + a*sym
+				tab[tab[k]] = q
+				tab[k]++
+			}
+		}
+	}
+	if !bySymbol {
+		for q, es := range n.eps {
+			for _, p := range es {
+				tab[tab[p]] = q
+				tab[p]++
+			}
+		}
+	}
+	for k := keys - 1; k > 0; k-- {
+		tab[k] = tab[k-1]
+	}
+	tab[0] = keys + 1
+	return tab
 }
 
 // String renders a compact description for debugging.

@@ -79,28 +79,42 @@ func Trim(n *NFA) *NFA {
 	if allUseful {
 		return n
 	}
+	// remap is monotone, so kept lists stay sorted and duplicate-free and
+	// land in the arena in state order.
 	remap := make([]int, n.NumStates())
-	for i := range remap {
-		remap[i] = -1
-	}
-	cnt := 0
-	useful.ForEach(func(q int) {
+	cnt, kept := 0, 0
+	for q, row := range n.delta {
+		if !useful.Has(q) {
+			remap[q] = -1
+			continue
+		}
 		remap[q] = cnt
 		cnt++
-	})
-	out := New(n.alpha, cnt)
-	out.SetStart(remap[n.start])
-	useful.ForEach(func(q int) {
-		if n.final[q] {
-			out.SetFinal(remap[q], true)
+		for _, lst := range row {
+			for _, p := range lst {
+				if useful.Has(p) {
+					kept++
+				}
+			}
 		}
-	})
-	n.EachTransition(func(q int, a Symbol, p int) {
-		if remap[q] >= 0 && remap[p] >= 0 {
-			out.AddTransition(remap[q], a, remap[p])
+	}
+	b := newPacker(n.alpha, cnt, kept)
+	for q, row := range n.delta {
+		if remap[q] < 0 {
+			continue
 		}
-	})
-	return out
+		for a, lst := range row {
+			for _, p := range lst {
+				if remap[p] >= 0 {
+					b.add(remap[p])
+				}
+			}
+			b.close(remap[q], a)
+		}
+		b.n.final[remap[q]] = n.final[q]
+	}
+	b.n.start = remap[n.start]
+	return b.n
 }
 
 // SingleFinal returns an automaton with exactly one final state whose

@@ -222,7 +222,10 @@ type Instance struct {
 	cacheKey *instcache.Key
 
 	// mu guards the internal RNG and the lazily built FPRAS engine below;
-	// the engine itself is safe for concurrent use once built.
+	// the engine itself is safe for concurrent use once built. The RNG is
+	// seeded on first use (rngLocked): only Sample, SampleRange and
+	// SampleDistinct read it, and a 607-word source per instance is most
+	// of what New would otherwise allocate.
 	mu  sync.Mutex
 	rng *rand.Rand               // guarded by mu
 	est *fpras.Estimator         // guarded by mu
@@ -284,8 +287,17 @@ func New(n *automata.NFA, length int, opts Options) (*Instance, error) {
 		opts:   opts,
 		seed:   seed,
 		cache:  cache,
-		rng:    rand.New(rand.NewSource(seed)),
 	}, nil
+}
+
+// rngLocked returns the instance's sample stream, seeded from the
+// instance seed on first use, so the stream is the same whichever call
+// reads it first. The caller holds in.mu.
+func (in *Instance) rngLocked() *rand.Rand {
+	if in.rng == nil {
+		in.rng = rand.New(rand.NewSource(in.seed))
+	}
+	return in.rng
 }
 
 // key returns the instance's memoized cache key (the structural pre-key
@@ -512,7 +524,7 @@ func (in *Instance) SampleDistinctCtx(ctx context.Context, k int) ([]automata.Wo
 		return nil, err
 	}
 	in.mu.Lock()
-	ws, err := ri.SampleDistinctAt(in.length, k, in.rng)
+	ws, err := ri.SampleDistinctAt(in.length, k, in.rngLocked())
 	in.mu.Unlock()
 	if err == lengthrange.ErrEmpty {
 		return nil, ErrEmpty
@@ -824,7 +836,7 @@ func (in *Instance) SampleRange(lo, hi int) (automata.Word, error) {
 		return nil, err
 	}
 	in.mu.Lock()
-	w, err := ri.Sample(in.rng)
+	w, err := ri.Sample(in.rngLocked())
 	in.mu.Unlock()
 	if err == lengthrange.ErrEmpty {
 		return nil, ErrEmpty
@@ -1027,7 +1039,7 @@ func (in *Instance) Sample() (automata.Word, error) {
 			return nil, err
 		}
 		in.mu.Lock()
-		w, err := ri.Sample(in.rng)
+		w, err := ri.Sample(in.rngLocked())
 		in.mu.Unlock()
 		if err == lengthrange.ErrEmpty {
 			return nil, ErrEmpty

@@ -1,6 +1,8 @@
 // Package limb owns the count format of the exact counting index
-// (internal/lengthrange): a count is k little-endian
-// uint64 limbs, with the width k fixed per index. Path counts grow like
+// (internal/lengthrange) and of the single-length path-count DP behind
+// exact.CountUFA (automata.CountPaths, which sweeps two k-limb rows): a
+// count is k little-endian uint64 limbs, with the width k fixed per
+// index or sweep. Path counts grow like
 // |Σ|^n, so an index cannot know its width before it has counted; Fit
 // runs a sweep at the narrowest width and reruns it at twice the width
 // whenever an addition carries out of the top limb, so the final sweep

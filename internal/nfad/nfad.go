@@ -272,7 +272,15 @@ func (s *Server) prepare(req *Request) (*instanceRequest, int, error) {
 	if strings.TrimSpace(req.Automaton) == "" {
 		return nil, http.StatusBadRequest, errors.New("missing automaton")
 	}
-	nfa, err := automata.UnmarshalString(req.Automaton)
+	// The tenant's state limit runs inside the parse, after the text is
+	// validated and before anything sized by the declared state count is
+	// allocated: an oversized states: header is a 422 that costs one pass
+	// over the body, not a state-sized table.
+	limits := s.limitsFor(req)
+	nfa, err := automata.UnmarshalStringChecked(req.Automaton, limits.CheckStates)
+	if errors.Is(err, admission.ErrRejected) {
+		return nil, http.StatusUnprocessableEntity, err
+	}
 	if err != nil {
 		return nil, http.StatusBadRequest, fmt.Errorf("parsing automaton: %w", err)
 	}
@@ -305,7 +313,7 @@ func (s *Server) prepare(req *Request) (*instanceRequest, int, error) {
 		Delta:   req.Delta,
 		Seed:    req.Seed,
 		Workers: workers,
-		Limits:  s.limitsFor(req),
+		Limits:  limits,
 		Cache:   s.cache,
 	})
 	if err != nil {

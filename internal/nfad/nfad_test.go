@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -297,6 +298,40 @@ func TestAdmissionRejects422BeforePrecompute(t *testing.T) {
 	}
 	if got := srv.rejections.Load(); got != 1 {
 		t.Fatalf("rejections counter = %d, want 1", got)
+	}
+}
+
+// TestStateLimitRejects422BeforeStateSizedAllocation pins that the
+// tenant's state limit runs before the parser sizes anything from the
+// untrusted states: header. The 43-byte body declares 10⁶ states (kept
+// this small so the test cannot exhaust memory when the order is wrong:
+// building that automaton's tables takes over 100 MB); it must bounce
+// with 422 having allocated under 1 MB.
+func TestStateLimitRejects422BeforeStateSizedAllocation(t *testing.T) {
+	leakcheck.Check(t)
+	srv := New(Config{Limits: &admission.Limits{MaxStates: 1024}})
+	body, err := json.Marshal(Request{Automaton: "alphabet: a b c d\nstates: 1000000\nstart: 0\n", N: intPtr(8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/count", bytes.NewReader(body)))
+		return rec
+	}
+	serve() // first-use setup off the books
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := serve()
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("over-limit states: status %d (%s), want 422", rec.Code, rec.Body.String())
+	}
+	if !strings.Contains(rec.Body.String(), "states") {
+		t.Fatalf("rejection should name the tripped limit, got %s", rec.Body.String())
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("rejected request allocated %d bytes, want under 1 MB", d)
 	}
 }
 
