@@ -25,7 +25,7 @@ import (
 )
 
 // BenchmarkF1_PaperExample: the full worked example of Figures 1–2 —
-// build, unroll, enumerate, count.
+// build, index, enumerate, count.
 func BenchmarkF1_PaperExample(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n, length := automata.PaperExample()

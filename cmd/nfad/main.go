@@ -57,6 +57,8 @@
 //	    tripped. Without a states= limit (the zero configuration) the
 //	    declared count is trusted, as the witness length is without a
 //	    length= limit: the parser sizes the automaton's tables from it.
+//	    RelationUL /v1/enum pages open on the counting index, so a
+//	    bytes= limit below its estimated footprint rejects them too.
 //	408 Request Timeout — the request context was cancelled or its
 //	    deadline expired. For /v1/enum the body carries "token", the
 //	    checkpoint of the interrupted stream, and "words", the partial
@@ -76,7 +78,9 @@
 // and hit counts (memory per cached tenant). An entry is one counting
 // index per automaton and length range, a single length n being the
 // range [n, n]; entries have no "Kind" field (single-length and range
-// requests at [n, n] share one entry). On SIGTERM or SIGINT the
+// requests at [n, n] share one entry). RelationUL enum pages read the
+// same entries as count, rank and sample: a resumed page costs a lookup
+// and an O(n) walk, not a precomputation. On SIGTERM or SIGINT the
 // server stops accepting connections and drains in-flight requests
 // (bounded by -drain) before exiting.
 //

@@ -19,10 +19,9 @@ var ctxfirstAnalyzer = &Analyzer{
 // cost scales with the witness length, so it must not run before the
 // caller's cancellation signal has been consulted.
 var ctxfirstBuilders = map[string]bool{
-	"Build":       true, // unroll.Build, lengthrange.Build
-	"NewUFA":      true,
-	"NewNFA":      true,
-	"EnsureIndex": true,
+	"Build":  true, // unroll.Build, lengthrange.Build
+	"NewUFA": true,
+	"NewNFA": true,
 }
 
 // runCtxfirst checks, per exported function with a context.Context

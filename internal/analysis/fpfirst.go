@@ -22,10 +22,9 @@ var fpfirstTarget = regexp.MustCompile(`(?i)^(parse|decode|resume)|^New\w*From`)
 // precomputation": they construct unrolled DAGs or counting indexes whose
 // cost scales with the claimed witness length.
 var fpfirstBuilders = map[string]bool{
-	"Build":       true, // unroll.Build, lengthrange.Build
-	"NewUFA":      true,
-	"NewNFA":      true,
-	"EnsureIndex": true,
+	"Build":  true, // unroll.Build, lengthrange.Build
+	"NewUFA": true,
+	"NewNFA": true,
 }
 
 // runFpfirst checks, per target function, that the first validation

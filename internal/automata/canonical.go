@@ -41,6 +41,8 @@ package automata
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/bitset"
 )
 
 // mix64 is the splitmix64 finalizer: a cheap bijective bit mixer.
@@ -158,30 +160,107 @@ func Relabel(n *NFA, perm []int) *NFA {
 	if len(perm) != n.NumStates() {
 		panic(fmt.Sprintf("automata: Relabel perm has %d entries for %d states", len(perm), n.NumStates()))
 	}
-	b := newPacker(n.alpha, n.NumStates(), n.NumTransitions())
+	return renumber(n, perm)
+}
+
+// renumber is the one builder behind Trim, Relabel, Canonicalize and
+// Normalize: a copy of n with state q renamed perm[q], where a state
+// mapped to −1 is dropped together with every edge touching it, and the
+// kept states are numbered densely. Successor lists are sorted after
+// renaming; the copy is laid out in one arena.
+func renumber(n *NFA, perm []int) *NFA {
+	states, kept := 0, 0
 	for q, row := range n.delta {
+		if perm[q] < 0 {
+			continue
+		}
+		states++
+		for _, lst := range row {
+			for _, p := range lst {
+				if perm[p] >= 0 {
+					kept++
+				}
+			}
+		}
+	}
+	b := newPacker(n.alpha, states, kept)
+	for q, row := range n.delta {
+		if perm[q] < 0 {
+			continue
+		}
 		for a, lst := range row {
 			for _, p := range lst {
-				b.add(perm[p])
+				if perm[p] >= 0 {
+					b.add(perm[p])
+				}
 			}
 			b.close(perm[q], a)
 		}
+		b.n.final[perm[q]] = n.final[q]
 	}
-	out := b.n
-	if n.NumStates() > 0 {
-		out.SetStart(perm[n.start])
-	}
-	for q, f := range n.final {
-		if f {
-			out.SetFinal(perm[q], true)
-		}
+	if n.NumStates() > 0 && perm[n.start] >= 0 {
+		b.n.start = perm[n.start]
 	}
 	for q, es := range n.eps {
 		for _, p := range es {
-			out.AddEpsilon(perm[q], perm[p])
+			if perm[q] >= 0 && perm[p] >= 0 {
+				b.n.AddEpsilon(perm[q], perm[p])
+			}
 		}
 	}
-	return out
+	return b.n
+}
+
+// bfsOrder numbers the states breadth-first from the start state,
+// successors in symbol order, skipping states outside keep (nil keeps
+// every state): perm[q] is q's number, −1 when the search does not reach
+// q. It returns perm, the number of states numbered, and whether every
+// state it reached has at most one successor in keep per symbol (so
+// whether n restricted to the reached states is deterministic).
+func bfsOrder(n *NFA, keep *bitset.Set) (perm []int, count int, det bool) {
+	m := n.NumStates()
+	buf := make([]int, 2*m)
+	perm, order := buf[:m], buf[m:m]
+	for i := range perm {
+		perm[i] = -1
+	}
+	if m > 0 {
+		perm[n.start] = 0
+		order = append(order, n.start)
+	}
+	det = true
+	for i := 0; i < len(order); i++ {
+		for _, lst := range n.delta[order[i]] {
+			kept := 0
+			for _, p := range lst {
+				if keep != nil && !keep.Has(p) {
+					continue
+				}
+				kept++
+				if perm[p] < 0 {
+					perm[p] = len(order)
+					order = append(order, p)
+				}
+			}
+			det = det && kept <= 1
+		}
+	}
+	return perm, len(order), det
+}
+
+// stateOrder numbers the states of keep densely in state order; perm[q]
+// is −1 for the others.
+func stateOrder(n *NFA, keep *bitset.Set) []int {
+	perm := make([]int, n.NumStates())
+	next := 0
+	for q := range perm {
+		perm[q] = -1
+		if keep.Has(q) {
+			perm[q] = next
+			next++
+		}
+	}
+	return perm
 }
 
 // Canonicalize renumbers an ε-free deterministic automaton into its
@@ -200,33 +279,12 @@ func Relabel(n *NFA, perm []int) *NFA {
 // the renumbering is deterministic but different relabellings need not
 // converge.
 func Canonicalize(d *NFA) *NFA {
-	m := d.NumStates()
-	buf := make([]int, 2*m)
-	perm, order := buf[:m], buf[m:m]
-	for i := range perm {
-		perm[i] = -1
-	}
-	if m > 0 {
-		perm[d.start] = 0
-		order = append(order, d.start)
-	}
-	for i := 0; i < len(order); i++ {
-		q := order[i]
-		for a := 0; a < d.alpha.Size(); a++ {
-			for _, p := range d.Successors(q, a) {
-				if perm[p] < 0 {
-					perm[p] = len(order)
-					order = append(order, p)
-				}
-			}
-		}
-	}
-	nxt := len(order)
+	perm, next, _ := bfsOrder(d, nil)
 	identity := true
-	for q := 0; q < m; q++ {
+	for q := range perm {
 		if perm[q] < 0 {
-			perm[q] = nxt
-			nxt++
+			perm[q] = next
+			next++
 		}
 		if perm[q] != q {
 			identity = false
@@ -235,22 +293,38 @@ func Canonicalize(d *NFA) *NFA {
 	if identity {
 		return d
 	}
-	return Relabel(d, perm)
+	return renumber(d, perm)
 }
 
 // Normalize brings an automaton to the normal form cache classes are
-// defined over and core instances operate on: ε-elimination (Trim alone
-// silently drops ε-edges), trimming, and — for deterministic automata —
-// the canonical renumbering. Two relabellings of one DFA normalize to
-// byte-identical automata; nondeterministic automata keep their numbering
-// (their enumeration order is numbering-dependent and must stay exactly
-// as given).
+// defined over and core instances operate on: ε-elimination, trimming,
+// and — for deterministic automata — the canonical renumbering, built in
+// one copy: the useful states are numbered breadth-first when the useful
+// part is deterministic and in state order otherwise, so the result is
+// Canonicalize(Trim(n)) for a DFA and Trim(n) otherwise. Two
+// relabellings of one DFA normalize to byte-identical automata;
+// nondeterministic automata keep their numbering (their enumeration order
+// is numbering-dependent and must stay exactly as given). An automaton
+// already in normal form is returned itself, uncopied.
 func Normalize(n *NFA) *NFA {
-	t := keyNormalize(n)
-	if IsDeterministic(t) {
-		t = Canonicalize(t)
+	if n.HasEpsilon() {
+		n = RemoveEpsilon(n)
 	}
-	return t
+	useful := n.Reachable()
+	useful.IntersectWith(n.CoReachable())
+	if !useful.Has(n.start) {
+		return New(n.alpha, 1)
+	}
+	perm, _, det := bfsOrder(n, useful)
+	if !det {
+		perm = stateOrder(n, useful)
+	}
+	for q, p := range perm {
+		if p != q {
+			return renumber(n, perm)
+		}
+	}
+	return n
 }
 
 // StructHash returns a one-pass hash of the exact structure (alphabet
@@ -287,34 +361,16 @@ func StructHash(n *NFA) uint64 {
 	return h
 }
 
-// keyNormalize brings an automaton to the ε-free trimmed normal form the
-// keys are defined over. Trim alone would silently drop ε-edges (it copies
-// only labelled transitions), so ε-elimination must run first to keep the
-// normalization language-preserving.
-func keyNormalize(n *NFA) *NFA {
-	if n.HasEpsilon() {
-		n = RemoveEpsilon(n)
-	}
-	return Trim(n)
-}
-
 // IsoKey returns an exact identity string canonical up to state
-// relabelling for ε-free deterministic automata, and exact trimmed
-// structural identity otherwise. It is cheap — O(size) after Trim, no
-// minimization — and is the key the cache resolves on every lookup.
+// relabelling for deterministic automata, and exact trimmed structural
+// identity otherwise: the codec of the normal form (Normalize). It is
+// cheap — O(size), no minimization.
 func IsoKey(n *NFA) string {
-	t := keyNormalize(n)
+	t := Normalize(n)
 	if IsDeterministic(t) {
-		return "c1:" + MarshalString(Canonicalize(t))
+		return "c1:" + MarshalString(t)
 	}
-	s := MarshalString(t)
-	if s == "" {
-		// ε-transitions survive trimming; the codec refuses them, so fall
-		// back to a hash-tagged key that at least never unifies with a
-		// marshalable automaton.
-		return fmt.Sprintf("e1:%016x", WLHash(t))
-	}
-	return "t1:" + s
+	return "t1:" + MarshalString(t)
 }
 
 // StrongKey returns the full unification key: for ε-free deterministic
@@ -325,15 +381,11 @@ func IsoKey(n *NFA) string {
 // (relabelling a nondeterministic UFA reorders its observable enumeration
 // blocks, so unifying relabellings would be unsound).
 func StrongKey(n *NFA) string {
-	t := keyNormalize(n)
+	t := Normalize(n)
 	if IsDeterministic(t) {
 		if min, err := Minimize(t); err == nil {
 			return "d1:" + MarshalString(Canonicalize(min))
 		}
 	}
-	s := MarshalString(t)
-	if s == "" {
-		return fmt.Sprintf("e1:%016x", WLHash(t))
-	}
-	return "x1:" + s
+	return "x1:" + MarshalString(t)
 }

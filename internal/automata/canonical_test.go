@@ -260,6 +260,22 @@ func FuzzCanonicalKey(f *testing.F) {
 		}
 		perm := randPerm(rng, n.NumStates())
 		r := Relabel(n, perm)
+		// Normalize builds in one copy what Trim and Canonicalize build in
+		// two, byte for byte, and returns its own output unchanged (an
+		// empty language normalizes to a fresh one-state automaton).
+		for _, x := range []*NFA{n, r} {
+			want := Trim(x)
+			if IsDeterministic(want) {
+				want = Canonicalize(want)
+			}
+			norm := Normalize(x)
+			if MarshalString(norm) != MarshalString(want) || !Equal(norm, want) {
+				t.Fatalf("Normalize differs from Canonicalize(Trim(n)) (seed=%d)", seed)
+			}
+			if Normalize(norm) != norm && len(norm.Finals()) > 0 {
+				t.Fatalf("Normalize copied a normal form (seed=%d)", seed)
+			}
+		}
 		if WLHash(r) != WLHash(n) {
 			t.Fatalf("WLHash not relabel-invariant (seed=%d)", seed)
 		}

@@ -66,55 +66,12 @@ func Trim(n *NFA) *NFA {
 	useful := n.Reachable()
 	useful.IntersectWith(n.CoReachable())
 	if !useful.Has(n.start) {
-		out := New(n.alpha, 1)
-		return out
+		return New(n.alpha, 1)
 	}
-	allUseful := true
-	for q := 0; q < n.NumStates(); q++ {
-		if !useful.Has(q) {
-			allUseful = false
-			break
-		}
-	}
-	if allUseful {
+	if useful.Len() == n.NumStates() {
 		return n
 	}
-	// remap is monotone, so kept lists stay sorted and duplicate-free and
-	// land in the arena in state order.
-	remap := make([]int, n.NumStates())
-	cnt, kept := 0, 0
-	for q, row := range n.delta {
-		if !useful.Has(q) {
-			remap[q] = -1
-			continue
-		}
-		remap[q] = cnt
-		cnt++
-		for _, lst := range row {
-			for _, p := range lst {
-				if useful.Has(p) {
-					kept++
-				}
-			}
-		}
-	}
-	b := newPacker(n.alpha, cnt, kept)
-	for q, row := range n.delta {
-		if remap[q] < 0 {
-			continue
-		}
-		for a, lst := range row {
-			for _, p := range lst {
-				if remap[p] >= 0 {
-					b.add(remap[p])
-				}
-			}
-			b.close(remap[q], a)
-		}
-		b.n.final[remap[q]] = n.final[q]
-	}
-	b.n.start = remap[n.start]
-	return b.n
+	return renumber(n, stateOrder(n, useful))
 }
 
 // SingleFinal returns an automaton with exactly one final state whose

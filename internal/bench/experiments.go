@@ -14,6 +14,7 @@ import (
 	"repro/internal/fpras"
 	"repro/internal/sample"
 	"repro/internal/stats"
+	"repro/internal/unroll"
 )
 
 // F1PaperExample reproduces the paper's worked example: the Figure 1
@@ -36,8 +37,12 @@ func F1PaperExample() *Table {
 	t.AddRow("|L_3|", fmt.Sprint(len(words)))
 	t.AddRow("enumeration order", fmt.Sprint(words))
 	t.AddRow("exact count (§5.3.2)", exact.CountUFA(n, length).String())
-	dagVertices := e.DAG().NumAlive()
-	t.AddRow("Figure-2 DAG vertices (layers 1..n)", fmt.Sprint(dagVertices))
+	dag, err := unroll.Build(n, length, unroll.Options{PruneBackward: true})
+	if err != nil {
+		t.Notes = append(t.Notes, "error: "+err.Error())
+		return t
+	}
+	t.AddRow("Figure-2 DAG vertices (layers 1..n)", fmt.Sprint(dag.NumAlive()))
 	t.Notes = append(t.Notes,
 		"paper: enumeration visits aaa, aab, then the b-branch (§5.3.1 walkthrough)")
 	return t

@@ -423,8 +423,8 @@ func TestPrivateCacheBoundsRangeRetention(t *testing.T) {
 
 // TestCachedIndexAttachesAcrossRelabellings pins the attach contract:
 // instances canonicalize deterministic automata at New, so a relabelled
-// instance is served from the same entry AND may attach the cached index
-// to its enumerator — the index addresses the enumerator's own DAG.
+// instance is served from the same entry AND its enumeration sessions
+// walk the cached index — the index is the instance's own DAG.
 func TestCachedIndexAttachesAcrossRelabellings(t *testing.T) {
 	n, r := cacheTestDFA(t, 46, 10)
 	cache := instcache.New(instcache.DefaultBudget)
@@ -459,17 +459,17 @@ func TestCachedIndexAttachesAcrossRelabellings(t *testing.T) {
 	if ia != ib {
 		t.Fatal("both instances should resolve the same frozen index")
 	}
-	e, err := b.newUFAEnumAt(6, ia)
-	if err != nil {
-		t.Fatalf("relabelled instance should attach the shared index: %v", err)
-	}
 	total, _ := ia.TotalAt(6)
-	if err := e.SeekRank(new(big.Int).Sub(total, big.NewInt(1))); err != nil {
-		t.Fatal(err)
+	e, err := b.Enumerate(CursorOptions{SeekRank: new(big.Int).Sub(total, big.NewInt(1))})
+	if err != nil {
+		t.Fatalf("relabelled instance should open on the shared index: %v", err)
+	}
+	if st := cache.Stats(); st.Builds != 1 {
+		t.Fatalf("the session should open on the cached index: %+v", st)
 	}
 	last, ok := e.Next()
 	want, err := b.Unrank(new(big.Int).Sub(total, big.NewInt(1)))
 	if !ok || err != nil || b.FormatWord(last) != b.FormatWord(want) {
-		t.Fatalf("seek through the attached index emitted %v, want %v (%v)", last, want, err)
+		t.Fatalf("seek through the shared index emitted %v, want %v (%v)", last, want, err)
 	}
 }

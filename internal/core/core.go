@@ -13,14 +13,17 @@
 // general alphabets are bridged to the binary FPRAS core through the
 // witness-preserving encoding of internal/automata.
 //
-// RelationUL instances additionally get ranked access through one
-// counting index (internal/lengthrange over the single length [n, n],
-// built lazily through the compiled-index cache and shared by every
-// consumer): Rank/Unrank convert between witnesses and their index in the
-// enumeration order, Sample and SampleManyParallel draw from it,
-// SampleDistinct draws without replacement in rank-space, and
-// CursorOptions.SeekRank (or a kind-'r' rank token) starts an enumeration
-// session at any rank in O(n·log Δ) without replaying a cursor.
+// RelationUL instances run every problem on one counting index
+// (internal/lengthrange over the single length [n, n], built lazily
+// through the compiled-index cache and shared by every consumer):
+// Algorithm 1's enumeration sessions walk its pruned edge lists — a fresh
+// session, a resumed page and a seek alike open on the cached entry, so
+// a resumed page costs an O(n) walk, not a precomputation — Rank/Unrank
+// convert between witnesses and their index in the enumeration order,
+// Sample and SampleManyParallel draw from it, SampleDistinct draws
+// without replacement in rank-space, and CursorOptions.SeekRank (or a
+// kind-'r' rank token) starts an enumeration session at any rank in
+// O(n·log Δ) without replaying a cursor.
 //
 // # Ranged access over a length range
 //
@@ -33,12 +36,12 @@
 // lo+1, …), SampleRange/SampleManyRange draw uniformly from the union
 // (length selected with probability proportional to its exact count, then
 // unranked within), and EnumerateRange streams the union in that same
-// order through chained per-length sessions (enumerate.RangeSession) —
-// resumable via el1:R: range tokens, parallel per length under the
-// work-stealing scheduler, and seekable to any global rank via
-// CursorOptions.SeekRank. Exact ranged access is RelationUL-only (for
-// RelationNL it would imply exact #NFA counting); EnumerateRange alone
-// works for both classes.
+// order through chained per-length sessions (enumerate.RangeSession), all
+// walking the one [lo, hi] index — resumable via el1:R: range tokens,
+// parallel per length under the work-stealing scheduler, and seekable to
+// any global rank via CursorOptions.SeekRank. Exact ranged access is
+// RelationUL-only (for RelationNL it would imply exact #NFA counting);
+// EnumerateRange alone works for both classes.
 //
 // # Compiled-index caching
 //
@@ -95,10 +98,13 @@
 // Admission: Options.Limits is
 // enforced BEFORE any length-sized precomputation — New bounds the
 // automaton and length, sessions bound their merge budget, ranged calls
-// bound the span, index builds bound the estimated footprint in bytes,
-// and batch sampling bounds the batch — with every rejection wrapping
+// bound the span, index builds bound the estimated footprint in bytes
+// (RelationUL enumeration included: its sessions open on the index), and
+// batch sampling bounds the batch — with every rejection wrapping
 // admission.ErrRejected, so an over-budget request costs validation, not
-// a build it was never going to be allowed to use.
+// a build it was never going to be allowed to use. Resume tokens are
+// decoded and fingerprint-checked before the index is resolved, so a
+// forged or foreign token costs no build either.
 //
 // # Serving tier
 //
@@ -233,9 +239,9 @@ type Instance struct {
 }
 
 // New prepares an instance for the witness length `length`. The automaton
-// must be ε-free; it is trimmed, deterministic automata are additionally
-// canonically renumbered (Automaton returns that form), and its class
-// detected.
+// must be ε-free; it is brought to automata.Normalize's normal form —
+// trimmed, and for deterministic automata canonically renumbered, in one
+// copy (Automaton returns that form) — and its class detected.
 func New(n *automata.NFA, length int, opts Options) (*Instance, error) {
 	if n.HasEpsilon() {
 		return nil, fmt.Errorf("core: automaton has ε-transitions; call automata.RemoveEpsilon first")
@@ -251,23 +257,20 @@ func New(n *automata.NFA, length int, opts Options) (*Instance, error) {
 	if err := opts.Limits.CheckLength(length); err != nil {
 		return nil, err
 	}
-	trimmed := automata.Trim(n)
-	if automata.IsDeterministic(trimmed) {
-		// Enumeration order is a structural invariant — the unrolled DAG
-		// orders a vertex's decision list by successor state id — so the
-		// instance operates on the canonical renumbering: every relabelling
-		// of one DFA becomes byte-identical here, which makes all
-		// observables (order, ranks, tokens) relabelling-invariant and a
-		// compiled-index cache hit sound for every consumer.
-		trimmed = automata.Canonicalize(trimmed)
-	}
+	// Enumeration order is a structural invariant — the unrolled DAG
+	// orders a vertex's decision list by successor state id — so the
+	// instance operates on the normal form: every relabelling of one DFA
+	// becomes byte-identical here, which makes all observables (order,
+	// ranks, tokens) relabelling-invariant and a compiled-index cache hit
+	// sound for every consumer.
+	norm := automata.Normalize(n)
 	var class Class
 	if opts.ForceClass != nil {
 		class = *opts.ForceClass
-		if class == ClassUL && !automata.IsUnambiguous(trimmed) {
+		if class == ClassUL && !automata.IsUnambiguous(norm) {
 			return nil, fmt.Errorf("core: cannot force RelationUL on an ambiguous automaton")
 		}
-	} else if automata.IsUnambiguous(trimmed) {
+	} else if automata.IsUnambiguous(norm) {
 		class = ClassUL
 	} else {
 		class = ClassNL
@@ -281,7 +284,7 @@ func New(n *automata.NFA, length int, opts Options) (*Instance, error) {
 		cache = instcache.New(instcache.DefaultBudget)
 	}
 	return &Instance{
-		n:      trimmed,
+		n:      norm,
 		length: length,
 		class:  class,
 		opts:   opts,
@@ -302,9 +305,11 @@ func (in *Instance) rngLocked() *rand.Rand {
 
 // key returns the instance's memoized cache key (the structural pre-key
 // is computed on first use; the iso and strong string keys lazily inside
-// the cache, only when it has never seen the structural class).
+// the cache, only when it has never seen the structural class). The
+// instance automaton is already the normal form, so no normalization
+// pass runs again.
 func (in *Instance) key() *instcache.Key {
-	in.keyOnce.Do(func() { in.cacheKey = instcache.KeyFor(in.n) })
+	in.keyOnce.Do(func() { in.cacheKey = instcache.KeyForNormal(in.n) })
 	return in.cacheKey
 }
 
@@ -409,51 +414,6 @@ func (in *Instance) estimatorCtx(ctx context.Context) (*fpras.Estimator, error) 
 	in.enc = enc
 	in.est = est
 	return est, nil
-}
-
-// openSeeked opens a RelationUL session at witness length `length`
-// positioned so that the next word has the given within-length rank —
-// the one seek path of SeekRank options, rank tokens and range seeks. idx
-// is an index covering the length (the range index of a range seek); nil
-// resolves [length, length] through the cache.
-func (in *Instance) openSeeked(length int, rank *big.Int, idx *lengthrange.RangeIndex, sopts enumerate.StreamOptions) (enumerate.Session, error) {
-	if in.class != ClassUL {
-		return nil, fmt.Errorf("core: rank seek requires an unambiguous instance (RelationUL)")
-	}
-	if idx == nil {
-		var err error
-		if idx, err = in.index(sopts.Ctx, length, length); err != nil {
-			return nil, err
-		}
-	}
-	e, err := in.newUFAEnumAt(length, idx)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.SeekRank(rank); err != nil {
-		return nil, err
-	}
-	if sopts.Workers > 1 {
-		return e.StreamFrom(enumerate.SuffixFrontier(e.Cursor()), sopts)
-	}
-	return e, nil
-}
-
-// newUFAEnumAt opens an Algorithm 1 enumerator for the given witness
-// length with idx (an index covering the length, or nil) attached.
-// Enumeration alone does not force an index: rank seeking resolves one,
-// and a parallel stream without one builds its own for steal sizing.
-func (in *Instance) newUFAEnumAt(length int, idx *lengthrange.RangeIndex) (*enumerate.UFAEnumerator, error) {
-	e, err := enumerate.NewUFA(in.n, length)
-	if err != nil {
-		return nil, err
-	}
-	if idx != nil {
-		if err := e.AttachIndex(idx); err != nil {
-			return nil, err
-		}
-	}
-	return e, nil
 }
 
 // Rank returns the 0-based index of the witness w in the instance's
@@ -601,19 +561,20 @@ func (in *Instance) Enumerate(opts CursorOptions) (enumerate.Session, error) {
 }
 
 func (in *Instance) openSession(opts CursorOptions) (enumerate.Session, error) {
-	return in.openSessionAt(in.length, opts, nil)
+	return in.openSessionAt(in.length, in.length, in.length, opts)
 }
 
 // openSessionAt is openSession generalized over the witness length: the
 // instance's own length for Enumerate, any length in a range for the
-// per-length sessions an EnumerateRange chain opens, where idx is the
-// range's index when one is in hand (nil otherwise; seeks then resolve
-// their own). Cursor lengths are validated against `length` (fingerprint
-// before any length-sized precomputation, on every resume path).
-// Admission runs first; the returned session carries opts.Ctx — parallel
-// streams through their own watcher, serial sessions through the
-// enumerate.WithContext boundary wrapper.
-func (in *Instance) openSessionAt(length int, opts CursorOptions, idx *lengthrange.RangeIndex) (enumerate.Session, error) {
+// per-length sessions an EnumerateRange chain opens. A RelationUL session
+// opens on the counting index over [lo, hi] — [length, length] for
+// Enumerate, the range for EnumerateRange — resolved through the cache.
+// Cursor lengths are validated against `length`, and every token's
+// fingerprint before the index is resolved. Admission runs first; the
+// returned session carries opts.Ctx — parallel streams through their own
+// watcher, serial sessions through the enumerate.WithContext boundary
+// wrapper.
+func (in *Instance) openSessionAt(length, lo, hi int, opts CursorOptions) (enumerate.Session, error) {
 	if err := in.opts.Limits.CheckLength(length); err != nil {
 		return nil, err
 	}
@@ -626,7 +587,24 @@ func (in *Instance) openSessionAt(length int, opts CursorOptions, idx *lengthran
 			return nil, err
 		}
 	}
-	s, err := in.openSessionAtRaw(length, opts, idx)
+	if opts.SeekRank != nil && opts.Cursor != "" {
+		return nil, fmt.Errorf("core: SeekRank and Cursor are mutually exclusive")
+	}
+	sopts := enumerate.StreamOptions{
+		Ctx:            opts.Ctx,
+		Workers:        opts.Workers,
+		Shards:         opts.Shards,
+		Ordered:        opts.Ordered,
+		MergeBudget:    opts.MergeBudget,
+		StealThreshold: opts.StealThreshold,
+	}
+	var s enumerate.Session
+	var err error
+	if in.class == ClassUL {
+		s, err = in.openUL(length, lo, hi, opts, sopts)
+	} else {
+		s, err = in.openNL(length, opts, sopts)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -638,97 +616,114 @@ func (in *Instance) openSessionAt(length int, opts CursorOptions, idx *lengthran
 	return s, nil
 }
 
-func (in *Instance) openSessionAtRaw(length int, opts CursorOptions, idx *lengthrange.RangeIndex) (enumerate.Session, error) {
-	sopts := enumerate.StreamOptions{
-		Ctx:            opts.Ctx,
-		Workers:        opts.Workers,
-		Shards:         opts.Shards,
-		Ordered:        opts.Ordered,
-		MergeBudget:    opts.MergeBudget,
-		StealThreshold: opts.StealThreshold,
-	}
-	kind := enumerate.KindNFA
-	if in.class == ClassUL {
-		kind = enumerate.KindUFA
-	}
-	if opts.SeekRank != nil {
-		if opts.Cursor != "" {
-			return nil, fmt.Errorf("core: SeekRank and Cursor are mutually exclusive")
+// openUL opens an Algorithm 1 session at `length` on the counting index
+// over [lo, hi]: fresh, seeked to opts.SeekRank, or resumed from a
+// decision, rank or frontier token. The token is decoded and its
+// fingerprint checked before the index is resolved, so a forged or
+// foreign token costs no build. A positioned session opened with
+// Workers > 1 re-shards its suffix into parallel cells.
+func (in *Instance) openUL(length, lo, hi int, opts CursorOptions, sopts enumerate.StreamOptions) (enumerate.Session, error) {
+	var c enumerate.Cursor
+	var f enumerate.Frontier
+	var err error
+	frontier := enumerate.IsFrontierToken(opts.Cursor)
+	if frontier {
+		f, err = in.parseFrontier(opts.Cursor, length, enumerate.KindUFA)
+	} else if opts.Cursor != "" {
+		if c, err = in.parseCursor(opts.Cursor, length); err == nil && c.Kind == enumerate.KindNFA {
+			err = fmt.Errorf("core: cursor kind %q does not match instance class %s", c.Kind, in.class)
 		}
-		return in.openSeeked(length, opts.SeekRank, idx, sopts)
 	}
-	if opts.Cursor != "" {
-		// A frontier token (multi-cell position of a parallel session)
-		// resumes either as a new parallel stream or as a serial chain
-		// over its remaining cells.
-		if enumerate.IsFrontierToken(opts.Cursor) {
-			f, err := enumerate.ParseFrontier(opts.Cursor)
-			if err != nil {
-				return nil, err
-			}
-			if f.Length != length {
-				return nil, fmt.Errorf("core: cursor length %d does not match session length %d", f.Length, length)
-			}
-			if f.Kind != kind {
-				return nil, fmt.Errorf("core: cursor kind %q does not match instance class %s", f.Kind, in.class)
-			}
-			if opts.Workers > 1 {
-				if in.class == ClassUL {
-					return enumerate.NewUFAStreamFrom(in.n, f, sopts)
-				}
-				return enumerate.NewNFAStreamFrom(in.n, f, sopts)
-			}
-			return enumerate.ResumeFrontier(in.n, f)
-		}
-		c, err := enumerate.ParseToken(opts.Cursor)
+	if err != nil {
+		return nil, err
+	}
+	idx, err := in.index(opts.Ctx, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	var e *enumerate.UFAEnumerator
+	if opts.Cursor != "" && !frontier {
+		e, err = enumerate.ResumeUFA(idx, c)
+	} else if e, err = enumerate.OpenUFA(idx, length); err == nil && opts.SeekRank != nil {
+		err = e.SeekRank(opts.SeekRank)
+	}
+	switch {
+	case err != nil:
+		return nil, err
+	case frontier && opts.Workers > 1:
+		return e.StreamFrom(f, sopts)
+	case frontier:
+		return e.ResumeFrontier(f)
+	case opts.Workers <= 1:
+		return e, nil
+	case opts.Cursor == "" && opts.SeekRank == nil:
+		return e.Stream(sopts), nil
+	}
+	return e.StreamFrom(enumerate.SuffixFrontier(e.Cursor()), sopts)
+}
+
+// openNL opens a flashlight session at `length`: fresh, or resumed from a
+// word or frontier token (a serial token opened with Workers > 1 is
+// re-sharded into suffix cells).
+func (in *Instance) openNL(length int, opts CursorOptions, sopts enumerate.StreamOptions) (enumerate.Session, error) {
+	switch {
+	case opts.SeekRank != nil:
+		return nil, fmt.Errorf("core: rank seek requires an unambiguous instance (RelationUL)")
+	case opts.Cursor == "" && opts.Workers > 1:
+		return enumerate.NewNFAStream(in.n, length, sopts)
+	case opts.Cursor == "":
+		return enumerate.NewNFA(in.n, length)
+	case enumerate.IsFrontierToken(opts.Cursor):
+		f, err := in.parseFrontier(opts.Cursor, length, enumerate.KindNFA)
 		if err != nil {
 			return nil, err
 		}
-		if c.Length != length {
-			return nil, fmt.Errorf("core: cursor length %d does not match session length %d", c.Length, length)
-		}
-		if c.Kind == enumerate.KindUFARank {
-			// A rank token seeks through the counting index instead of
-			// replaying a position. Fingerprint first, as on every resume
-			// path.
-			if err := enumerate.ValidateCursor(in.n, c); err != nil {
-				return nil, err
-			}
-			if c.Rank == nil {
-				return nil, fmt.Errorf("core: rank cursor carries no rank")
-			}
-			return in.openSeeked(length, c.Rank, idx, sopts)
-		}
-		if c.Kind != kind {
-			return nil, fmt.Errorf("core: cursor kind %q does not match instance class %s", c.Kind, in.class)
-		}
 		if opts.Workers > 1 {
-			// Re-shard the serial token's suffix into parallel cells.
-			f := enumerate.SuffixFrontier(c)
-			if in.class == ClassUL {
-				return enumerate.NewUFAStreamFrom(in.n, f, sopts)
-			}
 			return enumerate.NewNFAStreamFrom(in.n, f, sopts)
 		}
-		if in.class == ClassUL {
-			return enumerate.NewUFAFrom(in.n, c)
-		}
-		return enumerate.NewNFAFrom(in.n, c)
+		return enumerate.ResumeFrontier(in.n, f)
 	}
-	if opts.Workers > 1 {
-		if in.class == ClassUL {
-			e, err := in.newUFAEnumAt(length, idx)
-			if err != nil {
-				return nil, err
-			}
-			return e.Stream(sopts), nil
-		}
-		return enumerate.NewNFAStream(in.n, length, sopts)
+	c, err := in.parseCursor(opts.Cursor, length)
+	switch {
+	case err != nil:
+		return nil, err
+	case c.Kind == enumerate.KindUFARank:
+		return nil, fmt.Errorf("core: rank seek requires an unambiguous instance (RelationUL)")
+	case c.Kind != enumerate.KindNFA:
+		return nil, fmt.Errorf("core: cursor kind %q does not match instance class %s", c.Kind, in.class)
+	case opts.Workers > 1:
+		return enumerate.NewNFAStreamFrom(in.n, enumerate.SuffixFrontier(c), sopts)
 	}
-	if in.class == ClassUL {
-		return in.newUFAEnumAt(length, idx)
+	return enumerate.NewNFAFrom(in.n, c)
+}
+
+// parseCursor decodes a single-position token for a session at `length`
+// and checks its length and fingerprint against the instance.
+func (in *Instance) parseCursor(token string, length int) (enumerate.Cursor, error) {
+	c, err := enumerate.ParseToken(token)
+	if err == nil && c.Length != length {
+		err = fmt.Errorf("core: cursor length %d does not match session length %d", c.Length, length)
 	}
-	return enumerate.NewNFA(in.n, length)
+	if err != nil {
+		return c, err
+	}
+	return c, enumerate.ValidateCursor(in.n, c)
+}
+
+// parseFrontier decodes a frontier token (the multi-cell position of a
+// parallel session) for a session at `length` and checks its length,
+// kind and fingerprint against the instance.
+func (in *Instance) parseFrontier(token string, length int, kind byte) (enumerate.Frontier, error) {
+	f, err := enumerate.ParseFrontier(token)
+	switch {
+	case err != nil:
+		return f, err
+	case f.Length != length:
+		return f, fmt.Errorf("core: cursor length %d does not match session length %d", f.Length, length)
+	case f.Kind != kind:
+		return f, fmt.Errorf("core: cursor kind %q does not match instance class %s", f.Kind, in.class)
+	}
+	return f, enumerate.ValidateFrontier(in.n, f)
 }
 
 // EnumerateFrom is Enumerate resuming from a serialized token — the
@@ -908,13 +903,10 @@ func (in *Instance) EnumerateRange(lo, hi int, opts CursorOptions) (enumerate.Se
 		return nil, err
 	}
 	fp := enumerate.Fingerprint(in.n)
-	// seekIdx is set by the SeekRank branch below: with the range index
-	// already in hand, every per-length session attaches it, so the seek
-	// and any parallel stream's steal sizing read its tables instead of
-	// building a single-length index for numbers it already holds.
-	var seekIdx *lengthrange.RangeIndex
+	// Every per-length RelationUL session opens on the range's index, so
+	// the whole chain — and a global seek — shares one [lo, hi] build.
 	factory := func(length int, cursor string, seek *big.Int) (enumerate.Session, error) {
-		return in.openSessionAt(length, CursorOptions{
+		return in.openSessionAt(length, lo, hi, CursorOptions{
 			Ctx:            opts.Ctx,
 			Cursor:         cursor,
 			SeekRank:       seek,
@@ -923,7 +915,7 @@ func (in *Instance) EnumerateRange(lo, hi int, opts CursorOptions) (enumerate.Se
 			Ordered:        opts.Ordered,
 			MergeBudget:    opts.MergeBudget,
 			StealThreshold: opts.StealThreshold,
-		}, seekIdx)
+		})
 	}
 	var s enumerate.Session
 	var err error
@@ -935,7 +927,6 @@ func (in *Instance) EnumerateRange(lo, hi int, opts CursorOptions) (enumerate.Se
 		if rerr != nil {
 			return nil, rerr
 		}
-		seekIdx = ri
 		grand := ri.TotalRange()
 		r := opts.SeekRank
 		if r.Sign() < 0 || r.Cmp(grand) > 0 {

@@ -23,8 +23,8 @@ func rankedShaped(count int, seed int64) []string {
 }
 
 // prepare runs what every nfad request runs before the cache answers:
-// parse, core.New (trim, canonicalize, unambiguity test) and the cache
-// key.
+// parse, core.New (normal form, unambiguity test) and the instance's
+// cache key.
 func prepare(tb testing.TB, text string, cache *instcache.Cache) *instcache.Key {
 	n, err := automata.UnmarshalString(text)
 	if err != nil {
@@ -34,7 +34,7 @@ func prepare(tb testing.TB, text string, cache *instcache.Cache) *instcache.Key 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return instcache.KeyFor(in.Automaton())
+	return in.key()
 }
 
 // prepareAllocBound is the most allocations one preparation of a
@@ -62,7 +62,7 @@ func TestPrepareAllocationBound(t *testing.T) {
 // prepared keeps BenchmarkPrepare's result live.
 var prepared *instcache.Key
 
-// BenchmarkPrepare times request preparation (parse, core.New, KeyFor)
+// BenchmarkPrepare times request preparation (parse, core.New, cache key)
 // over 64 ranked-shaped DFAs, one per op, cycling; run it with -benchmem
 // and a -benchtime that is a multiple of 64 for the set's mean.
 func BenchmarkPrepare(b *testing.B) {

@@ -4,7 +4,7 @@ package countdag_test
 // BuildCtx on an unrolled DAG gives the single-length index [n, n], and
 // the index answers through Rank and Unrank as the former DAG-based index
 // did — in Algorithm 1's enumeration order, over the decision vectors of
-// the enumerator's own DAG.
+// the backward-pruned unrolled DAG.
 
 import (
 	"errors"

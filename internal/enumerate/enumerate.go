@@ -2,11 +2,12 @@
 // as a resumable, shardable streaming engine:
 //
 //   - UFAEnumerator is Algorithm 1 (§5.3.1): after a polynomial
-//     precomputation that builds the pruned unrolled DAG of Lemma 15, it
-//     emits the words of L_n(N) one by one with delay O(|output|) — the
-//     paper's notion of constant delay — by walking the DAG with a decision
-//     list. For an unambiguous automaton paths and words are in bijection,
-//     so no output repeats.
+//     precomputation — the ranked counting index of internal/lengthrange,
+//     whose pruned edge lists are the unrolled DAG of Lemma 15 — it emits
+//     the words of L_n(N) one by one with delay O(|output|), the paper's
+//     notion of constant delay, by walking that DAG with a decision list.
+//     For an unambiguous automaton paths and words are in bijection, so no
+//     output repeats.
 //
 //   - NFAEnumerator is the polynomial-delay enumerator of Theorem 16 for
 //     arbitrary NFAs, realized as the standard "flashlight" search over the
@@ -46,22 +47,22 @@
 //
 // # The counting index and ranked access
 //
-// Algorithm 1 enumerators can carry the ranked counting index of
-// internal/lengthrange (EnsureIndex, or AttachIndex with any index whose
-// range covers the enumerator's length): per-vertex subtree counts and
-// per-edge prefix sums in the DAG's own decision order, frozen and shared
-// by every fork. It upgrades three things. Positions gain a rank form — an
-// 'r' token whose payload is a single big integer, the number of words
-// emitted — minted by RankCursor and resumed by NewUFAFromRank/SeekRank in
-// O(n·log Δ) steps instead of a replay; any rank is directly addressable
-// (NewUFAAt). Cells gain exact sizes — Remaining reports the exact word
-// count a cell has yet to produce, which the scheduler uses for
-// steal-victim selection in place of the words-since-last-split proxy. And
-// SplitSteal gains a balanced mode: still carving at the shallowest
-// unexhausted branch (the only sound split layer — a deeper one would
-// orphan that layer's remaining siblings), but choosing how many sibling
-// subtrees the thief takes so the stolen share lands closest to half the
-// cell's remaining words.
+// An Algorithm 1 enumerator's only precomputation is a ranked counting
+// index of internal/lengthrange over any range covering its length
+// (OpenUFA; the automaton-taking constructors build a private serial
+// [n, n] one): the pruned edge lists it walks, plus per-vertex subtree
+// counts and per-edge prefix sums in the same decision order, frozen and
+// shared by every fork. The counts give three things. Positions have a
+// rank form — an 'r' token whose payload is a single big integer, the
+// number of words emitted — minted by RankCursor and resumed by
+// NewUFAFromRank/SeekRank in O(n·log Δ) steps instead of a replay; any
+// rank is directly addressable (NewUFAAt). Cells have exact sizes —
+// Remaining reports the exact word count a cell has yet to produce, which
+// the scheduler uses for steal-victim selection. And SplitSteal balances:
+// it carves at the shallowest unexhausted branch (the only sound split
+// layer — a deeper one would orphan that layer's remaining siblings), and
+// chooses how many sibling subtrees the thief takes so the stolen share
+// lands closest to half the cell's remaining words.
 //
 // # Cells
 //
@@ -81,14 +82,13 @@
 // Stream enumerates cells across Workers goroutines with dynamic
 // re-sharding. Workers claim cells from an ordered list (nearest the
 // consume point first); an idle worker with nothing to claim flags the
-// biggest running cell — by exact remaining word count when the cells
-// carry the counting index (UFA streams), by words-since-last-split
-// otherwise — and that cell's owner —
+// biggest running cell — by exact remaining word count for UFA cells, by
+// words-since-last-split for flashlight cells — and that cell's owner —
 // cooperatively, between two Next calls — splits off alternatives at the
-// shallowest unexhausted branch of its current position (SplitSteal);
-// with the index the thief takes the sibling range whose exact word count
-// is closest to half the cell's remainder, without it the whole range.
-// Either way the victim keeps everything up to the stolen range (its
+// shallowest unexhausted branch of its current position (SplitSteal): a
+// UFA thief takes the sibling range whose exact word count is closest to
+// half the cell's remainder, a flashlight thief the whole range. Either
+// way the victim keeps everything up to the stolen range (its
 // floor or ceiling records the new bound), the thief cell covers
 // everything after, and the thief is linked immediately after the victim,
 // keeping the list in canonical language order at all times. StealThreshold paces the splits:
@@ -141,15 +141,15 @@
 // length range [lo, hi] in length-lexicographic order by chaining
 // per-length sessions, and serializes its position as an el1:R: envelope
 // around the in-flight per-length token — so every el1: dialect lives in
-// this package. A per-length enumerator may attach the range's counting
-// index (core does on a range seek) and reads its tables at its own
+// this package. A per-length Algorithm 1 enumerator may open on the
+// range's counting index (core's do) and reads its tables at its own
 // length.
 //
 // The concurrency contract: a single enumerator must not be shared between
-// goroutines, but the precomputed tables (DAG adjacency, co-reachability
-// sets) are frozen after construction and are shared by every shard
-// enumerator forked from the same template; Stream.Next and Stream.Token
-// are for one consumer goroutine.
+// goroutines, but the precomputed tables (the counting index,
+// co-reachability sets) are frozen after construction and are shared by
+// every shard enumerator forked from the same template; Stream.Next and
+// Stream.Token are for one consumer goroutine.
 //
 // # Cancellation: cancel ⇒ checkpoint
 //
@@ -178,7 +178,6 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/lengthrange"
 	"repro/internal/par"
-	"repro/internal/unroll"
 )
 
 // Enumerator is the common iterator interface of both algorithms.
@@ -282,26 +281,27 @@ func fpFor(n *automata.NFA, length int) uint32 {
 // (Algorithm 1 of the paper). It implements Session; it must not be shared
 // between goroutines.
 type UFAEnumerator struct {
-	dag *unroll.DAG
-	fp  uint32
-	// idx is a ranked counting index covering dag.N (nil until
-	// EnsureIndex or AttachIndex): it upgrades the enumerator with O(n)
-	// rank seeking (SeekRank, RankCursor) and gives the work-stealing
-	// scheduler exact remaining-cell sizes (Remaining, size-balanced
-	// SplitSteal). Frozen once set; forks share it.
+	// idx is the enumerator's whole precomputation: a ranked counting
+	// index covering n. Its pruned edge lists at remaining length n−t are
+	// the out-edges of layer t of Lemma 15's DAG, which the walk follows;
+	// its prefix sums give O(n) rank seeking (SeekRank, RankCursor) and
+	// the scheduler's exact remaining-cell sizes (Remaining, size-balanced
+	// SplitSteal). Frozen; forks share it.
 	idx *lengthrange.RangeIndex
+	n   int
+	fp  uint32
 
 	// Iterator state: the current path as (vertex per layer, edge index per
-	// layer). path[t] is the state at layer t (t ≥ 1); choice[t] is the
-	// index of the edge taken out of layer t-1's vertex. floor is the
-	// shard lock depth: choices below it are pinned and backtracking stops
-	// there (0 for a full-range enumerator). lo is the first admissible
-	// choice at the floor layer: a stolen cell covers only the floor
-	// node's subtrees with index ≥ lo. ceil, when non-nil, is the cell's
-	// lexicographic ceiling (a decision-path prefix): enumeration stops
-	// before the first word whose decision vector leaves the ceiling
-	// subtree — how a cell whose upper range was stolen away is reopened
-	// without re-entering the stolen part.
+	// layer). path[t] is the state at layer t (path[0] the start state);
+	// choice[t] is the index of the edge taken out of layer t's vertex.
+	// floor is the shard lock depth: choices below it are pinned and
+	// backtracking stops there (0 for a full-range enumerator). lo is the
+	// first admissible choice at the floor layer: a stolen cell covers
+	// only the floor node's subtrees with index ≥ lo. ceil, when non-nil,
+	// is the cell's lexicographic ceiling (a decision-path prefix):
+	// enumeration stops before the first word whose decision vector leaves
+	// the ceiling subtree — how a cell whose upper range was stolen away is
+	// reopened without re-entering the stolen part.
 	started bool
 	done    bool
 	floor   int
@@ -312,89 +312,66 @@ type UFAEnumerator struct {
 	word    automata.Word
 }
 
-// NewUFA runs the precomputation phase for N and n: the Lemma 15 DAG with
-// both forward and backward pruning, plus forward adjacency. The automaton
-// must be ε-free; unambiguity is the caller's contract (verify with
-// automata.IsUnambiguous) — an ambiguous automaton enumerates accepting
-// *paths*, so words may repeat.
-func NewUFA(n *automata.NFA, length int) (*UFAEnumerator, error) {
-	dag, err := unroll.Build(n, length, unroll.Options{PruneBackward: true})
-	if err != nil {
-		return nil, err
+// OpenUFA opens an Algorithm 1 enumerator for witness length `length` on
+// a counting index whose range covers it — core's cached index, single-
+// length or the range index of a range session. The index is only read,
+// so any number of enumerators may share it. Unambiguity of the index's
+// automaton is the caller's contract — on an ambiguous automaton the walk
+// enumerates accepting *paths*, so words may repeat.
+func OpenUFA(idx *lengthrange.RangeIndex, length int) (*UFAEnumerator, error) {
+	if length < idx.Lo() || length > idx.Hi() {
+		return nil, fmt.Errorf("enumerate: index covers lengths [%d, %d], enumerator %d", idx.Lo(), idx.Hi(), length)
 	}
-	e := &UFAEnumerator{dag: dag, fp: fpFor(n, length)}
+	e := &UFAEnumerator{idx: idx, n: length, fp: fpFor(idx.Automaton(), length)}
 	e.reset()
 	return e, nil
 }
 
+// NewUFA runs the precomputation phase for N and n — a private serial
+// counting index over [n, n] — and opens an enumerator on it. The
+// automaton must be ε-free; see OpenUFA for the unambiguity contract
+// (verify with automata.IsUnambiguous).
+func NewUFA(n *automata.NFA, length int) (*UFAEnumerator, error) {
+	idx, err := lengthrange.Build(n, length, length, 1)
+	if err != nil {
+		return nil, err
+	}
+	return OpenUFA(idx, length)
+}
+
 // reset puts e at the start of its range with fresh iterator state.
 func (e *UFAEnumerator) reset() {
-	n := e.dag.N
+	a := e.idx.Automaton()
 	e.started = false
-	e.done = e.dag.Empty()
-	if n == 0 {
+	if e.n == 0 {
 		// The single possible output is ε, handled in Next.
+		e.done = !a.IsFinal(a.Start())
 		e.started = e.done
 		return
 	}
-	e.choice = make([]int, n)
-	e.path = make([]int, n+1)
-	e.word = make(automata.Word, n)
+	e.done = len(e.idx.OutEdges(e.n, a.Start())) == 0
+	e.choice = make([]int, e.n)
+	e.path = make([]int, e.n+1)
+	e.path[0] = a.Start()
+	e.word = make(automata.Word, e.n)
 }
 
-// fork clones the frozen precomputation (DAG, adjacency and counting
-// index are shared) with fresh iterator state.
+// fork shares the frozen counting index with fresh iterator state.
 func (e *UFAEnumerator) fork() *UFAEnumerator {
-	c := &UFAEnumerator{dag: e.dag, fp: e.fp, idx: e.idx}
+	c := &UFAEnumerator{idx: e.idx, n: e.n, fp: e.fp}
 	c.reset()
 	return c
 }
 
-// EnsureIndex returns the enumerator's ranked counting index, building
-// the single-length one on first call (serially; one backward sweep of
-// the automaton). Not safe to call concurrently with other methods —
-// attach the index before sharing forks (Stream does this before
-// launching workers).
-func (e *UFAEnumerator) EnsureIndex() (*lengthrange.RangeIndex, error) {
-	if e.idx == nil {
-		idx, err := lengthrange.Build(e.dag.Src, e.dag.N, e.dag.N, 1)
-		if err != nil {
-			return nil, err
-		}
-		e.idx = idx
-	}
-	return e.idx, nil
-}
-
-// AttachIndex installs an index built elsewhere — typically core's cached
-// one, single-length or the range index of a range session. It must be
-// built on the enumerator's automaton, over a range that covers the
-// enumerator's length: the index addresses length n by the decision
-// indices of the backward-pruned length-n DAG, whichever range it spans.
-func (e *UFAEnumerator) AttachIndex(idx *lengthrange.RangeIndex) error {
-	if idx == nil {
-		return fmt.Errorf("enumerate: nil index")
-	}
-	if n := e.dag.N; n < idx.Lo() || n > idx.Hi() {
-		return fmt.Errorf("enumerate: index covers lengths [%d, %d], enumerator %d", idx.Lo(), idx.Hi(), n)
-	}
-	e.idx = idx
-	return nil
-}
-
 // SeekRank positions a fresh full-range enumerator so that the next
 // emitted word is the one at the given 0-based rank in enumeration order —
-// O(n·log Δ) via the counting index (built on demand), no replay. r =
-// Total() yields an exhausted enumerator; r beyond that is an error.
+// O(n·log Δ) via the counting index, no replay. r = Total() yields an
+// exhausted enumerator; r beyond that is an error.
 func (e *UFAEnumerator) SeekRank(r *big.Int) error {
 	if e.started || e.floor != 0 || e.lo != 0 || e.ceil != nil {
 		return fmt.Errorf("enumerate: SeekRank needs a fresh full-range enumerator")
 	}
-	idx, err := e.EnsureIndex()
-	if err != nil {
-		return err
-	}
-	total, err := idx.TotalAt(e.dag.N)
+	total, err := e.idx.TotalAt(e.n)
 	if err != nil {
 		return err
 	}
@@ -409,7 +386,7 @@ func (e *UFAEnumerator) SeekRank(r *big.Int) error {
 		return nil
 	}
 	// Position = the word at rank r-1 was emitted.
-	choices, err := idx.UnrankChoicesAt(e.dag.N, new(big.Int).Sub(r, bigOne))
+	choices, err := e.idx.UnrankChoicesAt(e.n, new(big.Int).Sub(r, bigOne))
 	if err != nil {
 		return err
 	}
@@ -421,7 +398,7 @@ func (e *UFAEnumerator) SeekRank(r *big.Int) error {
 }
 
 // setPos replays decisions pos[0..len(pos)) from the start into the
-// iterator state, validating each against the DAG; what names the
+// iterator state, validating each against the edge lists; what names the
 // decision vector in errors.
 func (e *UFAEnumerator) setPos(pos []int, what string) error {
 	for t, i := range pos {
@@ -437,17 +414,10 @@ func (e *UFAEnumerator) setPos(pos []int, what string) error {
 	return nil
 }
 
-// Count of distinct outputs is |L_n| for a UFA; exposed via the dag for
-// diagnostics.
-func (e *UFAEnumerator) DAG() *unroll.DAG { return e.dag }
-
 // edgesAt returns the out-edges layer t's choice indexes: those of the
-// start vertex for t=0, else of the state stored on the current path.
-func (e *UFAEnumerator) edgesAt(t int) []unroll.OutEdge {
-	if t == 0 {
-		return e.dag.StartSuccs()
-	}
-	return e.dag.Succs(t, e.path[t])
+// state stored on the current path, at remaining length n−t.
+func (e *UFAEnumerator) edgesAt(t int) []lengthrange.Edge {
+	return e.idx.OutEdges(e.n-t, e.path[t])
 }
 
 // Next implements Enumerator. The first call descends the minimal path;
@@ -458,7 +428,7 @@ func (e *UFAEnumerator) Next() (automata.Word, bool) {
 	if e.done {
 		return nil, false
 	}
-	n := e.dag.N
+	n := e.n
 	if n == 0 {
 		// Only ε can be output, once.
 		e.done = true
@@ -538,7 +508,7 @@ func exceedsCeil(pos, ceil []int) bool {
 // For a shard-restricted enumerator the cursor still denotes the global
 // position: resuming it continues the full enumeration, not the shard.
 func (e *UFAEnumerator) Cursor() Cursor {
-	c := Cursor{Kind: KindUFA, Length: e.dag.N, FP: e.fp}
+	c := Cursor{Kind: KindUFA, Length: e.n, FP: e.fp}
 	switch {
 	case e.done:
 		c.State = CursorDone
@@ -557,25 +527,23 @@ func (e *UFAEnumerator) Token() (string, bool) { return e.Cursor().Token(), true
 // RankCursor returns the enumerator's position as a rank cursor: the
 // number of words already emitted before the current position, which is
 // also the rank of the next word. Resuming it (Resume / NewUFAFromRank)
-// seeks in O(n·log Δ) instead of replaying a decision vector. The index
-// is built on demand; like Cursor, a shard-restricted enumerator yields
-// the global position of its last emitted word.
+// seeks in O(n·log Δ) instead of replaying a decision vector. Like
+// Cursor, a shard-restricted enumerator yields the global position of its
+// last emitted word.
 func (e *UFAEnumerator) RankCursor() (Cursor, error) {
-	idx, err := e.EnsureIndex()
-	if err != nil {
-		return Cursor{}, err
-	}
-	n := e.dag.N
+	n := e.n
 	c := Cursor{Kind: KindUFARank, Length: n, FP: e.fp, State: CursorMid, Rank: new(big.Int)}
 	switch {
 	case e.done:
-		if c.Rank, err = idx.TotalAt(n); err != nil {
+		total, err := e.idx.TotalAt(n)
+		if err != nil {
 			return Cursor{}, err
 		}
+		c.Rank = total
 	case !e.started:
 		// rank 0
 	default:
-		r, err := idx.RankOfChoicesAt(n, e.choice)
+		r, err := e.idx.RankOfChoicesAt(n, e.choice)
 		if err != nil {
 			return Cursor{}, err
 		}
@@ -585,20 +553,18 @@ func (e *UFAEnumerator) RankCursor() (Cursor, error) {
 }
 
 // Remaining returns the exact number of words this enumerator has yet to
-// emit (within its cell bounds), when a counting index is attached;
-// ok=false without one. The scheduler uses it for exact steal-victim
-// selection. The caller owns the result.
+// emit (within its cell bounds); ok=false only when the index rejects the
+// enumerator's own position, which a valid enumerator never holds. The
+// scheduler uses it for exact steal-victim selection. The caller owns the
+// result.
 func (e *UFAEnumerator) Remaining() (*big.Int, bool) {
-	if e.idx == nil {
-		return nil, false
-	}
 	rem := new(big.Int)
 	if e.done {
 		return rem, true
 	}
-	n := e.dag.N
+	n := e.n
 	if n == 0 {
-		if !e.started && !e.dag.Empty() {
+		if !e.started {
 			rem.SetInt64(1)
 		}
 		return rem, true
@@ -653,52 +619,82 @@ func (e *UFAEnumerator) Err() error { return nil }
 // Close implements Session; a serial enumerator holds no resources.
 func (e *UFAEnumerator) Close() {}
 
+// ResumeUFA reopens an Algorithm 1 enumeration on a counting index
+// covering the cursor's length, at the position a decision ('u') or rank
+// ('r') cursor records: a decision vector is replayed in O(n), a rank is
+// seeked in O(n·log Δ). The fingerprint is checked against the index's
+// automaton before the replay, and every decision index during it. The
+// continued enumeration is bitwise identical to the uninterrupted one.
+func ResumeUFA(idx *lengthrange.RangeIndex, c Cursor) (*UFAEnumerator, error) {
+	e, err := OpenUFA(idx, c.Length)
+	if err != nil {
+		return nil, err
+	}
+	if c.FP != e.fp {
+		return nil, fmt.Errorf("enumerate: cursor fingerprint %08x does not match automaton at this length (%08x)", c.FP, e.fp)
+	}
+	switch {
+	case c.Kind == KindUFARank && c.Rank == nil:
+		err = fmt.Errorf("enumerate: rank cursor carries no rank")
+	case c.Kind == KindUFARank:
+		err = e.SeekRank(c.Rank)
+	case c.Kind != KindUFA:
+		err = fmt.Errorf("enumerate: cursor kind %q, want %q", c.Kind, KindUFA)
+	case c.State == CursorFresh:
+	case c.State == CursorDone, c.State == CursorMid && c.Length == 0:
+		// Exhausted, or ε was emitted: one more Next returns false.
+		e.started, e.done = true, true
+	case c.State != CursorMid:
+		err = fmt.Errorf("enumerate: unknown cursor state %d", c.State)
+	case e.done:
+		err = fmt.Errorf("enumerate: mid cursor for an empty language slice")
+	case len(c.Pos) != c.Length:
+		err = fmt.Errorf("enumerate: cursor has %d decisions, want %d", len(c.Pos), c.Length)
+	default:
+		err = e.setPos(c.Pos, "cursor")
+		e.started = true
+	}
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
 // NewUFAFrom reopens an Algorithm 1 enumeration at the position recorded in
-// the cursor (as produced by (*UFAEnumerator).Cursor or ParseToken). The
-// automaton must be the one the cursor was minted on: the fingerprint, the
-// length and every decision index are validated during the replay, and any
-// mismatch is an error. The continued enumeration is bitwise identical to
-// the uninterrupted one.
+// a decision cursor (as produced by (*UFAEnumerator).Cursor or
+// ParseToken) — ResumeUFA on a private serial [n, n] index. The automaton
+// must be the one the cursor was minted on, and any mismatch is an error.
 func NewUFAFrom(n *automata.NFA, c Cursor) (*UFAEnumerator, error) {
 	if c.Kind != KindUFA {
 		return nil, fmt.Errorf("enumerate: cursor kind %q, want %q", c.Kind, KindUFA)
 	}
-	// Fingerprint first: it is cheap, while building the DAG is not, and
-	// fpFor binds the length — so neither a cross-automaton token nor one
-	// with a tampered length field buys a length-sized precomputation.
-	if fp := fpFor(n, c.Length); c.FP != fp {
-		return nil, fmt.Errorf("enumerate: cursor fingerprint %08x does not match automaton at this length (%08x)", c.FP, fp)
+	return newUFAFrom(n, c)
+}
+
+// NewUFAFromRank is NewUFAFrom for a rank cursor (kind 'r', as produced
+// by RankCursor or ParseToken): the position is seeked in O(n·log Δ)
+// instead of replayed, and the continued enumeration is bitwise identical
+// to one that replayed a decision cursor to the same position.
+func NewUFAFromRank(n *automata.NFA, c Cursor) (*UFAEnumerator, error) {
+	if c.Kind != KindUFARank {
+		return nil, fmt.Errorf("enumerate: cursor kind %q, want %q", c.Kind, KindUFARank)
 	}
-	e, err := NewUFA(n, c.Length)
+	return newUFAFrom(n, c)
+}
+
+// newUFAFrom validates the fingerprint before building the private index
+// — it binds the length, so neither a cross-automaton token nor one with
+// a tampered length field buys a length-sized precomputation — then
+// resumes on it.
+func newUFAFrom(n *automata.NFA, c Cursor) (*UFAEnumerator, error) {
+	if err := ValidateCursor(n, c); err != nil {
+		return nil, err
+	}
+	idx, err := lengthrange.Build(n, c.Length, c.Length, 1)
 	if err != nil {
 		return nil, err
 	}
-	switch c.State {
-	case CursorFresh:
-		return e, nil
-	case CursorDone:
-		e.started, e.done = true, true
-		return e, nil
-	case CursorMid:
-		if c.Length == 0 {
-			// ε was emitted; one more Next returns false.
-			e.started = true
-			e.done = true
-			return e, nil
-		}
-		if e.done {
-			return nil, fmt.Errorf("enumerate: mid cursor for an empty language slice")
-		}
-		if len(c.Pos) != c.Length {
-			return nil, fmt.Errorf("enumerate: cursor has %d decisions, want %d", len(c.Pos), c.Length)
-		}
-		if err := e.setPos(c.Pos, "cursor"); err != nil {
-			return nil, err
-		}
-		e.started = true
-		return e, nil
-	}
-	return nil, fmt.Errorf("enumerate: unknown cursor state %d", c.State)
+	return ResumeUFA(idx, c)
 }
 
 // NewUFAAt is NewUFA positioned so the next emitted word is the one at
@@ -718,34 +714,15 @@ func NewUFAAt(n *automata.NFA, length int, rank *big.Int) (*UFAEnumerator, error
 
 // ValidateCursor runs the fingerprint check every resume path performs:
 // it reports an error unless the cursor was minted on this automaton at
-// its embedded length. Cheap (one automaton hash), so callers that build
-// their own enumerator — e.g. to attach a shared counting index before
-// seeking — can validate first without paying a length-sized
-// precomputation for a forged token.
+// its embedded length. Cheap (one automaton hash), so callers that open
+// their enumerator on a shared counting index can validate before
+// resolving it, without paying a length-sized precomputation for a forged
+// token.
 func ValidateCursor(n *automata.NFA, c Cursor) error {
 	if fp := fpFor(n, c.Length); c.FP != fp {
 		return fmt.Errorf("enumerate: cursor fingerprint %08x does not match automaton at this length (%08x)", c.FP, fp)
 	}
 	return nil
-}
-
-// NewUFAFromRank reopens an Algorithm 1 enumeration from a rank cursor
-// (kind 'r', as produced by RankCursor or ParseToken): the fingerprint is
-// validated first (it binds the length, so a forged token buys no
-// length-sized precomputation), then the position is seeked in O(n·log Δ)
-// instead of replayed. The continued enumeration is bitwise identical to
-// one that replayed a decision cursor to the same position.
-func NewUFAFromRank(n *automata.NFA, c Cursor) (*UFAEnumerator, error) {
-	if c.Kind != KindUFARank {
-		return nil, fmt.Errorf("enumerate: cursor kind %q, want %q", c.Kind, KindUFARank)
-	}
-	if err := ValidateCursor(n, c); err != nil {
-		return nil, err
-	}
-	if c.Rank == nil {
-		return nil, fmt.Errorf("enumerate: rank cursor carries no rank")
-	}
-	return NewUFAAt(n, c.Length, c.Rank)
 }
 
 // Shards splits the enumeration range into at least min(target, |cells|)
@@ -756,15 +733,15 @@ func (e *UFAEnumerator) Shards(target int) []Shard {
 	if target < 1 {
 		target = 1
 	}
-	n := e.dag.N
-	if e.dag.Empty() || n == 0 || target == 1 {
+	n := e.n
+	if e.done || n == 0 || target == 1 {
 		return []Shard{{kind: KindUFA}}
 	}
 	type cell struct {
 		prefix []int
-		src    int // state at layer len(prefix); unused at depth 0
+		src    int // state at layer len(prefix)
 	}
-	cells := []cell{{}}
+	cells := []cell{{src: e.path[0]}}
 	for len(cells) < target {
 		best := -1
 		for i, c := range cells {
@@ -777,12 +754,7 @@ func (e *UFAEnumerator) Shards(target int) []Shard {
 		}
 		c := cells[best]
 		d := len(c.prefix)
-		var edges []unroll.OutEdge
-		if d == 0 {
-			edges = e.dag.StartSuccs()
-		} else {
-			edges = e.dag.Succs(d, c.src)
-		}
+		edges := e.idx.OutEdges(n-d, c.src)
 		children := make([]cell, len(edges))
 		for i, ed := range edges {
 			p := make([]int, d+1)
@@ -815,7 +787,7 @@ func (e *UFAEnumerator) OpenShard(s Shard) (*UFAEnumerator, error) {
 // full decision vector of the last word already emitted inside the cell
 // (as recorded in a frontier token), and the returned enumerator continues
 // just after it. pos must lie inside the cell; every decision is validated
-// against the DAG during the replay.
+// against the edge lists during the replay.
 func (e *UFAEnumerator) OpenShardAt(s Shard, pos []int) (*UFAEnumerator, error) {
 	if s.kind != KindUFA {
 		return nil, fmt.Errorf("enumerate: shard kind %q, want %q", s.kind, KindUFA)
@@ -824,7 +796,7 @@ func (e *UFAEnumerator) OpenShardAt(s Shard, pos []int) (*UFAEnumerator, error) 
 		return nil, fmt.Errorf("enumerate: negative shard lower bound %d", s.lo)
 	}
 	c := e.fork()
-	n := c.dag.N
+	n := c.n
 	if len(s.prefix) > n {
 		return nil, fmt.Errorf("enumerate: shard prefix length %d exceeds %d", len(s.prefix), n)
 	}
@@ -872,69 +844,26 @@ func (e *UFAEnumerator) OpenShardAt(s Shard, pos []int) (*UFAEnumerator, error) 
 // off into a new cell, always branching at the shallowest not-yet-
 // exhausted layer at or above the current position (respecting the
 // cell's ceiling — already-stolen upper ranges are never re-stolen; any
-// deeper branch layer would orphan the shallow layer's remaining
-// siblings). Without a counting index the thief takes every detachable
-// sibling there — a steal-most split; with one (EnsureIndex/AttachIndex,
-// which Stream arranges) it takes the sibling range whose exact word
-// count is closest to half the cell's remaining words — a steal-half
-// split, the receiver keeping the rest under a tightened ceiling. Either
-// way the receiver's remaining words immediately precede the stolen
-// cell's in canonical order. ok=false when the remaining range is a
-// single subtree with no detachable sibling. The receiver must have
-// emitted at least one word and must be between two Next calls.
+// deeper branch layer would orphan that layer's remaining siblings, since
+// neither the risen victim floor nor the single-branch thief shard could
+// ever reach them). The counting index chooses HOW MANY sibling subtrees
+// the thief takes: the lower bound j whose stolen word count is closest
+// to half the cell's remaining words. A full take (j = choice+1) raises
+// the victim's floor past the branch; a partial take instead caps the
+// victim with a new ceiling ending at subtree j−1, so the words in
+// between stay with the victim. Either way the receiver's remaining words
+// immediately precede the stolen cell's in canonical order. ok=false when
+// the remaining range is a single subtree with no detachable sibling. The
+// receiver must have emitted at least one word and must be between two
+// Next calls.
 func (e *UFAEnumerator) SplitSteal() (Shard, bool) {
 	if !e.started || e.done {
 		return Shard{}, false
 	}
-	if e.idx != nil {
-		if s, ok, fellBack := e.splitBalanced(); !fellBack {
-			return s, ok
-		}
-	}
-	return e.splitShallowest()
-}
-
-// splitShallowest is the index-free split: the first layer with a
-// detachable sibling, which hands the thief the largest possible share.
-func (e *UFAEnumerator) splitShallowest() (Shard, bool) {
-	n := e.dag.N
-	onCeil := pathOnCeil(e.choice, e.ceil, e.floor)
-	for t := e.floor; t < n; t++ {
-		hi := len(e.edgesAt(t)) - 1
-		if onCeil && t < len(e.ceil) && e.ceil[t] < hi {
-			hi = e.ceil[t]
-		}
-		if e.choice[t]+1 <= hi {
-			s := Shard{
-				kind:   KindUFA,
-				prefix: append([]int(nil), e.choice[:t]...),
-				lo:     e.choice[t] + 1,
-				ceil:   e.ceil,
-			}
-			e.floor = t + 1
-			return s, true
-		}
-		onCeil = onCeil && t < len(e.ceil) && e.choice[t] == e.ceil[t]
-	}
-	return Shard{}, false
-}
-
-// splitBalanced splits at the same branch layer as splitShallowest — the
-// shallowest detachable one; any deeper layer would orphan that layer's
-// unexhausted siblings, since neither the risen victim floor nor the
-// single-branch thief shard could ever reach them — but uses the counting
-// index to choose HOW MANY sibling subtrees the thief takes: the lower
-// bound j with the stolen word count closest to half the cell's remaining
-// words. A full take (j = choice+1) raises the victim's floor exactly
-// like the shallowest split; a partial take instead caps the victim with
-// a new ceiling ending at subtree j−1, so the words in between stay with
-// the victim. fellBack=true means the index computation could not run
-// (caller falls back to splitShallowest).
-func (e *UFAEnumerator) splitBalanced() (s Shard, ok, fellBack bool) {
-	n := e.dag.N
-	rem, okRem := e.Remaining()
-	if !okRem || rem.Sign() <= 0 {
-		return Shard{}, false, true
+	n := e.n
+	rem, ok := e.Remaining()
+	if !ok || rem.Sign() <= 0 {
+		return Shard{}, false
 	}
 	// Exclusive end of the cell's rank interval, for ceiling-truncated
 	// subtree sizes.
@@ -942,16 +871,16 @@ func (e *UFAEnumerator) splitBalanced() (s Shard, ok, fellBack bool) {
 	if e.ceil != nil {
 		first, count, err := e.idx.SubtreeSpanAt(n, e.ceil)
 		if err != nil {
-			return Shard{}, false, true
+			return Shard{}, false
 		}
 		ceilLimit = first.Add(first, count)
 	}
 	// base tracks the first rank of the subtree pinned by e.choice[:t].
 	base, _, err := e.idx.SubtreeSpanAt(n, e.choice[:e.floor])
 	if err != nil {
-		return Shard{}, false, true
+		return Shard{}, false
 	}
-	// The shallowest detachable layer, exactly as splitShallowest finds it.
+	// The shallowest detachable layer.
 	split := -1
 	var hi int
 	truncated := false
@@ -974,7 +903,7 @@ func (e *UFAEnumerator) splitBalanced() (s Shard, ok, fellBack bool) {
 		base.Add(base, cum[e.choice[t]])
 	}
 	if split < 0 {
-		return Shard{}, false, false
+		return Shard{}, false
 	}
 	cum := e.idx.EdgeCumAt(n, split, e.path[split])
 	// Exclusive end of the stealable range at the split layer.
@@ -1002,9 +931,9 @@ func (e *UFAEnumerator) splitBalanced() (s Shard, ok, fellBack bool) {
 		}
 	}
 	if bestJ < 0 {
-		return Shard{}, false, false
+		return Shard{}, false
 	}
-	s = Shard{
+	s := Shard{
 		kind:   KindUFA,
 		prefix: append([]int(nil), e.choice[:split]...),
 		lo:     bestJ,
@@ -1019,7 +948,7 @@ func (e *UFAEnumerator) splitBalanced() (s Shard, ok, fellBack bool) {
 		// can still backtrack to those siblings).
 		e.ceil = append(append([]int(nil), e.choice[:split]...), bestJ-1)
 	}
-	return s, true, false
+	return s, true
 }
 
 // pathOnCeil reports whether pos[:depth] still tracks the ceiling path (so
@@ -1041,9 +970,9 @@ func pathOnCeil(pos, ceil []int, depth int) bool {
 
 // PinnedPath returns the exact upper bound of the enumerator's remaining
 // range after SplitSteal: the path pinned by the risen shard floor, or —
-// when a partial balanced split bounded the victim with a ceiling instead
-// — that tighter ceiling. The scheduler records it as the cell's new
-// ceiling so suspended cells reopen without re-entering stolen ranges.
+// when a partial split bounded the victim with a ceiling instead — that
+// tighter ceiling. The scheduler records it as the cell's new ceiling so
+// suspended cells reopen without re-entering stolen ranges.
 func (e *UFAEnumerator) PinnedPath() []int {
 	return append([]int(nil), victimCeil(e.ceil, e.choice[:e.floor])...)
 }

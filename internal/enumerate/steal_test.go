@@ -205,15 +205,26 @@ func TestStealSkewedExactSizes(t *testing.T) {
 	}
 }
 
-// TestSplitStealExactSizes asserts the split-point upgrade
-// deterministically, without a scheduler in the loop: with the counting
-// index attached, SplitSteal (a) conserves words exactly — stolen cell
-// size plus the victim's remaining equals the pre-split remaining — and
-// (b) lands at least as close to a half/half split as the index-free
-// shallowest split does.
+// TestSplitStealExactSizes asserts the split point deterministically,
+// without a scheduler in the loop: SplitSteal (a) conserves words exactly
+// — stolen cell size plus the victim's remaining equals the pre-split
+// remaining — and (b) branches at the shallowest detachable layer with
+// the lower bound whose stolen share, summed from the index's subtree
+// spans, lies closest to half the pre-split remaining.
 func TestSplitStealExactSizes(t *testing.T) {
-	dfa := automata.SkewedDensity(4)
-	length := 16
+	// SkewedDensity is binary (one sibling per split layer); the σ = 4 DFA
+	// gives the split a choice of lower bounds.
+	wide := automata.RandomDFA(rand.New(rand.NewSource(5)), automata.NewAlphabet("a", "b", "c", "d"), 8, 0.5)
+	for _, tc := range []struct {
+		dfa    *automata.NFA
+		length int
+	}{{automata.SkewedDensity(4), 16}, {wide, 8}} {
+		checkSplitSteal(t, tc.dfa, tc.length)
+	}
+}
+
+func checkSplitSteal(t *testing.T, dfa *automata.NFA, length int) {
+	t.Helper()
 	cellSize := func(host *UFAEnumerator, s Shard) *big.Int {
 		c, err := host.OpenShard(s)
 		if err != nil {
@@ -221,7 +232,7 @@ func TestSplitStealExactSizes(t *testing.T) {
 		}
 		rem, ok := c.Remaining()
 		if !ok {
-			t.Fatal("shard host must carry the index")
+			t.Fatal("shard must count its words")
 		}
 		return rem
 	}
@@ -230,27 +241,18 @@ func TestSplitStealExactSizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bal.EnsureIndex()
-		shallow, err := NewUFA(dfa, length) // no index: shallowest split
-		if err != nil {
-			t.Fatal(err)
-		}
 		for i := 0; i < emit; i++ {
 			if _, ok := bal.Next(); !ok {
 				t.Fatalf("enumeration ended before %d words", emit)
 			}
-			shallow.Next()
 		}
 		before, ok := bal.Remaining()
 		if !ok {
-			t.Fatal("index-backed enumerator must count")
+			t.Fatal("enumerator must count")
 		}
-		balShard, okB := bal.SplitSteal()
-		shShard, okS := shallow.SplitSteal()
-		if okB != okS {
-			t.Fatalf("emit %d: balanced split ok=%v, shallowest ok=%v", emit, okB, okS)
-		}
-		if !okB {
+		pos := append([]int(nil), bal.choice...)
+		balShard, ok := bal.SplitSteal()
+		if !ok {
 			continue
 		}
 		stolen := cellSize(bal, balShard)
@@ -259,14 +261,40 @@ func TestSplitStealExactSizes(t *testing.T) {
 		if sum := new(big.Int).Add(stolen, after); sum.Cmp(before) != 0 {
 			t.Fatalf("emit %d: stolen %v + victim remaining %v != pre-split remaining %v", emit, stolen, after, before)
 		}
-		// (b) At least as balanced as the shallowest split.
-		stolenSh := cellSize(bal, shShard)
-		dist := func(s *big.Int) *big.Int {
-			d := new(big.Int).Lsh(s, 1)
-			return d.Sub(d, before).Abs(d)
+		// (b) The shallowest detachable layer and the closest-to-half
+		// lower bound there.
+		spanCount := func(path []int) (*big.Int, bool) {
+			_, count, err := bal.idx.SubtreeSpanAt(length, path)
+			return count, err == nil
 		}
-		if dist(stolen).Cmp(dist(stolenSh)) > 0 {
-			t.Fatalf("emit %d: balanced split stole %v of %v, further from half than shallowest (%v)", emit, stolen, before, stolenSh)
+		split := len(balShard.Prefix())
+		for u := 0; u < split; u++ {
+			if _, ok := spanCount(append(append([]int(nil), pos[:u]...), pos[u]+1)); ok {
+				t.Fatalf("emit %d: layer %d above the split layer %d has a detachable sibling", emit, u, split)
+			}
+		}
+		var siblings []*big.Int
+		for i := pos[split] + 1; ; i++ {
+			count, ok := spanCount(append(append([]int(nil), pos[:split]...), i))
+			if !ok {
+				break
+			}
+			siblings = append(siblings, count)
+		}
+		bestJ, bestDiff := -1, (*big.Int)(nil)
+		for j := range siblings {
+			share := new(big.Int)
+			for _, c := range siblings[j:] {
+				share.Add(share, c)
+			}
+			diff := share.Lsh(share, 1)
+			diff.Sub(diff, before).Abs(diff)
+			if bestJ < 0 || diff.Cmp(bestDiff) < 0 {
+				bestJ, bestDiff = pos[split]+1+j, diff
+			}
+		}
+		if balShard.Lo() != bestJ {
+			t.Fatalf("emit %d: thief lower bound %d at layer %d, closest to half is %d", emit, balShard.Lo(), split, bestJ)
 		}
 	}
 }
@@ -295,14 +323,14 @@ func splitSiblingDFA(length int) *automata.NFA {
 	return n
 }
 
-// TestSplitStealCompleteness: after any SplitSteal — balanced
-// (index-backed) or shallowest — draining the victim and then the thief
-// yields exactly the serial remainder, with no word lost or duplicated.
+// TestSplitStealCompleteness: after any SplitSteal, draining the victim
+// and then the thief yields exactly the serial remainder, with no word
+// lost or duplicated.
 // Runs the adversarial sibling automaton (where an unsound deeper split
 // orphans the root's b-branch) and random DFAs with repeated splits.
 func TestSplitStealCompleteness(t *testing.T) {
 	leakcheck.Check(t)
-	check := func(t *testing.T, nfa *automata.NFA, length, emit int, withIndex bool) {
+	check := func(t *testing.T, nfa *automata.NFA, length, emit int) {
 		t.Helper()
 		serial, err := NewUFA(nfa, length)
 		if err != nil {
@@ -315,9 +343,6 @@ func TestSplitStealCompleteness(t *testing.T) {
 		e, err := NewUFA(nfa, length)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if withIndex {
-			e.EnsureIndex()
 		}
 		for i := 0; i < emit; i++ {
 			e.Next()
@@ -334,11 +359,11 @@ func TestSplitStealCompleteness(t *testing.T) {
 		}
 		got = append(got, Collect(nfa.Alphabet(), thief, 0)...)
 		if len(got) != len(want) {
-			t.Fatalf("withIndex=%v emit=%d: victim+thief yield %d words, want %d", withIndex, emit, len(got), len(want))
+			t.Fatalf("emit=%d: victim+thief yield %d words, want %d", emit, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("withIndex=%v emit=%d: word %d = %q, want %q", withIndex, emit, i, got[i], want[i])
+				t.Fatalf("emit=%d: word %d = %q, want %q", emit, i, got[i], want[i])
 			}
 		}
 	}
@@ -347,8 +372,7 @@ func TestSplitStealCompleteness(t *testing.T) {
 		t.Fatal("sibling automaton must be unambiguous")
 	}
 	for _, emit := range []int{1, 2, 64, 127, 128} {
-		check(t, adversarial, 8, emit, true)
-		check(t, adversarial, 8, emit, false)
+		check(t, adversarial, 8, emit)
 	}
 	// End to end: the ordered stream on the adversarial automaton must be
 	// bitwise serial (the original bug silently dropped b^n here).
@@ -379,8 +403,7 @@ func TestSplitStealCompleteness(t *testing.T) {
 		dfa := automata.RandomDFA(rng, automata.Binary(), 3+rng.Intn(8), 0.5)
 		length := 4 + rng.Intn(5)
 		emit := 1 + rng.Intn(10)
-		check(t, dfa, length, emit, true)
-		check(t, dfa, length, emit, false)
+		check(t, dfa, length, emit)
 	}
 }
 

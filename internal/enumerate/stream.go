@@ -996,24 +996,12 @@ func freshInits(shards []Shard) []initialSeg {
 	return inits
 }
 
-// ensureStreamIndex builds the counting index before workers launch when
-// the scheduler will use it (stealing on) and none is attached: the
-// forked cell enumerators then all share it, enabling exact victim
-// selection and size-balanced splits. A build that fails (an arena too
-// large for its offsets) leaves the stream on the index-free proxy.
-func (e *UFAEnumerator) ensureStreamIndex(opts StreamOptions) {
-	if _, stealing := opts.stealThreshold(); stealing {
-		_, _ = e.EnsureIndex()
-	}
-}
-
 // Stream opens a sharded parallel enumeration of this enumerator's range,
 // sharing its precomputation. The receiver must be fresh (not yet
 // iterated) and must not be used while the stream runs.
 func (e *UFAEnumerator) Stream(opts StreamOptions) *Stream {
-	e.ensureStreamIndex(opts)
 	inits := freshInits(e.Shards(shardTarget(opts)))
-	return newStream(KindUFA, e.fp, e.dag.N, inits, func(s Shard, pos []int) (cellEnum, error) {
+	return newStream(KindUFA, e.fp, e.n, inits, func(s Shard, pos []int) (cellEnum, error) {
 		return e.OpenShardAt(s, pos)
 	}, opts)
 }
@@ -1022,14 +1010,26 @@ func (e *UFAEnumerator) Stream(opts StreamOptions) *Stream {
 // previous session's Token, sharing this enumerator's precomputation: the
 // stream emits exactly the frontier's undelivered words.
 func (e *UFAEnumerator) StreamFrom(f Frontier, opts StreamOptions) (*Stream, error) {
-	e.ensureStreamIndex(opts)
-	inits, err := frontierInits(f, KindUFA, e.fp, e.dag.N)
+	inits, err := frontierInits(f, KindUFA, e.fp, e.n)
 	if err != nil {
 		return nil, err
 	}
-	return newStream(KindUFA, e.fp, e.dag.N, inits, func(s Shard, pos []int) (cellEnum, error) {
+	return newStream(KindUFA, e.fp, e.n, inits, func(s Shard, pos []int) (cellEnum, error) {
 		return e.OpenShardAt(s, pos)
 	}, opts), nil
+}
+
+// ResumeFrontier is the serial counterpart of StreamFrom: it drains the
+// frontier's cells one after another on this enumerator's
+// precomputation, under the contract of the package-level
+// ResumeFrontier.
+func (e *UFAEnumerator) ResumeFrontier(f Frontier) (Session, error) {
+	if f.Kind != KindUFA || f.FP != e.fp || f.Length != e.n {
+		return nil, fmt.Errorf("enumerate: frontier (kind %q, fingerprint %08x, length %d) does not match the enumerator", f.Kind, f.FP, f.Length)
+	}
+	return &chainSession{kind: KindUFA, fp: f.FP, length: f.Length, segs: f.Segs, open: func(s Shard, pos []int) (cellEnum, error) {
+		return e.OpenShardAt(s, pos)
+	}}, nil
 }
 
 // Stream opens a sharded parallel enumeration of this enumerator's range,
@@ -1105,9 +1105,9 @@ func NewNFAStream(n *automata.NFA, length int, opts StreamOptions) (*Stream, err
 // frontier token's decoded form.
 func NewUFAStreamFrom(n *automata.NFA, f Frontier, opts StreamOptions) (*Stream, error) {
 	// Fingerprint (length-bound, see fpFor) before the length-sized
-	// precomputation: a forged frontier must not buy a DAG build.
-	if fp := fpFor(n, f.Length); f.FP != fp {
-		return nil, fmt.Errorf("enumerate: frontier fingerprint %08x does not match automaton at this length (%08x)", f.FP, fp)
+	// precomputation: a forged frontier must not buy an index build.
+	if err := ValidateFrontier(n, f); err != nil {
+		return nil, err
 	}
 	e, err := NewUFA(n, f.Length)
 	if err != nil {
@@ -1119,8 +1119,8 @@ func NewUFAStreamFrom(n *automata.NFA, f Frontier, opts StreamOptions) (*Stream,
 // NewNFAStreamFrom resumes a parallel polynomial-delay enumeration from a
 // frontier token's decoded form.
 func NewNFAStreamFrom(n *automata.NFA, f Frontier, opts StreamOptions) (*Stream, error) {
-	if fp := fpFor(n, f.Length); f.FP != fp {
-		return nil, fmt.Errorf("enumerate: frontier fingerprint %08x does not match automaton at this length (%08x)", f.FP, fp)
+	if err := ValidateFrontier(n, f); err != nil {
+		return nil, err
 	}
 	e, err := NewNFA(n, f.Length)
 	if err != nil {
@@ -1136,27 +1136,36 @@ func NewNFAStreamFrom(n *automata.NFA, f Frontier, opts StreamOptions) (*Stream,
 func ResumeFrontier(n *automata.NFA, f Frontier) (Session, error) {
 	// Fingerprint (length-bound) before the length-sized precomputation,
 	// as in NewUFAFrom.
-	if fp := fpFor(n, f.Length); f.FP != fp {
-		return nil, fmt.Errorf("enumerate: frontier fingerprint %08x does not match automaton at this length (%08x)", f.FP, fp)
+	if err := ValidateFrontier(n, f); err != nil {
+		return nil, err
 	}
-	var open func(Shard, []int) (cellEnum, error)
 	switch f.Kind {
 	case KindUFA:
 		e, err := NewUFA(n, f.Length)
 		if err != nil {
 			return nil, err
 		}
-		open = func(s Shard, pos []int) (cellEnum, error) { return e.OpenShardAt(s, pos) }
+		return e.ResumeFrontier(f)
 	case KindNFA:
 		e, err := NewNFA(n, f.Length)
 		if err != nil {
 			return nil, err
 		}
-		open = func(s Shard, pos []int) (cellEnum, error) { return e.OpenShardAt(s, pos) }
-	default:
-		return nil, fmt.Errorf("enumerate: unknown frontier kind %q", f.Kind)
+		return &chainSession{kind: f.Kind, fp: f.FP, length: f.Length, segs: f.Segs, open: func(s Shard, pos []int) (cellEnum, error) {
+			return e.OpenShardAt(s, pos)
+		}}, nil
 	}
-	return &chainSession{kind: f.Kind, fp: f.FP, length: f.Length, open: open, segs: f.Segs}, nil
+	return nil, fmt.Errorf("enumerate: unknown frontier kind %q", f.Kind)
+}
+
+// ValidateFrontier is ValidateCursor for a frontier: it reports an error
+// unless the frontier was minted on this automaton at its embedded
+// length.
+func ValidateFrontier(n *automata.NFA, f Frontier) error {
+	if fp := fpFor(n, f.Length); f.FP != fp {
+		return fmt.Errorf("enumerate: frontier fingerprint %08x does not match automaton at this length (%08x)", f.FP, fp)
+	}
+	return nil
 }
 
 // chainSession drains frontier cells serially: the serial face of a

@@ -49,11 +49,11 @@
 // bitwise the same at every width.
 //
 // Because entries bind to exact normalized structure, a hit is sound for
-// EVERY consumer — including the enumerator's balanced splitting, which
-// addresses an index by its own DAG's vertex ids — provided the requester
-// itself operates on the normal form. core does: Instance automata are
-// canonicalized at New, so a cached index attaches everywhere a private
-// one would.
+// EVERY consumer — including Algorithm 1's enumeration, which walks the
+// index's edge lists and mints tokens from its decision vectors —
+// provided the requester itself operates on the normal form. core does:
+// Instance automata are normalized at New (and keyed with KeyForNormal),
+// so a cached index serves everywhere a private one would.
 //
 // # Builds, cancellation, eviction
 //
@@ -120,11 +120,16 @@ type Key struct {
 	strong     string
 }
 
-// KeyFor builds the cache key for n. The automaton must not be mutated
-// afterwards. core hands in its instance automaton, which is already the
-// normal form — Normalize is then a cheap idempotent pass.
-func KeyFor(n *automata.NFA) *Key {
-	norm := automata.Normalize(n)
+// KeyFor builds the cache key for n over its normal form. The automaton
+// must not be mutated afterwards.
+func KeyFor(n *automata.NFA) *Key { return KeyForNormal(automata.Normalize(n)) }
+
+// KeyForNormal is KeyFor for an automaton already in normal form (an
+// automata.Normalize result, as every core instance automaton is): it
+// skips the normalization pass. Keying any other automaton would file it
+// apart from its normal form's class. The automaton must not be mutated
+// afterwards.
+func KeyForNormal(norm *automata.NFA) *Key {
 	return &Key{norm: norm, pre: automata.StructHash(norm)}
 }
 

@@ -5,9 +5,10 @@
 // RelationUL to one table of completion counts over the unrolled DAG
 // (Lemma 15, Proposition 14, §5.3.2–5.3.3); this package is that table,
 // and every consumer reads it: exact counts and ranked access (core),
-// uniform generation (internal/sample and the draw sessions below), rank
-// seeks, rank cursors and the work-stealing scheduler's exact cell sizes
-// (internal/enumerate).
+// uniform generation (internal/sample and the draw sessions below), and
+// Algorithm 1's enumeration (internal/enumerate), which walks the index's
+// pruned edge lists and reads its prefix sums for rank seeks, rank cursors
+// and the work-stealing scheduler's exact cell sizes.
 //
 // # Why one backward sweep suffices
 //
@@ -26,9 +27,10 @@
 // start state at r = n, and an unrank descent for length n reads the
 // tables at r = n, n−1, …, 1. So the answers at one length are the same
 // bits whichever range the index covers (asserted by the equivalence
-// tests), and Algorithm 1's enumerator (internal/enumerate), which walks
-// the unrolled DAG itself, addresses the index by the same decision
-// indices.
+// tests). The pruned out-edge lists at r = n−t are the out-edges of layer
+// t of the length-n unrolled DAG (Lemma 15) in its decision order, so the
+// index is also that DAG: Algorithm 1's enumerator walks them through
+// OutEdges, and its decision vectors address the prefix sums directly.
 //
 // # The ranked API
 //
@@ -66,8 +68,9 @@
 //
 // Build freezes the index before returning: afterwards every method only
 // reads, so a RangeIndex is safe for unbounded concurrent use with no
-// locking. No method hands out index-owned state: every *big.Int is
-// converted fresh from the arena and owned by the caller.
+// locking. No method hands out index-owned state except OutEdges, whose
+// edge lists are shared and read-only: every *big.Int is converted fresh
+// from the arena and owned by the caller.
 //
 // Unambiguity is the caller's contract (core verifies it once at
 // instance construction): on an ambiguous automaton the index counts
@@ -99,7 +102,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/limb"
 	"repro/internal/par"
-	"repro/internal/unroll"
 )
 
 // ErrEmpty is returned by the samplers when the witness set they draw
@@ -109,6 +111,13 @@ var ErrEmpty = errors.New("lengthrange: witness set is empty")
 // ErrNotMember is wrapped by the rank methods when the word is not a
 // witness of the covered lengths.
 var ErrNotMember = errors.New("lengthrange: word is not in the language slice")
+
+// Edge is an out-edge of a vertex of the unrolled DAG: the symbol read and
+// the successor state.
+type Edge struct {
+	Symbol automata.Symbol
+	To     int
+}
 
 // RangeIndex is the frozen cross-length counting index. See the package
 // comment for the memory model and sharing contract.
@@ -126,7 +135,7 @@ type RangeIndex struct {
 	// (a, p) with a positive completion count at r−1 from p, ordered by
 	// (p asc, a asc) — exactly the decision order of the length-n counting
 	// DAG at layer n−r.
-	edges [][][]unroll.OutEdge
+	edges [][][]Edge
 	// rows[r] holds the layer's prefix-sum rows in one arena: state q's
 	// row starts at limb off[r][q] (-1 when its count is 0) and has
 	// len(edges[r][q])+1 k-limb entries, entry i counting the completions
@@ -173,12 +182,12 @@ func BuildCtx(ctx context.Context, nfa *automata.NFA, lo, hi, workers int) (*Ran
 	// Static out-edges per state, sorted into the counting DAG's decision
 	// order (successor state ascending, then symbol ascending). Successor
 	// lists are sorted and duplicate-free, so the order is unambiguous.
-	sorted := make([][]unroll.OutEdge, m)
+	sorted := make([][]Edge, m)
 	for q := 0; q < m; q++ {
-		var out []unroll.OutEdge
+		var out []Edge
 		for a := 0; a < sigma; a++ {
 			for _, p := range nfa.Successors(q, a) {
-				out = append(out, unroll.OutEdge{Symbol: a, To: p})
+				out = append(out, Edge{Symbol: a, To: p})
 			}
 		}
 		sort.Slice(out, func(i, j int) bool {
@@ -199,11 +208,11 @@ func BuildCtx(ctx context.Context, nfa *automata.NFA, lo, hi, workers int) (*Ran
 // the index untouched, when a prefix sum or the grand total carries out
 // of the top limb; err is non-nil on cancellation, an injected fault at
 // a layer barrier, or an arena too large for int32 offsets.
-func (x *RangeIndex) sweep(ctx context.Context, sorted [][]unroll.OutEdge, workers, k int) (ok bool, err error) {
+func (x *RangeIndex) sweep(ctx context.Context, sorted [][]Edge, workers, k int) (ok bool, err error) {
 	m := x.src.NumStates()
 	hi := x.hi
 	comp := make([][]uint64, hi+1)
-	edges := make([][][]unroll.OutEdge, hi+1)
+	edges := make([][][]Edge, hi+1)
 	rows := make([][]uint64, hi+1)
 	off := make([][]int32, hi+1)
 	comp[0] = make([]uint64, m*k)
@@ -220,15 +229,15 @@ func (x *RangeIndex) sweep(ctx context.Context, sorted [][]unroll.OutEdge, worke
 			return false, err
 		}
 		prev := comp[r-1]
-		layerEdges := make([][]unroll.OutEdge, m)
+		layerEdges := make([][]Edge, m)
 		par.ForEachIndexed(m, workers, func(q int) {
-			var pruned []unroll.OutEdge
+			var pruned []Edge
 			for _, e := range sorted[q] {
 				if limb.IsZero(prev[e.To*k : (e.To+1)*k]) {
 					continue
 				}
 				if pruned == nil {
-					pruned = make([]unroll.OutEdge, 0, len(sorted[q]))
+					pruned = make([]Edge, 0, len(sorted[q]))
 				}
 				pruned = append(pruned, e)
 			}
@@ -409,6 +418,12 @@ func (x *RangeIndex) pathSum(n int, path []int) ([]uint64, int, error) {
 	}
 	return sum, q, nil
 }
+
+// OutEdges returns the pruned out-edges of state q at remaining length r
+// in [1, Hi] — those of the layer-(n−r) vertex of every length n's DAG,
+// in decision order; empty when q has no completion of length r. The
+// slice is index-owned: callers must not modify it.
+func (x *RangeIndex) OutEdges(r, q int) []Edge { return x.edges[r][q] }
 
 // EdgeCumAt returns the prefix-sum row of one vertex of the length-n
 // DAG: the vertex at layer t in [0, n) in state q (the start state at

@@ -285,9 +285,11 @@ func Run(ctx context.Context, cfg Config) (*Metrics, error) {
 			}
 
 			// One ranked-access request per stream per replica pulls the
-			// tenant's compiled index through every cache (plain
-			// enumeration is index-free by design), so each replica's
-			// /v1/stats shows one entry per tenant afterwards.
+			// tenant's compiled index through every cache, so each
+			// replica's /v1/stats shows one entry per tenant afterwards.
+			// UL enum pages fill the same [n, n] entry themselves; the
+			// sample only builds on a replica that served none of the
+			// stream's pages.
 			for _, target := range cfg.Targets {
 				code, _, err := st.postTo(ctx, target, "/v1/sample", nfad.Request{
 					Automaton: st.body, N: &cfg.Length, Samples: 1, Seed: cfg.Seed,

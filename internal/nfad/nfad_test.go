@@ -301,6 +301,29 @@ func TestAdmissionRejects422BeforePrecompute(t *testing.T) {
 	}
 }
 
+// TestEnumBytesLimitRejects422 pins that a RelationUL enumeration page
+// passes the tenant's bytes= check: it opens on the counting index, so a
+// cap below the index estimate answers 422 before any build.
+func TestEnumBytesLimitRejects422(t *testing.T) {
+	leakcheck.Check(t)
+	tight, err := admission.Parse("bytes=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := newTestServer(t, Config{TenantLimits: map[string]*admission.Limits{"tight": tight}})
+	var eb ErrorBody
+	req := Request{Automaton: ulFixture, N: intPtr(8), Limit: 4}
+	if code := post(t, ts.Client(), ts.URL+"/v1/enum", req, map[string]string{"X-Tenant": "tight"}, &eb); code != http.StatusUnprocessableEntity {
+		t.Fatalf("enum page under bytes=1: status %d, want 422", code)
+	}
+	if !strings.Contains(eb.Error, "index footprint") {
+		t.Fatalf("rejection should name the byte limit, got %q", eb.Error)
+	}
+	if st := srv.cache.Stats(); st.Builds != 0 {
+		t.Fatalf("a rejected enum page built %d indexes", st.Builds)
+	}
+}
+
 // TestStateLimitRejects422BeforeStateSizedAllocation pins that the
 // tenant's state limit runs before the parser sizes anything from the
 // untrusted states: header. The 43-byte body declares 10⁶ states (kept
@@ -429,10 +452,10 @@ func TestStatsEndpoint(t *testing.T) {
 	leakcheck.Check(t)
 	_, ts := newTestServer(t, Config{})
 
-	// Ranked access (unlike plain enumeration, which stays index-free by
-	// design) resolves through the compiled-index cache: one build, then
-	// hits — across requests and across tenants, since entries key on the
-	// automaton's canonical identity, not on who posted it.
+	// Ranked access resolves through the compiled-index cache (as UL
+	// enum pages do): one build, then hits — across requests and across
+	// tenants, since entries key on the automaton's canonical identity,
+	// not on who posted it.
 	var warm Response
 	req := Request{Automaton: ulFixture, N: intPtr(8), Rank: "17"}
 	for i := 0; i < 3; i++ {

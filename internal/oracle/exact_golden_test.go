@@ -271,7 +271,8 @@ func exactRecord(t *testing.T, c exactCase) string {
 		b.WriteString(streamLine("sample", ws, err))
 	}
 	if c.n > 0 && total.Sign() > 0 {
-		// Decision paths of the enumerator's own unrolled DAG.
+		// Decision paths of the backward-pruned unrolled DAG, the
+		// reference for the index's decision order.
 		dag, err := unroll.Build(c.nfa, c.n, unroll.Options{PruneBackward: true})
 		if err != nil {
 			t.Fatal(err)
@@ -293,11 +294,8 @@ func exactRecord(t *testing.T, c exactCase) string {
 		}
 	}
 
-	e, err := enumerate.NewUFA(c.nfa, c.n)
+	e, err := enumerate.OpenUFA(idx, c.n)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AttachIndex(idx); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
@@ -310,11 +308,8 @@ func exactRecord(t *testing.T, c exactCase) string {
 	}
 	fmt.Fprintf(&b, "tokens %s %s\n", tok, rc.Token())
 
-	st, err := enumerate.NewUFA(c.nfa, c.n)
+	st, err := enumerate.OpenUFA(idx, c.n)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.AttachIndex(idx); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {

@@ -1,6 +1,9 @@
 // Package unroll builds the layered directed acyclic graph N_unroll that the
-// paper's FPRAS (§6.2) and constant-delay enumeration (Lemma 15) both run
-// on. Unrolling an m-state NFA to depth n yields layers 0..n+1:
+// paper's FPRAS (§6.2) runs on. Lemma 15's enumeration walks its
+// backward-pruned form as the edge lists of the counting index
+// (internal/lengthrange); PruneBackward, Succs and StartSuccs remain the
+// reference for that decision order. Unrolling an m-state NFA to depth n
+// yields layers 0..n+1:
 //
 //	layer 0    — the single vertex s_start,
 //	layers 1..n — one copy of every NFA state,
@@ -67,9 +70,9 @@ type DAG struct {
 	// finalPreds lists the accepting layer-N states wired into s_final.
 	finalPreds []Edge
 
-	// Forward adjacency, derived lazily from preds on first use (the
-	// enumeration stack walks forward; the FPRAS walks backward and never
-	// pays for it). succsOnce makes the derivation safe under concurrent
+	// Forward adjacency, derived lazily from preds on first use (a
+	// forward walk in decision order needs it; the FPRAS walks backward
+	// and never pays for it). succsOnce makes the derivation safe under concurrent
 	// first use; afterwards the slices are frozen like everything else.
 	succsOnce  sync.Once
 	startSuccs []OutEdge
