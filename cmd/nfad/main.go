@@ -22,7 +22,8 @@
 //	                  → {"class", "rank"}
 //	POST /v1/unrank   {"automaton", "n" | "lo","hi", "rank"}
 //	                  → {"class", "word"}
-//	GET  /v1/stats    → request counters, cache counters, per-entry stats
+//	GET  /v1/stats    → {"requests", "rejections", "checkpoints",
+//	                   "failures", "cache", "entries"}
 //	GET  /healthz     → "ok"
 //
 // Common request fields: "automaton" is the instance in the text format
@@ -72,13 +73,18 @@
 // # Lifecycle
 //
 // One process-wide compiled-index cache (-cache-budget bytes) is shared
-// across all tenants; isomorphic automata resolve to one entry via
-// canonical identity keys, and concurrent misses singleflight into one
-// build. GET /v1/stats exposes the cache counters plus per-entry bytes
-// and hit counts (memory per cached tenant). An entry is one counting
-// index per automaton and length range, a single length n being the
-// range [n, n]; entries have no "Kind" field (single-length and range
-// requests at [n, n] share one entry). RelationUL enum pages read the
+// across all tenants; automata with one normal form (the same automaton,
+// or relabellings of one DFA) resolve to one entry, and concurrent misses
+// singleflight into one build. An entry is one counting index per normal
+// form and length range, a single length n being the range [n, n]
+// (single-length and range requests at [n, n] share one entry). GET
+// /v1/stats exposes the cache counters ("cache": Hits, Misses, Builds,
+// BuildErrors, Evictions, Entries, Bytes, Budget) and one object per
+// resident entry, most recently used first ("entries": Pre and States,
+// the normal form's structural pre-hash and state count — a label, not
+// an identity; Lo and Hi; Bytes, the estimated index bytes, i.e. memory
+// per cached tenant; Hits, Misses, Builds). No entry carries automaton
+// text. RelationUL enum pages read the
 // same entries as count, rank and sample: a resumed page costs a lookup
 // and an O(n) walk, not a precomputation. On SIGTERM or SIGINT the
 // server stops accepting connections and drains in-flight requests

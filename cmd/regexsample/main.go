@@ -42,8 +42,8 @@ import (
 
 // sharedCache is the process-wide compiled-index cache: repeated runs in
 // one process (a REPL-style caller, or the tests' run() calls) reuse the
-// counting index of a pattern — or of any isomorphic relabelling of its
-// automaton — instead of re-sweeping. -cache-stats prints its counters.
+// counting index of a pattern — or of any pattern whose automaton has the
+// same normal form — instead of re-sweeping. -cache-stats prints its counters.
 var sharedCache = instcache.New(instcache.DefaultBudget)
 
 // exitInterrupted is the conventional exit code for a SIGINT-terminated

@@ -47,8 +47,8 @@ import (
 
 // sharedCache is the process-wide compiled-index cache: repeated runs in
 // one process (a REPL-style caller, or the tests' run() calls) reuse the
-// counting index of a rule/document pair — or of any isomorphic
-// relabelling of its product automaton — instead of re-sweeping.
+// counting index of a rule/document pair — or of any pair whose product
+// automaton has the same normal form — instead of re-sweeping.
 // -cache-stats prints its counters.
 var sharedCache = instcache.New(instcache.DefaultBudget)
 

@@ -1,46 +1,29 @@
-// canonical.go implements the two-phase identity keys used by the
-// compiled-index cache (internal/instcache): a cheap Weisfeiler-Lehman
-// refinement hash as the pre-key, and two exact string keys on top of the
-// text codec — IsoKey (canonical up to state relabelling for DFAs) and
-// StrongKey (canonical up to language equivalence for DFAs, via Minimize).
+// canonical.go implements the identity the compiled-index cache
+// (internal/instcache) files its entries by: Normalize brings an
+// automaton to its normal form, StructHash fingerprints that form in one
+// pass to pick a bucket, and Equal (codec.go) compares two forms exactly
+// within it.
 //
-// Key hierarchy, weakest to strongest unification:
+// The normal form is ε-free and trimmed, and a deterministic automaton
+// is renumbered breadth-first from the start state, successors in symbol
+// order (Canonicalize). A trimmed DFA is rigid — that search visits every
+// state exactly once in a label-independent order — so any two
+// relabellings of one DFA normalize to byte-identical automata and share
+// every structural observable. A nondeterministic automaton keeps its
+// state order (only the trimmed states drop out), deliberately:
+// relabelling a nondeterministic UFA permutes sorted successor lists and
+// therefore the observable enumeration block order.
 //
-//	WLHash     uint64; invariant under any state relabelling. Collisions
-//	           possible (non-isomorphic automata may hash equal), so it is
-//	           only ever a bucket pre-key, never an identity.
-//	IsoKey     exact string. For ε-free deterministic automata it is the
-//	           codec of the BFS-renumbered trimmed automaton, so any two
-//	           relabellings of one DFA share an IsoKey (a trimmed DFA is
-//	           rigid: BFS from the start state in symbol order visits every
-//	           state exactly once in a label-independent order). For
-//	           nondeterministic automata it is the exact trimmed codec —
-//	           relabellings do NOT unify, deliberately: relabelling a
-//	           nondeterministic UFA permutes sorted successor lists and
-//	           therefore the observable enumeration block order.
-//	StrongKey  exact string. For ε-free deterministic automata it is the
-//	           codec of the BFS-renumbered *minimal* DFA, so any two DFAs
-//	           with the same language (same fixed-length slices for every
-//	           n) share a StrongKey. For nondeterministic automata it
-//	           degrades to structural identity, same as IsoKey.
-//
-// Equal IsoKey implies equal StrongKey; the cache exploits that so
-// Minimize runs once per isomorphism class, not once per lookup.
-//
-// A StrongKey match is a language-level identity, NOT an observable-
-// behavior identity: the engine's enumeration order is structural (the
-// unrolled DAG orders a vertex's out-edges by successor state id, not by
-// symbol), so two minimization-equivalent but non-isomorphic DFAs count
-// identically yet enumerate, rank and sample in different orders.
-// Compiled artifacts may therefore only ever be shared within one
-// isomorphism class — and even then only across *identical* state
-// numberings, which is what Canonicalize/Normalize provide for
-// deterministic automata.
+// The identity is structural, not language-level: the engine's
+// enumeration order follows the numbering (the counting index orders a
+// vertex's out-edges by successor state id, not by symbol), so two DFAs
+// with one language but non-isomorphic structure count identically yet
+// enumerate, rank and sample in different orders, and never share a
+// compiled artifact.
 package automata
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/bitset"
 )
@@ -53,103 +36,6 @@ func mix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// foldSorted hashes a multiset of values order-independently by sorting a
-// scratch copy and chaining the mixer over it.
-func foldSorted(h uint64, vals []uint64) uint64 {
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	for _, v := range vals {
-		h = mix64(h ^ v)
-	}
-	return h
-}
-
-func countDistinct(lab []uint64, scratch []uint64) int {
-	scratch = append(scratch[:0], lab...)
-	sort.Slice(scratch, func(i, j int) bool { return scratch[i] < scratch[j] })
-	d := 0
-	for i, v := range scratch {
-		if i == 0 || v != scratch[i-1] {
-			d++
-		}
-	}
-	return d
-}
-
-// WLHash returns a 64-bit Weisfeiler-Lehman refinement hash of the
-// automaton: states start with a label derived from their (start, final)
-// marking, then each round replaces a state's label with a hash of the
-// sorted multisets of (symbol, neighbor-label) pairs over its out- and
-// in-edges, until the partition into label classes stabilizes. The result
-// folds in the stable label multiset, the start state's label, the
-// alphabet names, and the state/transition counts.
-//
-// The hash is invariant under state relabelling, so it is a sound pre-key
-// for any identity that unifies isomorphic automata; it is NOT
-// collision-free and must never be used as the identity itself.
-func WLHash(n *NFA) uint64 {
-	m := n.NumStates()
-	const seed = 0x9e3779b97f4a7c15
-	if m == 0 {
-		return mix64(seed)
-	}
-	lab := make([]uint64, m)
-	for q := 0; q < m; q++ {
-		v := uint64(1)
-		if q == n.start {
-			v |= 2
-		}
-		if n.final[q] {
-			v |= 4
-		}
-		lab[q] = mix64(seed ^ v)
-	}
-	type edge struct{ sym, other int }
-	out := make([][]edge, m)
-	in := make([][]edge, m)
-	n.EachTransition(func(q int, a Symbol, p int) {
-		out[q] = append(out[q], edge{a, p})
-		in[p] = append(in[p], edge{a, q})
-	})
-	for q, es := range n.eps {
-		for _, p := range es {
-			out[q] = append(out[q], edge{-1, p})
-			in[p] = append(in[p], edge{-1, q})
-		}
-	}
-	next := make([]uint64, m)
-	scratch := make([]uint64, 0, m)
-	sig := make([]uint64, 0, 16)
-	classes := countDistinct(lab, scratch)
-	for round := 0; round < m; round++ {
-		for q := 0; q < m; q++ {
-			sig = sig[:0]
-			for _, e := range out[q] {
-				sig = append(sig, mix64(lab[e.other]^mix64(uint64(e.sym+2))^0xA5A5))
-			}
-			for _, e := range in[q] {
-				sig = append(sig, mix64(lab[e.other]^mix64(uint64(e.sym+2))^0x5A5A))
-			}
-			next[q] = foldSorted(mix64(lab[q]), sig)
-		}
-		copy(lab, next)
-		nc := countDistinct(lab, scratch)
-		if nc == classes {
-			break
-		}
-		classes = nc
-	}
-	h := mix64(seed ^ uint64(m)<<32 ^ uint64(n.NumTransitions()))
-	h = foldSorted(h, append(scratch[:0], lab...))
-	h = mix64(h ^ lab[n.start])
-	for _, name := range n.alpha.Names() {
-		for i := 0; i < len(name); i++ {
-			h = mix64(h ^ uint64(name[i]))
-		}
-		h = mix64(h ^ 0x2C)
-	}
-	return h
 }
 
 // Relabel returns a copy of n with states renumbered by perm, where
@@ -296,8 +182,8 @@ func Canonicalize(d *NFA) *NFA {
 	return renumber(d, perm)
 }
 
-// Normalize brings an automaton to the normal form cache classes are
-// defined over and core instances operate on: ε-elimination, trimming,
+// Normalize brings an automaton to the normal form cache entries are
+// keyed by and core instances operate on: ε-elimination, trimming,
 // and — for deterministic automata — the canonical renumbering, built in
 // one copy: the useful states are numbered breadth-first when the useful
 // part is deterministic and in state order otherwise, so the result is
@@ -329,11 +215,11 @@ func Normalize(n *NFA) *NFA {
 
 // StructHash returns a one-pass hash of the exact structure (alphabet
 // names, state count, start, finals, labelled and ε transitions in stored
-// order). Unlike WLHash it is NOT relabelling-invariant — it fingerprints
-// a specific numbering, which is exactly what a cache bucketed by
-// normalized forms wants: after Normalize, relabellings of one DFA hash
-// equal because they ARE equal. Collisions are possible; pair it with
-// Equal for an exact verdict.
+// order). It is NOT relabelling-invariant — it fingerprints a specific
+// numbering, which is exactly what a cache bucketed by normalized forms
+// wants: after Normalize, relabellings of one DFA hash equal because they
+// ARE equal. Collisions are possible; pair it with Equal for an exact
+// verdict.
 func StructHash(n *NFA) uint64 {
 	h := mix64(0x517cc1b727220a95 ^ uint64(n.NumStates())<<1)
 	if n.NumStates() > 0 {
@@ -359,33 +245,4 @@ func StructHash(n *NFA) uint64 {
 		h = mix64(h ^ 0x2C)
 	}
 	return h
-}
-
-// IsoKey returns an exact identity string canonical up to state
-// relabelling for deterministic automata, and exact trimmed structural
-// identity otherwise: the codec of the normal form (Normalize). It is
-// cheap — O(size), no minimization.
-func IsoKey(n *NFA) string {
-	t := Normalize(n)
-	if IsDeterministic(t) {
-		return "c1:" + MarshalString(t)
-	}
-	return "t1:" + MarshalString(t)
-}
-
-// StrongKey returns the full unification key: for ε-free deterministic
-// automata, the canonical codec of the minimal DFA (so minimization-
-// equivalent inputs — same language, hence identical fixed-length slices,
-// counts, and lexicographic enumeration order for every n — share a key);
-// for nondeterministic automata, exact trimmed structural identity
-// (relabelling a nondeterministic UFA reorders its observable enumeration
-// blocks, so unifying relabellings would be unsound).
-func StrongKey(n *NFA) string {
-	t := Normalize(n)
-	if IsDeterministic(t) {
-		if min, err := Minimize(t); err == nil {
-			return "d1:" + MarshalString(Canonicalize(min))
-		}
-	}
-	return "x1:" + MarshalString(t)
 }

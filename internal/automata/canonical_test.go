@@ -1,9 +1,7 @@
 package automata
 
 import (
-	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -49,87 +47,39 @@ func TestRelabelPreservesStructure(t *testing.T) {
 	}
 }
 
-func TestWLHashInvariantUnderRelabelling(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 50; trial++ {
-		n := Random(rng, Binary(), 2+rng.Intn(10), 0.4, 0.5)
-		perm := randPerm(rng, n.NumStates())
-		if got, want := WLHash(Relabel(n, perm)), WLHash(n); got != want {
-			t.Fatalf("trial %d: WLHash not relabel-invariant: %016x vs %016x", trial, got, want)
-		}
-	}
-}
-
-func TestIsoKeyUnifiesRelabelledDFAs(t *testing.T) {
+func TestNormalizeUnifiesRelabelledDFAs(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 20; trial++ {
 		d := RandomDFA(rng, Binary(), 2+rng.Intn(12), 0.5)
 		perm := randPerm(rng, d.NumStates())
-		r := Relabel(d, perm)
-		if IsoKey(r) != IsoKey(d) {
-			t.Fatalf("trial %d: relabelled DFA changed IsoKey", trial)
-		}
-		if StrongKey(r) != StrongKey(d) {
-			t.Fatalf("trial %d: relabelled DFA changed StrongKey", trial)
-		}
-		if WLHash(r) != WLHash(d) {
-			t.Fatalf("trial %d: relabelled DFA changed WLHash", trial)
+		a, b := Normalize(d), Normalize(Relabel(d, perm))
+		if !Equal(a, b) || MarshalString(a) != MarshalString(b) {
+			t.Fatalf("trial %d: relabelled DFA changed the normal form", trial)
 		}
 	}
 }
 
-func TestIsoKeySeparatesDistinctDFAs(t *testing.T) {
-	// Distinct random DFAs should (overwhelmingly) get distinct keys; a
-	// deterministic pair with provably different languages pins it exactly.
+func TestNormalizeSeparatesDistinctAutomata(t *testing.T) {
+	// A deterministic pair with provably different languages pins it
+	// exactly.
 	a := Chain(Binary(), Binary().WordOf("0", "1", "0"))
 	b := Chain(Binary(), Binary().WordOf("0", "1", "1"))
-	if IsoKey(a) == IsoKey(b) {
-		t.Fatal("distinct chain DFAs share an IsoKey")
+	if Equal(Normalize(a), Normalize(b)) {
+		t.Fatal("distinct chain DFAs share a normal form")
 	}
-	if StrongKey(a) == StrongKey(b) {
-		t.Fatal("distinct chain DFAs share a StrongKey")
-	}
-}
-
-func TestStrongKeyUnifiesMinimizationEquivalentDFAs(t *testing.T) {
-	// An unminimized determinization and its minimal DFA accept the same
-	// language, so they must share a StrongKey while their IsoKeys differ
-	// (different state counts ⇒ not isomorphic).
-	rng := rand.New(rand.NewSource(14))
-	found := false
-	for trial := 0; trial < 40; trial++ {
-		n := Random(rng, Binary(), 2+rng.Intn(5), 0.5, 0.5)
-		d, ok := Determinize(n, 1<<12)
-		if !ok {
-			continue
-		}
-		d = Trim(d)
-		min, err := Minimize(d)
-		if err != nil {
-			t.Fatalf("trial %d: minimize: %v", trial, err)
-		}
-		if StrongKey(d) != StrongKey(min) {
-			t.Fatalf("trial %d: determinization and its minimal DFA have different strong keys", trial)
-		}
-		if Trim(d).NumStates() != min.NumStates() {
-			found = true
-			if IsoKey(d) == IsoKey(min) {
-				t.Fatalf("trial %d: non-isomorphic DFAs share an IsoKey", trial)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no trial produced a non-minimal determinization; generator drifted")
+	// So does a structurally distinct pair with equal local pictures.
+	six, threes := hubCyclePair()
+	if Equal(Normalize(six), Normalize(threes)) {
+		t.Fatal("non-isomorphic hub-and-cycle pair shares a normal form")
 	}
 }
 
-// wlCollidingPair builds two non-isomorphic automata that Weisfeiler-Lehman
-// refinement provably cannot separate: a nondeterministic hub state fanning
-// into a single 6-cycle vs. into two 3-cycles. Every cycle state has the
-// same local in/out picture (one cycle predecessor, one cycle successor,
-// one hub in-edge, all with equal labels), so refinement stabilizes with
-// identical label multisets on both sides — a forced pre-key collision.
-func wlCollidingPair() (*NFA, *NFA) {
+// hubCyclePair builds two non-isomorphic nondeterministic automata whose
+// states all have the same local in/out picture: a hub state fanning into
+// a single 6-cycle vs. into two 3-cycles (one cycle predecessor, one cycle
+// successor, one hub in-edge, all with equal labels), so no
+// relabelling-invariant refinement tells them apart.
+func hubCyclePair() (*NFA, *NFA) {
 	alpha := Binary()
 	build := func(cycles [][]int) *NFA {
 		n := New(alpha, 7)
@@ -150,97 +100,54 @@ func wlCollidingPair() (*NFA, *NFA) {
 	return six, threes
 }
 
-func TestStrongKeySplitsWLCollision(t *testing.T) {
-	a, b := wlCollidingPair()
-	if WLHash(a) != WLHash(b) {
-		t.Fatalf("constructed pair should WL-collide: %016x vs %016x", WLHash(a), WLHash(b))
-	}
-	if Equal(Trim(a), Trim(b)) {
-		t.Fatal("pair is structurally equal; construction is broken")
-	}
-	if StrongKey(a) == StrongKey(b) {
-		t.Fatal("non-isomorphic WL-colliding pair shares a StrongKey")
-	}
-	if IsoKey(a) == IsoKey(b) {
-		t.Fatal("non-isomorphic WL-colliding pair shares an IsoKey")
-	}
-}
-
 func TestNondeterministicRelabellingsDoNotUnify(t *testing.T) {
 	// Deliberate asymmetry with the DFA case: relabelling a
 	// nondeterministic automaton permutes sorted successor lists and with
-	// them the observable enumeration block order, so the keys must keep
-	// relabelled nondeterministic inputs separate (see the canonical.go
-	// package comment).
-	a, _ := wlCollidingPair()
+	// them the observable enumeration block order, so the normal form
+	// keeps relabelled nondeterministic inputs separate (see the
+	// canonical.go file comment).
+	a, _ := hubCyclePair()
 	perm := make([]int, 7)
 	for i := range perm {
 		perm[i] = i
 	}
 	perm[1], perm[2] = 2, 1
 	r := Relabel(a, perm)
-	if WLHash(r) != WLHash(a) {
-		t.Fatal("WLHash must stay relabel-invariant even for nondeterministic automata")
-	}
 	if Equal(Trim(r), Trim(a)) {
 		t.Skip("relabelling happened to fix the structure")
 	}
-	if IsoKey(r) == IsoKey(a) {
-		t.Fatal("relabelled nondeterministic automaton unified under IsoKey")
-	}
-	if StrongKey(r) == StrongKey(a) {
-		t.Fatal("relabelled nondeterministic automaton unified under StrongKey")
-	}
-}
-
-func TestKeyPrefixesAndRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	d := RandomDFA(rng, Binary(), 6, 0.5)
-	iso, strong := IsoKey(d), StrongKey(d)
-	if !strings.HasPrefix(iso, "c1:") || !strings.HasPrefix(strong, "d1:") {
-		t.Fatalf("unexpected DFA key prefixes: %q / %q", iso[:3], strong[:3])
-	}
-	for _, key := range []string{iso, strong} {
-		if _, err := UnmarshalString(key[3:]); err != nil {
-			t.Fatalf("canonical key payload does not round-trip: %v", err)
-		}
-	}
-	a, _ := wlCollidingPair()
-	if !strings.HasPrefix(IsoKey(a), "t1:") || !strings.HasPrefix(StrongKey(a), "x1:") {
-		t.Fatalf("unexpected nondet key prefixes: %q / %q", IsoKey(a)[:3], StrongKey(a)[:3])
+	if Equal(Normalize(r), Normalize(a)) {
+		t.Fatal("relabelled nondeterministic automaton unified under Normalize")
 	}
 }
 
 func TestKeysOnDegenerateAutomata(t *testing.T) {
-	// Empty language: everything trims to the canonical one-state sink.
+	// Empty language: everything normalizes to the one-state automaton
+	// with no final state.
 	empty := New(Binary(), 3)
 	empty.SetStart(0)
 	empty.AddTransition(0, 0, 1)
 	other := New(Binary(), 1)
 	other.SetStart(0)
-	if StrongKey(empty) != StrongKey(other) {
-		t.Fatal("two empty-language automata have different strong keys")
+	if !Equal(Normalize(empty), Normalize(other)) {
+		t.Fatal("two empty-language automata have different normal forms")
 	}
-	// ε-transitions: keys are defined over the ε-eliminated normal form,
-	// so an ε-automaton keys identically to its RemoveEpsilon image.
+	// ε-transitions: the normal form is ε-free, so an ε-automaton
+	// normalizes like its RemoveEpsilon image.
 	eps := New(Binary(), 2)
 	eps.SetStart(0)
 	eps.SetFinal(1, true)
 	eps.AddEpsilon(0, 1)
 	eps.AddTransition(1, 0, 1)
-	if StrongKey(eps) != StrongKey(RemoveEpsilon(eps)) {
-		t.Fatal("ε-automaton keys differently from its ε-free normal form")
-	}
-	if IsoKey(eps) != IsoKey(RemoveEpsilon(eps)) {
-		t.Fatal("ε-automaton IsoKey differs from its ε-free normal form")
+	if !Equal(Normalize(eps), Normalize(RemoveEpsilon(eps))) {
+		t.Fatal("ε-automaton normalizes differently from its ε-free image")
 	}
 }
 
-// FuzzCanonicalKey drives the key hierarchy with generated automata: WLHash
-// must be relabel-invariant, DFA relabellings must unify under IsoKey and
-// StrongKey, IsoKey equality must imply StrongKey equality, and strong-key
-// unification must never merge automata with observably different
-// languages (checked by bounded equivalence).
+// FuzzCanonicalKey drives the cache's key — the normal form — with
+// generated automata: Normalize must build in one copy exactly what Trim
+// and Canonicalize build in two, return a normal form uncopied, and map
+// every relabelling of a DFA to one byte-identical normal form.
 func FuzzCanonicalKey(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(0))
 	f.Add(int64(2), uint8(6), uint8(1))
@@ -276,59 +183,10 @@ func FuzzCanonicalKey(f *testing.F) {
 				t.Fatalf("Normalize copied a normal form (seed=%d)", seed)
 			}
 		}
-		if WLHash(r) != WLHash(n) {
-			t.Fatalf("WLHash not relabel-invariant (seed=%d)", seed)
-		}
-		if IsDeterministic(n) {
-			if IsoKey(r) != IsoKey(n) || StrongKey(r) != StrongKey(n) {
-				t.Fatalf("relabelled DFA did not unify (seed=%d)", seed)
-			}
-		}
-		if IsoKey(n) == IsoKey(r) && StrongKey(n) != StrongKey(r) {
-			t.Fatalf("IsoKey equality must imply StrongKey equality (seed=%d)", seed)
-		}
-		// Strong-key unification is only ever claimed for language-equal
-		// automata; cross-check against an independently generated DFA.
-		d2 := RandomDFA(rng, Binary(), 2+int(m)%6, 0.5)
-		if StrongKey(n) == StrongKey(d2) {
-			if eq, err := EquivalentUpTo(n, d2, 8, 1<<12); err == nil && !eq {
-				t.Fatalf("strong key unified language-inequivalent automata (seed=%d)", seed)
-			}
+		if IsDeterministic(n) && MarshalString(Normalize(r)) != MarshalString(Normalize(n)) {
+			t.Fatalf("relabelled DFA did not unify (seed=%d)", seed)
 		}
 	})
-}
-
-func TestWLCollisionSearchStaysSeparated(t *testing.T) {
-	// Sweep a family of random automata: any WL pre-key collision between
-	// structurally distinct automata must be split by the strong key unless
-	// the two are genuinely minimization-equivalent DFAs.
-	rng := rand.New(rand.NewSource(16))
-	byWL := map[uint64][]*NFA{}
-	for trial := 0; trial < 120; trial++ {
-		var n *NFA
-		if trial%2 == 0 {
-			n = RandomDFA(rng, Binary(), 2+rng.Intn(6), 0.5)
-		} else {
-			n = Random(rng, Binary(), 2+rng.Intn(6), 0.4, 0.5)
-		}
-		byWL[WLHash(n)] = append(byWL[WLHash(n)], n)
-	}
-	a, b := wlCollidingPair()
-	byWL[WLHash(a)] = append(byWL[WLHash(a)], a, b)
-	for _, bucket := range byWL {
-		for i := 0; i < len(bucket); i++ {
-			for j := i + 1; j < len(bucket); j++ {
-				x, y := bucket[i], bucket[j]
-				if StrongKey(x) != StrongKey(y) {
-					continue
-				}
-				if eq, err := EquivalentUpTo(x, y, 8, 1<<12); err == nil && !eq {
-					t.Fatalf("WL bucket unified inequivalent automata:\n%s\nvs\n%s",
-						fmt.Sprint(x), fmt.Sprint(y))
-				}
-			}
-		}
-	}
 }
 
 func TestCanonicalizeConvergesRelabelledDFAs(t *testing.T) {

@@ -6,9 +6,6 @@
 //     ambiguity of its string. Unbiased, but its variance is exponential on
 //     ambiguity-gap instances, which experiment E6 demonstrates.
 //
-//   - DeterminizeCount is determinize-then-count — exact but exponential in
-//     the worst case.
-//
 //   - Package exact additionally provides the on-the-fly subset DP
 //     (exact.CountNFA) and brute force (exact.CountBrute).
 package baseline
@@ -79,35 +76,4 @@ func MonteCarloPaths(n *automata.NFA, length, samples int, rng *rand.Rand) (*big
 		sum.Add(sum, term)
 	}
 	return sum.Quo(sum, big.NewFloat(float64(samples))), nil
-}
-
-// DeterminizeCount counts exactly by subset construction followed by the
-// path DP (paths = strings in a DFA). maxStates bounds the determinization
-// (0 = automata package default of unbounded); it returns an error when the
-// bound is exceeded, which on blow-up families is the expected outcome.
-func DeterminizeCount(n *automata.NFA, length, maxStates int) (*big.Int, error) {
-	d, ok := automata.Determinize(n, maxStates)
-	if !ok {
-		return nil, fmt.Errorf("baseline: determinization exceeded %d states", maxStates)
-	}
-	return exact.CountUFA(d, length), nil
-}
-
-// UniformByRejection samples words of Σⁿ uniformly and keeps accepted ones:
-// the trivial generator, exponentially slow when L_n is sparse in Σⁿ. It
-// returns the number of trials used, or an error after maxTrials.
-func UniformByRejection(n *automata.NFA, length, maxTrials int, rng *rand.Rand) (automata.Word, int, error) {
-	sigma := n.Alphabet().Size()
-	w := make(automata.Word, length)
-	for trial := 1; trial <= maxTrials; trial++ {
-		for i := range w {
-			w[i] = rng.Intn(sigma)
-		}
-		if n.Accepts(w) {
-			out := make(automata.Word, length)
-			copy(out, w)
-			return out, trial, nil
-		}
-	}
-	return nil, maxTrials, fmt.Errorf("baseline: no accepted word in %d trials", maxTrials)
 }

@@ -97,40 +97,3 @@ func TestMonteCarloEmptyAndErrors(t *testing.T) {
 		t.Error("ε-automaton should error")
 	}
 }
-
-func TestDeterminizeCount(t *testing.T) {
-	n := automata.SubsetBlowup(4)
-	got, err := DeterminizeCount(n, 10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := exact.CountNFA(n, 10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cmp(want) != 0 {
-		t.Fatalf("determinize count %v, want %v", got, want)
-	}
-	if _, err := DeterminizeCount(automata.SubsetBlowup(16), 20, 512); err == nil {
-		t.Fatal("expected blow-up failure at 512 subset states")
-	}
-}
-
-func TestUniformByRejection(t *testing.T) {
-	n := automata.All(automata.Binary())
-	rng := rand.New(rand.NewSource(11))
-	w, trials, err := UniformByRejection(n, 10, 100, rng)
-	if err != nil || trials != 1 || len(w) != 10 {
-		t.Fatalf("rejection on Σ*: %v %d %v", w, trials, err)
-	}
-	sparse := automata.Chain(automata.Binary(), automata.Word{0, 1, 0, 1, 0, 1, 0, 1})
-	_, _, err = UniformByRejection(sparse, 8, 2, rng)
-	if err == nil {
-		// With |L|/2^8 = 1/256 two trials almost surely fail; a lucky hit
-		// is possible but the word must then be the chain's word.
-		w, _, _ := UniformByRejection(sparse, 8, 2, rng)
-		if w != nil && !sparse.Accepts(w) {
-			t.Fatal("rejection returned a non-witness")
-		}
-	}
-}

@@ -47,10 +47,10 @@
 //
 // Every index — the instance's single-length one and every range — is
 // resolved through a compiled-index cache (internal/instcache) keyed by
-// canonical automaton identity and length range, one entry per [lo, hi].
-// Options.Cache shares one cache across instances, so a serving workload
-// that sees the same automaton twice — or any relabelled isomorph of a
-// DFA — pays each backward sweep once; with a nil
+// the instance's normal form (automata.Normalize) and the length range,
+// one entry per [lo, hi]. Options.Cache shares one cache across
+// instances, so a serving workload that sees the same automaton twice —
+// or any relabelling of a DFA — pays each backward sweep once; with a nil
 // Options.Cache the instance gets a private cache with
 // instcache.DefaultBudget, which also byte-bounds the retention of
 // alternating range queries. A cache hit is observably identical to a
@@ -62,10 +62,10 @@
 // cache entries bind to exact normalized structure. Two consequences are
 // deliberate: relabelled NONdeterministic UFAs never share an entry
 // (relabelling permutes their sorted successor lists and with them the
-// enumeration order), and minimization-equivalent but non-isomorphic DFAs
-// share a strong-key family in the stats but never an artifact — their
-// decision-list orders differ. See internal/instcache for the full
-// keying, eviction and singleflight contract.
+// enumeration order), and DFAs with one language but non-isomorphic
+// structure never share one either — their decision-list orders differ.
+// See internal/instcache for the full keying, eviction and singleflight
+// contract.
 //
 // # Concurrency
 //
@@ -119,10 +119,10 @@
 // precompute), CursorOptions.Ctx/CountCtx/…Ctx variants carry the
 // request deadline (cancel ⇒ checkpoint token, returnable in an error
 // body), and Options.Cache is the process-wide multi-tenant compiled-
-// index cache — isomorphic automata across tenants share one build, and
-// the byte budget bounds memory per cached tenant. See cmd/nfad for the
-// HTTP surface and internal/loadgen for the load harness that measures
-// it (experiment E21).
+// index cache — relabellings of one DFA across tenants share one
+// build, and the byte budget bounds memory per cached tenant. See
+// cmd/nfad for the HTTP surface and internal/loadgen for the load
+// harness that measures it (experiment E21).
 package core
 
 import (
@@ -202,12 +202,13 @@ type Options struct {
 	Limits *admission.Limits
 	// Cache, when non-nil, is a compiled-index cache shared across
 	// instances (and processes' worth of instances): the lazily built
-	// counting and cross-length indexes are looked up by canonical
-	// automaton identity before being built, so two instances over the
-	// same (or isomorphic, or minimization-equivalent deterministic)
-	// automaton share one build. nil means a private per-instance cache
-	// with instcache.DefaultBudget — the same code path, unshared. See
-	// the package comment's caching section and internal/instcache.
+	// counting and cross-length indexes are looked up by the automaton's
+	// normal form before being built, so two instances over the same
+	// automaton, or over two relabellings of one DFA, share one build.
+	// Equal languages alone do not: two DFAs share a build only when
+	// their normal forms are equal. nil means a private per-instance
+	// cache with instcache.DefaultBudget — the same code path, unshared.
+	// See the package comment's caching section and internal/instcache.
 	Cache *instcache.Cache
 }
 
@@ -223,7 +224,8 @@ type Instance struct {
 	// private instcache with the default byte budget. The instance keeps
 	// no index of its own. Immutable after New.
 	cache *instcache.Cache
-	// cacheKey memoizes the instance's canonical cache key.
+	// cacheKey memoizes the instance's cache key (its normal form and
+	// the form's pre-hash).
 	keyOnce  sync.Once
 	cacheKey *instcache.Key
 
@@ -303,11 +305,10 @@ func (in *Instance) rngLocked() *rand.Rand {
 	return in.rng
 }
 
-// key returns the instance's memoized cache key (the structural pre-key
-// is computed on first use; the iso and strong string keys lazily inside
-// the cache, only when it has never seen the structural class). The
-// instance automaton is already the normal form, so no normalization
-// pass runs again.
+// key returns the instance's memoized cache key, built on first use:
+// the instance automaton is already the normal form, so the key is that
+// automaton and its one-pass structural pre-hash, with no normalization
+// pass again.
 func (in *Instance) key() *instcache.Key {
 	in.keyOnce.Do(func() { in.cacheKey = instcache.KeyForNormal(in.n) })
 	return in.cacheKey

@@ -1,10 +1,12 @@
 package instcache
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/automata"
+	"repro/internal/lengthrange"
 )
 
 // BenchmarkKeyFor measures the warm-path key cost: one Normalize pass plus
@@ -15,6 +17,30 @@ func BenchmarkKeyFor(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = KeyFor(n)
+	}
+}
+
+// BenchmarkFirstLookup measures what the first request for an automaton
+// pays in the cache: KeyFor, a bucket miss and a build, the build a stub
+// so only the keying and bookkeeping show. A fresh cache keys each of 64
+// ranked-shaped DFAs (rankedDFA) once, one per op.
+func BenchmarkFirstLookup(b *testing.B) {
+	rng := rand.New(rand.NewSource(64))
+	dfas := make([]*automata.NFA, 64)
+	for i := range dfas {
+		dfas[i] = rankedDFA(rng, i)
+	}
+	build := func(context.Context) (*lengthrange.RangeIndex, error) { return stub(), nil }
+	var c *Cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(dfas) == 0 {
+			c = New(DefaultBudget)
+		}
+		if _, hit, err := c.RangeIndex(nil, KeyFor(dfas[i%len(dfas)]), 20, 20, 1000, build); err != nil || hit {
+			b.Fatal("expected a miss")
+		}
 	}
 }
 

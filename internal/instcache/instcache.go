@@ -2,8 +2,8 @@
 // compiled instances — frozen lengthrange counting indexes, one per
 // automaton and length range — shared across core.Instance values, so a
 // serving workload that sees the same automaton twice (or two
-// structurally-isomorphic regexes from different tenants) pays the
-// backward counting sweep once. It is the preprocess-once / answer-many
+// relabellings of one DFA from different tenants) pays the backward
+// counting sweep once. It is the preprocess-once / answer-many
 // split applied across *requests* rather than per instance: the expensive
 // preprocessing is keyed by what it actually depends on, the automaton's
 // identity, not by which Instance happened to ask first.
@@ -11,41 +11,32 @@
 // # Keying contract
 //
 // The engine's enumeration order is structural, not language-level: the
-// unrolled DAG orders a vertex's out-edges by successor state id (the
+// counting index orders a vertex's out-edges by successor state id (the
 // decision-list order of Algorithm 1), so renumbering the states of even
 // a deterministic automaton permutes the observable enumeration, rank and
 // sample order. A compiled artifact may therefore only ever be shared
 // across automata with *identical* normalized structure. The cache makes
 // relabelled DFAs identical instead of merely equivalent: every key is
-// computed over automata.Normalize — ε-elimination, trimming, and for
-// deterministic automata the canonical breadth-first renumbering — so all
-// relabellings of one DFA collapse to one byte-identical normal form and
-// land on one entry, with every observable bitwise equal by construction.
+// the automaton's automata.Normalize form — ε-elimination, trimming, and
+// for deterministic automata the canonical breadth-first renumbering — so
+// all relabellings of one DFA collapse to one byte-identical normal form
+// and land on one entry, with every observable bitwise equal by
+// construction. Relabelled NONdeterministic automata stay separate: no
+// canonical form exists whose order matches theirs (relabelling permutes
+// sorted successor lists), so Normalize keeps their state order.
 //
-// Lookup is two-phase:
+// Lookup is one phase. Every entry is filed under its bucket — the
+// normal form's automata.StructHash (a one-pass structural pre-hash) and
+// the [lo, hi] range — together with the normal form itself, and a
+// lookup picks the entry of its bucket whose normal form is
+// automata.Equal to its own. Pre-hash collisions are harmless: Equal, an
+// exact structural comparison, separates them within the bucket. An
+// entry is unlinked when it is evicted or its build fails, so the cache
+// holds nothing for an automaton it holds no index for.
 //
-//  1. Pre-key: automata.StructHash of the normal form — a one-pass
-//     structural hash that only selects a bucket. (It plays the role the
-//     relabelling-invariant automata.WLHash plays in the general keying
-//     layer; after normalization the canonical renumbering has already
-//     absorbed relabelling, and the one-pass hash is ~10× cheaper than WL
-//     refinement, which matters because the pre-key is the warm path.)
-//     Collisions are expected and harmless: bucket membership is verified
-//     with automata.Equal, an exact structural comparison.
-//  2. Strong key: computed only on first insert of a class (or a genuine
-//     pre-key collision introducing a new class). automata.StrongKey runs
-//     Minimize, so minimization-equivalent DFA classes are recognizably
-//     grouped in the exported stats — but they deliberately do NOT share
-//     an artifact entry: their canonical structures differ, so their
-//     decision-list orders differ, and serving one's index to the other
-//     would change observable enumeration order. Likewise relabelled
-//     NONdeterministic UFAs stay separate (no canonical form exists whose
-//     order matches theirs; relabelling permutes sorted successor lists).
-//
-// The full entry identity binds, besides the normalized class, the
-// [lo, hi] range; a single witness length n is the range [n, n], so a
-// single-length lookup and a range lookup at [n, n] share one entry. The
-// limb width an index was built at is not part of it: every answer is
+// A single witness length n is the range [n, n], so a single-length
+// lookup and a range lookup at [n, n] share one entry. The limb width an
+// index was built at is not part of the identity: every answer is
 // bitwise the same at every width.
 //
 // Because entries bind to exact normalized structure, a hit is sound for
@@ -58,14 +49,14 @@
 // # Builds, cancellation, eviction
 //
 // Builds are deduplicated singleflight-style: N concurrent requests for
-// the same (class, range) trigger exactly one build; everyone
+// the same (normal form, range) trigger exactly one build; everyone
 // else blocks on it. The build runs in a detached goroutine under its own
 // cancellable context, and waiters are reference-counted: a cancelled
 // leader merely stops waiting — the build keeps running and hands its
 // result to the remaining followers (no rebuild). Only when the LAST
-// waiter cancels is the build's context cancelled; the failed fill leaves
-// no entry behind, so the next request starts a fresh build — a cancelled
-// leader never poisons the entry. The fill boundary carries a
+// waiter cancels is the build's context cancelled; a failed or abandoned
+// fill unlinks its entry, so the next request starts a fresh build — a
+// cancelled leader never poisons the entry. The fill boundary carries a
 // deterministic fault-injection checkpoint (faultinject.SiteCacheFill).
 //
 // Eviction is least-recently-used by estimated bytes, with the same
@@ -75,7 +66,7 @@
 // budget: an entry larger than the whole budget is evicted immediately
 // after insertion (its waiters are served from the in-flight result).
 // Per-entry hit/build/byte counters are exported through EntryStats for
-// the future server's metrics endpoint.
+// nfad's /v1/stats.
 //
 // # Frozen sharing
 //
@@ -89,7 +80,7 @@ import (
 	"container/list"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/automata"
@@ -104,20 +95,13 @@ import (
 // memory.
 const DefaultBudget int64 = 64 << 20
 
-// Key is the memoized identity of one automaton: the normal form and its
-// structural pre-hash are computed eagerly (both one-pass), the
-// relabelling-canonical IsoKey and the minimization-based StrongKey
-// lazily, each at most once. A Key is safe for concurrent use; construct
-// it once per automaton and reuse it.
+// Key is the identity of one automaton: its normal form and the normal
+// form's structural pre-hash, both computed at construction in one pass
+// each. A Key is immutable and safe for concurrent use; construct it once
+// per automaton and reuse it.
 type Key struct {
 	norm *automata.NFA
 	pre  uint64
-
-	isoOnce sync.Once
-	iso     string
-
-	strongOnce sync.Once
-	strong     string
 }
 
 // KeyFor builds the cache key for n over its normal form. The automaton
@@ -127,7 +111,7 @@ func KeyFor(n *automata.NFA) *Key { return KeyForNormal(automata.Normalize(n)) }
 // KeyForNormal is KeyFor for an automaton already in normal form (an
 // automata.Normalize result, as every core instance automaton is): it
 // skips the normalization pass. Keying any other automaton would file it
-// apart from its normal form's class. The automaton must not be mutated
+// apart from its normal form's entries. The automaton must not be mutated
 // afterwards.
 func KeyForNormal(norm *automata.NFA) *Key {
 	return &Key{norm: norm, pre: automata.StructHash(norm)}
@@ -140,35 +124,10 @@ func (k *Key) Pre() uint64 { return k.pre }
 // Norm returns the normalized automaton the key identifies.
 func (k *Key) Norm() *automata.NFA { return k.norm }
 
-// Iso returns the relabelling-canonical key (automata.IsoKey), memoized.
-func (k *Key) Iso() string {
-	k.isoOnce.Do(func() { k.iso = automata.IsoKey(k.norm) })
-	return k.iso
-}
-
-// Strong returns the full unification key (automata.StrongKey), memoized.
-// This is the only phase that runs Minimize; the cache calls it only on
-// the first sighting of a structural class.
-func (k *Key) Strong() string {
-	k.strongOnce.Do(func() { k.strong = automata.StrongKey(k.norm) })
-	return k.strong
-}
-
-// class is one resolved structural identity: the normal form plus its
-// string keys, computed once when the class is first seen. Entry identity
-// is the class pointer — exact normalized structure — never the strong
-// key (see the package comment: minimization-equivalent DFAs must not
-// share artifacts).
-type class struct {
-	norm   *automata.NFA
+// bucket is what an entry is filed under: the normal form's pre-hash and
+// the range. Entries of one bucket differ in their normal forms.
+type bucket struct {
 	pre    uint64
-	iso    string
-	strong string
-}
-
-// entryKey is the full identity of one cached index.
-type entryKey struct {
-	cls    *class
 	lo, hi int
 }
 
@@ -187,9 +146,11 @@ type flight struct {
 }
 
 // entry is one cache slot: either filled (val non-nil, on the LRU list)
-// or being filled (flight non-nil).
+// or being filled (flight non-nil). It is linked into its bucket while it
+// is either, and unlinked when it is evicted or its build fails.
 type entry struct {
-	key    entryKey
+	bucket bucket
+	norm   *automata.NFA
 	val    *lengthrange.RangeIndex // guarded by Cache.mu
 	bytes  int64                   // guarded by Cache.mu
 	flight *flight                 // guarded by Cache.mu
@@ -206,17 +167,15 @@ type Cache struct {
 	mu     sync.Mutex
 	budget int64 // immutable after New; <= 0 means unbounded
 
-	entries map[entryKey]*entry // guarded by mu
+	entries map[bucket][]*entry // guarded by mu; every resident or filling entry
 	lru     *list.List          // guarded by mu; front = most recent
 	bytes   int64               // guarded by mu; sum over resident entries
-	classes map[uint64][]*class // guarded by mu; pre-hash → verified classes
 
-	hits           uint64 // guarded by mu
-	misses         uint64 // guarded by mu
-	builds         uint64 // guarded by mu
-	buildErrors    uint64 // guarded by mu
-	evictions      uint64 // guarded by mu
-	strongComputes uint64 // guarded by mu
+	hits        uint64 // guarded by mu
+	misses      uint64 // guarded by mu
+	builds      uint64 // guarded by mu
+	buildErrors uint64 // guarded by mu
+	evictions   uint64 // guarded by mu
 }
 
 // New returns a cache with the given byte budget; budget <= 0 means
@@ -224,9 +183,8 @@ type Cache struct {
 func New(budget int64) *Cache {
 	return &Cache{
 		budget:  budget,
-		entries: make(map[entryKey]*entry),
+		entries: make(map[bucket][]*entry),
 		lru:     list.New(),
-		classes: make(map[uint64][]*class),
 	}
 }
 
@@ -242,14 +200,9 @@ func (c *Cache) RangeIndex(ctx context.Context, key *Key, lo, hi int, est int64,
 	if err := faultinject.Check(ctx, faultinject.SiteCacheFill); err != nil {
 		return nil, false, err
 	}
-	ek := entryKey{cls: c.resolveClass(key), lo: lo, hi: hi}
 
 	c.mu.Lock()
-	e := c.entries[ek]
-	if e == nil {
-		e = &entry{key: ek}
-		c.entries[ek] = e
-	}
+	e := c.lookupLocked(key, bucket{pre: key.pre, lo: lo, hi: hi})
 	if e.val != nil {
 		e.hits++
 		c.hits++
@@ -296,33 +249,28 @@ func (c *Cache) UFAIndex(ctx context.Context, key *Key, length int, est int64, b
 	return c.RangeIndex(ctx, key, length, length, est, build)
 }
 
-// resolveClass resolves the key's structural class: the pre-hash selects
-// a bucket, automata.Equal verifies membership exactly. The string keys —
-// including the Minimize-based strong key — are computed only when the
-// class has never been seen: first insert or a genuine pre-hash collision
-// introducing a new class.
-func (c *Cache) resolveClass(key *Key) *class {
-	c.mu.Lock()
-	for _, cl := range c.classes[key.pre] {
-		if automata.Equal(key.norm, cl.norm) {
-			c.mu.Unlock()
-			return cl
+// lookupLocked returns the entry of bucket b whose normal form is the
+// key's, linking a fresh empty one into the bucket when there is none.
+func (c *Cache) lookupLocked(key *Key, b bucket) *entry {
+	for _, e := range c.entries[b] {
+		if automata.Equal(key.norm, e.norm) {
+			return e
 		}
 	}
-	c.mu.Unlock()
-	// Expensive phase (codec marshal + Minimize), outside the lock.
-	iso, strong := key.Iso(), key.Strong()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, cl := range c.classes[key.pre] {
-		if automata.Equal(key.norm, cl.norm) {
-			return cl
-		}
+	e := &entry{bucket: b, norm: key.norm}
+	c.entries[b] = append(c.entries[b], e)
+	return e
+}
+
+// unlinkLocked removes e from its bucket, and the bucket from the map
+// once it is empty.
+func (c *Cache) unlinkLocked(e *entry) {
+	es := slices.DeleteFunc(c.entries[e.bucket], func(x *entry) bool { return x == e })
+	if len(es) == 0 {
+		delete(c.entries, e.bucket)
+	} else {
+		c.entries[e.bucket] = es
 	}
-	cl := &class{norm: key.norm, pre: key.pre, iso: iso, strong: strong}
-	c.classes[key.pre] = append(c.classes[key.pre], cl)
-	c.strongComputes++
-	return cl
 }
 
 // abandon drops one waiter from a flight; the last waiter to leave
@@ -343,19 +291,22 @@ func (c *Cache) abandon(f *flight) {
 }
 
 // runBuild executes one deduplicated build on a detached goroutine and
-// publishes the result to the entry and every waiter.
+// publishes the result to the entry and every waiter. A failed build —
+// abandoned ones included, whose context the last waiter cancelled —
+// unlinks its entry.
 func (c *Cache) runBuild(e *entry, f *flight, bctx context.Context, est int64, build func(context.Context) (*lengthrange.RangeIndex, error)) {
 	defer f.cancel() // release the flight context in every path
 	val, err := build(bctx)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	f.val, f.err = val, err
+	e.flight = nil
 	if err == nil {
 		c.installLocked(e, val, est)
 	} else {
 		c.buildErrors++
+		c.unlinkLocked(e)
 	}
-	e.flight = nil
 	close(f.done)
 }
 
@@ -376,24 +327,23 @@ func (c *Cache) removeLocked(e *entry) {
 	e.elem = nil
 	c.bytes -= e.bytes
 	e.val = nil
-	delete(c.entries, e.key)
+	c.unlinkLocked(e)
 }
 
 // Stats is a snapshot of the cache-wide counters.
 type Stats struct {
-	Hits, Misses   uint64
-	Builds         uint64
-	BuildErrors    uint64
-	Evictions      uint64
-	StrongComputes uint64
-	Entries        int
-	Bytes          int64
-	Budget         int64
+	Hits, Misses uint64
+	Builds       uint64
+	BuildErrors  uint64
+	Evictions    uint64
+	Entries      int
+	Bytes        int64
+	Budget       int64
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("hits=%d misses=%d builds=%d errors=%d evictions=%d strongkeys=%d entries=%d bytes=%d budget=%d",
-		s.Hits, s.Misses, s.Builds, s.BuildErrors, s.Evictions, s.StrongComputes, s.Entries, s.Bytes, s.Budget)
+	return fmt.Sprintf("hits=%d misses=%d builds=%d errors=%d evictions=%d entries=%d bytes=%d budget=%d",
+		s.Hits, s.Misses, s.Builds, s.BuildErrors, s.Evictions, s.Entries, s.Bytes, s.Budget)
 }
 
 // Stats returns a snapshot of the cache-wide counters.
@@ -401,24 +351,23 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Hits:           c.hits,
-		Misses:         c.misses,
-		Builds:         c.builds,
-		BuildErrors:    c.buildErrors,
-		Evictions:      c.evictions,
-		StrongComputes: c.strongComputes,
-		Entries:        c.lru.Len(),
-		Bytes:          c.bytes,
-		Budget:         c.budget,
+		Hits:        c.hits,
+		Misses:      c.misses,
+		Builds:      c.builds,
+		BuildErrors: c.buildErrors,
+		Evictions:   c.evictions,
+		Entries:     c.lru.Len(),
+		Bytes:       c.bytes,
+		Budget:      c.budget,
 	}
 }
 
-// EntryStats is the per-entry accounting exported for metrics. Iso is the
-// entry's structural-class key; Strong groups minimization-equivalent
-// classes (same language, separate artifacts).
+// EntryStats is the per-entry accounting exported for metrics. An entry
+// is labelled by its normal form's pre-hash and state count, which name
+// it without carrying the automaton; two entries may share both.
 type EntryStats struct {
-	Iso    string
-	Strong string
+	Pre    uint64
+	States int
 	Lo, Hi int
 	Bytes  int64
 	Hits   uint64
@@ -426,39 +375,24 @@ type EntryStats struct {
 	Builds uint64
 }
 
-// EntryStats returns per-entry counters for every resident entry, in a
-// deterministic order (strong key, then iso key, then range).
+// EntryStats returns per-entry counters for every resident entry, most
+// recently used first.
 func (c *Cache) EntryStats() []EntryStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]EntryStats, 0, len(c.entries))
-	for _, e := range c.entries {
-		if e.val == nil {
-			continue
-		}
+	out := make([]EntryStats, 0, c.lru.Len())
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*entry)
 		out = append(out, EntryStats{
-			Iso:    e.key.cls.iso,
-			Strong: e.key.cls.strong,
-			Lo:     e.key.lo,
-			Hi:     e.key.hi,
+			Pre:    e.bucket.pre,
+			States: e.norm.NumStates(),
+			Lo:     e.bucket.lo,
+			Hi:     e.bucket.hi,
 			Bytes:  e.bytes,
 			Hits:   e.hits,
 			Misses: e.misses,
 			Builds: e.builds,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Strong != b.Strong {
-			return a.Strong < b.Strong
-		}
-		if a.Iso != b.Iso {
-			return a.Iso < b.Iso
-		}
-		if a.Lo != b.Lo {
-			return a.Lo < b.Lo
-		}
-		return a.Hi < b.Hi
-	})
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,20 +35,26 @@ func buildAt(n *automata.NFA, length int) func(context.Context) (*lengthrange.Ra
 // compare identities.
 func stub() *lengthrange.RangeIndex { return new(lengthrange.RangeIndex) }
 
-// ekFor resolves the entry key a lookup would use; white-box, for the
-// handoff tests' flight peeking.
-func ekFor(c *Cache, key *Key, lo, hi int) entryKey {
-	return entryKey{cls: c.resolveClass(key), lo: lo, hi: hi}
+// peekLocked returns the entry a lookup of key over [lo, hi] would use, or
+// nil when the cache holds none; white-box, for the handoff tests' flight
+// peeking. The caller holds c.mu.
+func peekLocked(c *Cache, key *Key, lo, hi int) *entry {
+	for _, e := range c.entries[bucket{pre: key.pre, lo: lo, hi: hi}] {
+		if automata.Equal(key.norm, e.norm) {
+			return e
+		}
+	}
+	return nil
 }
 
 // waitRefs polls until the entry's flight has the given waiter count; the
 // white-box peek is what makes the handoff tests deterministic.
-func waitRefs(t *testing.T, c *Cache, ek entryKey, want int) *flight {
+func waitRefs(t *testing.T, c *Cache, key *Key, lo, hi, want int) *flight {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		c.mu.Lock()
-		e := c.entries[ek]
+		e := peekLocked(c, key, lo, hi)
 		var f *flight
 		if e != nil {
 			f = e.flight
@@ -113,13 +120,13 @@ func TestRelabelledDFASharesEntryWithoutReminimizing(t *testing.T) {
 		t.Fatal("nil index on hit")
 	}
 	st := c.Stats()
-	if st.Builds != 1 {
-		t.Fatalf("want exactly one build, got %d", st.Builds)
+	if st.Builds != 1 || st.Entries != 1 {
+		t.Fatalf("want exactly one build and one entry, got %+v", st)
 	}
-	// Minimize ran once for the whole isomorphism class: the relabelled
-	// lookup resolved to the already-verified class.
-	if st.StrongComputes != 1 {
-		t.Fatalf("want one strong-key computation, got %d", st.StrongComputes)
+	// The relabelled lookup resolved to the entry itself: the cache files
+	// nothing per automaton beside it.
+	if len(c.entries) != 1 || len(c.entries[bucket{pre: kn.Pre(), lo: 5, hi: 5}]) != 1 {
+		t.Fatalf("want one bucket holding one entry, got %d buckets", len(c.entries))
 	}
 }
 
@@ -175,7 +182,7 @@ func TestSingleLengthAndRangeShareEntry(t *testing.T) {
 		t.Fatalf("want one build and one entry, got %+v", st)
 	}
 	es := c.EntryStats()
-	if len(es) != 1 || es[0].Lo != 4 || es[0].Hi != 4 || es[0].Iso == "" || es[0].Strong == "" {
+	if len(es) != 1 || es[0].Lo != 4 || es[0].Hi != 4 || es[0].Pre != key.Pre() || es[0].States != key.Norm().NumStates() {
 		t.Fatalf("entry stats: %+v", es)
 	}
 }
@@ -240,7 +247,6 @@ func TestConcurrentCancelledLeaderHandsOffWithoutRebuild(t *testing.T) {
 		}
 	}
 	key := KeyFor(testDFA(t, 7, 6))
-	ek := ekFor(c, key, 3, 3)
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	defer cancelLeader()
@@ -250,7 +256,7 @@ func TestConcurrentCancelledLeaderHandsOffWithoutRebuild(t *testing.T) {
 		leaderErr <- err
 	}()
 	<-started
-	waitRefs(t, c, ek, 1)
+	waitRefs(t, c, key, 3, 3, 1)
 
 	followerVal := make(chan any, 1)
 	go func() {
@@ -261,7 +267,7 @@ func TestConcurrentCancelledLeaderHandsOffWithoutRebuild(t *testing.T) {
 			followerVal <- v
 		}
 	}()
-	waitRefs(t, c, ek, 2)
+	waitRefs(t, c, key, 3, 3, 2)
 
 	// Cancel the leader mid-build: the flight must keep running for the
 	// follower — no second build invocation.
@@ -299,7 +305,6 @@ func TestConcurrentAllWaitersCancelledLeavesEntryUnpoisoned(t *testing.T) {
 		return nil, ctx.Err()
 	}
 	key := KeyFor(testDFA(t, 8, 6))
-	ek := ekFor(c, key, 2, 2)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
@@ -308,7 +313,7 @@ func TestConcurrentAllWaitersCancelledLeavesEntryUnpoisoned(t *testing.T) {
 		errCh <- err
 	}()
 	<-started
-	waitRefs(t, c, ek, 1)
+	waitRefs(t, c, key, 2, 2, 1)
 	cancel()
 	if err := <-errCh; !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -318,7 +323,7 @@ func TestConcurrentAllWaitersCancelledLeavesEntryUnpoisoned(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		c.mu.Lock()
-		e := c.entries[ek]
+		e := peekLocked(c, key, 2, 2)
 		idle := e == nil || e.flight == nil
 		c.mu.Unlock()
 		if idle {
@@ -328,6 +333,12 @@ func TestConcurrentAllWaitersCancelledLeavesEntryUnpoisoned(t *testing.T) {
 			t.Fatal("abandoned flight never finished")
 		}
 		time.Sleep(time.Millisecond)
+	}
+	c.mu.Lock()
+	left := len(c.entries)
+	c.mu.Unlock()
+	if left != 0 {
+		t.Fatal("abandoned build left its entry behind")
 	}
 	fresh := stub()
 	v, hit, err := c.RangeIndex(nil, key, 2, 2, 10, func(context.Context) (*lengthrange.RangeIndex, error) {
@@ -468,9 +479,10 @@ func TestStatsStringAndBudget(t *testing.T) {
 }
 
 func TestWLCollisionResolvesToSeparateEntries(t *testing.T) {
-	// Two non-isomorphic automata engineered to be indistinguishable to WL
-	// refinement (see automata.TestStrongKeySplitsWLCollision) must occupy
-	// distinct entries — exact structural verification separates what any
+	// Two structurally distinct automata — a nondeterministic hub fanning
+	// into one 6-cycle or into two 3-cycles, a pair no local refinement
+	// tells apart — forced into one pre-hash bucket must occupy distinct
+	// entries: exact structural verification separates what any
 	// hash-level pre-key may conflate.
 	build := func(cycles [][]int) *automata.NFA {
 		n := automata.New(automata.Binary(), 7)
@@ -488,10 +500,10 @@ func TestWLCollisionResolvesToSeparateEntries(t *testing.T) {
 	}
 	a := build([][]int{{1, 2, 3, 4, 5, 6}})
 	b := build([][]int{{1, 2, 3}, {4, 5, 6}})
-	if automata.WLHash(a) != automata.WLHash(b) {
-		t.Fatal("pair should WL-collide")
-	}
 	ka, kb := KeyFor(a), KeyFor(b)
+	if automata.Equal(ka.Norm(), kb.Norm()) {
+		t.Fatal("pair normalizes equal; construction is broken")
+	}
 	// Force the pair into ONE pre-hash bucket (a pre-key collision), the
 	// case the exact Equal verification exists for.
 	kb = &Key{norm: kb.norm, pre: ka.pre}
@@ -504,10 +516,78 @@ func TestWLCollisionResolvesToSeparateEntries(t *testing.T) {
 	if err != nil || hit || v != ib {
 		t.Fatalf("collision bucket must split: v=%v hit=%v err=%v", v, hit, err)
 	}
-	if st := c.Stats(); st.Builds != 2 || st.StrongComputes != 2 {
+	if st := c.Stats(); st.Builds != 2 || st.Entries != 2 {
 		t.Fatalf("stats: %+v", st)
 	}
-	if len(c.classes[ka.pre]) != 2 {
-		t.Fatal("collision bucket should hold both verified classes")
+	if len(c.entries[bucket{pre: ka.pre, lo: 1, hi: 1}]) != 2 {
+		t.Fatal("collision bucket should hold both entries")
+	}
+	// Each still hits its own entry.
+	for _, tc := range []struct {
+		key  *Key
+		want *lengthrange.RangeIndex
+	}{{ka, ia}, {kb, ib}} {
+		if v, hit, err := c.RangeIndex(nil, tc.key, 1, 1, 10, nil); err != nil || !hit || v != tc.want {
+			t.Fatalf("collision bucket lookup: v=%v hit=%v err=%v", v, hit, err)
+		}
+	}
+}
+
+// rankedDFA returns a random DFA of the serving benchmark's ranked
+// tenants' shape: 32–128 states over 2–4 symbols (the i-th tenant has
+// 2 + i mod 3 symbols).
+func rankedDFA(rng *rand.Rand, i int) *automata.NFA {
+	alpha := automata.NewAlphabet([]string{"a", "b", "c", "d"}[:2+i%3]...)
+	return automata.RandomDFA(rng, alpha, 32+rng.Intn(97), 0.5)
+}
+
+// TestFailedBuildsLeaveNoEntries: a failed build unlinks its entry, so
+// automata whose builds fail leave nothing behind.
+func TestFailedBuildsLeaveNoEntries(t *testing.T) {
+	c := New(DefaultBudget)
+	rng := rand.New(rand.NewSource(19))
+	boom := errors.New("boom")
+	for i := 0; i < 100; i++ {
+		_, _, err := c.RangeIndex(nil, KeyFor(rankedDFA(rng, i)), 20, 20, 10, func(context.Context) (*lengthrange.RangeIndex, error) {
+			return nil, boom
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("build %d: want boom, got %v", i, err)
+		}
+	}
+	if st := c.Stats(); st.BuildErrors != 100 || st.Entries != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+	if len(c.entries) != 0 {
+		t.Fatalf("failed builds left %d buckets behind", len(c.entries))
+	}
+}
+
+// TestEvictedAutomataAreNotRetained: a cache whose budget evicts every
+// entry on insertion keeps no memory for the automata it was asked for —
+// nothing outside its entries refers to a normal form.
+func TestEvictedAutomataAreNotRetained(t *testing.T) {
+	c := New(1)
+	rng := rand.New(rand.NewSource(23))
+	build := func(context.Context) (*lengthrange.RangeIndex, error) { return stub(), nil }
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 256; i++ {
+		if _, _, err := c.RangeIndex(nil, KeyFor(rankedDFA(rng, i)), 20, 20, 2, build); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if st := c.Stats(); st.Evictions != 256 || st.Entries != 0 || len(c.entries) != 0 {
+		t.Fatalf("every entry should be evicted on insertion: %+v, %d buckets", st, len(c.entries))
+	}
+	kept := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("heap after 256 evicted lookups: %+d bytes", kept)
+	if kept > 64<<10 {
+		t.Fatalf("cache keeps %d bytes reachable after evicting every entry (bound 64 KiB)", kept)
 	}
 }

@@ -21,7 +21,8 @@
 //     the error body — cancel is a checkpoint, never corruption, and the
 //     token resumes bitwise where the deadline landed.
 //   - Caching: one process-wide instcache.Cache (Config.Cache) is shared
-//     across all tenants, so isomorphic automata resolve to one compiled
+//     across all tenants, so automata with one normal form (the same
+//     automaton, or relabellings of one DFA) resolve to one compiled
 //     index regardless of who posts them; /v1/stats exposes the cache
 //     counters plus per-entry accounting for memory-per-tenant tracking.
 //
@@ -63,9 +64,9 @@ const DefaultMaxBodyBytes = 4 << 20
 type Config struct {
 	// Cache is the process-wide compiled-index cache shared across every
 	// tenant's requests (nil = a private cache with
-	// instcache.DefaultBudget). Isomorphic automata posted by different
-	// tenants resolve to the same entry; the byte budget bounds resident
-	// index memory.
+	// instcache.DefaultBudget). Relabellings of one DFA posted by
+	// different tenants resolve to the same entry; the byte budget bounds
+	// resident index memory.
 	Cache *instcache.Cache
 	// Limits is the default per-request admission policy (nil = none).
 	Limits *admission.Limits
@@ -193,8 +194,10 @@ type ErrorBody struct {
 }
 
 // StatsResponse is /v1/stats: request-lifecycle counters, the cache-wide
-// counters, and per-entry accounting (bytes and hit counts per cached
-// tenant artifact).
+// counters, and per-entry accounting for every resident index, most
+// recently used first: the normal form's pre-hash and state count (Pre,
+// States; a label, not an identity, and no automaton text), the range
+// (Lo, Hi), the estimated bytes, and the hit, miss and build counts.
 type StatsResponse struct {
 	Requests    uint64                 `json:"requests"`
 	Rejections  uint64                 `json:"rejections"`

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -481,6 +482,43 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if len(stats.Entries) != 1 || stats.Entries[0].Bytes <= 0 {
 		t.Fatalf("per-entry stats missing or unsized: %+v", stats.Entries)
+	}
+}
+
+// TestStatsEntryCarriesNoAutomaton: a /v1/stats entry labels its index
+// by the normal form's pre-hash and state count, not by the automaton's
+// text, so its size does not grow with the automaton.
+func TestStatsEntryCarriesNoAutomaton(t *testing.T) {
+	leakcheck.Check(t)
+	_, ts := newTestServer(t, Config{})
+	dfa := automata.RandomDFA(rand.New(rand.NewSource(64)), automata.Binary(), 64, 0.5)
+	text := automata.MarshalString(dfa)
+	var resp Response
+	if code := post(t, ts.Client(), ts.URL+"/v1/unrank", Request{Automaton: text, N: intPtr(20), Rank: "0"}, nil, &resp); code != http.StatusOK {
+		t.Fatalf("unrank: status %d", code)
+	}
+	hr, err := ts.Client().Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hr.Body.Close()
+	var stats StatsResponse
+	if err := json.NewDecoder(hr.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if len(stats.Entries) != 1 {
+		t.Fatalf("want one entry, got %+v", stats.Entries)
+	}
+	e := stats.Entries[0]
+	if want := automata.Normalize(dfa).NumStates(); e.States != want || e.Lo != 20 || e.Hi != 20 {
+		t.Fatalf("entry %+v, want %d states over [20, 20]", e, want)
+	}
+	body, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) > 256 {
+		t.Fatalf("one stats entry is %d bytes of JSON (bound 256): %s", len(body), body)
 	}
 }
 
