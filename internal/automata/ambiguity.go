@@ -138,15 +138,16 @@ func CountAcceptingRuns(n *NFA, w Word) *big.Int {
 // why #NFA is hard (§6.1 of the paper).
 //
 // The dynamic program runs on two rows of k-limb counts (internal/limb),
-// the width fitted by limb.Fit: one allocation per width tried, where a
-// row of *big.Int per layer would allocate per state.
+// the width fitted by limb.Fit (a carry asks for twice the width): one
+// allocation per width tried, where a row of *big.Int per layer would
+// allocate per state.
 func CountPaths(n *NFA, length int) *big.Int {
 	m := n.NumStates()
 	if m == 0 {
 		return new(big.Int)
 	}
 	var total []uint64
-	_ = limb.Fit(func(k int) (bool, error) {
+	_ = limb.Fit(func(k int) (bool, int, error) {
 		buf := make([]uint64, (2*m+1)*k)
 		cur, next, sum := buf[:m*k], buf[m*k:2*m*k], buf[2*m*k:]
 		cur[n.start*k] = 1
@@ -160,7 +161,7 @@ func CountPaths(n *NFA, length int) *big.Int {
 				for _, lst := range row {
 					for _, p := range lst {
 						if x := next[p*k : (p+1)*k]; limb.Add(x, x, c) != 0 {
-							return false, nil
+							return false, 128 * k, nil
 						}
 					}
 				}
@@ -169,11 +170,11 @@ func CountPaths(n *NFA, length int) *big.Int {
 		}
 		for q, f := range n.final {
 			if f && limb.Add(sum, sum, cur[q*k:(q+1)*k]) != 0 {
-				return false, nil
+				return false, 128 * k, nil
 			}
 		}
 		total = sum
-		return true, nil
+		return true, 0, nil
 	})
 	return limb.ToBig(total)
 }

@@ -15,6 +15,7 @@ package faultsuite
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"sort"
@@ -26,6 +27,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/instcache"
 	"repro/internal/leakcheck"
+	"repro/internal/lengthrange"
 )
 
 // arm configures one injection arm (and registers cleanup that disarms
@@ -288,6 +290,49 @@ func TestBuildLayerFaultsReleasePartialBuilds(t *testing.T) {
 			t.Fatalf("rebuild after failed build: %v", err)
 		}
 	})
+}
+
+// TestRangeBuildChecksEveryLayer: the counting-index build crosses its
+// lengthrange.build.layer barrier once on entry and at every layer of
+// every sweep attempt, including the floating-point width bound a carry
+// runs: arming any one of those barriers fails the build, and the first
+// ordinal past them lets it through. The count also pins the attempts:
+// one sweep that carries, its bound, and one sweep at the bounded width.
+// All(Σ) over {a, b} at n = 20 fits one limb; at n = 70 and n = 200 it
+// carries at remaining length 64 and reruns at 2 and 4 limbs. An
+// unreachable state counting Σ^r over four symbols carries at r = 32 and
+// needs 4 limbs at r = 100, though every total is 1.
+func TestRangeBuildChecksEveryLayer(t *testing.T) {
+	all := automata.All(automata.Binary())
+	un := automata.New(automata.NewAlphabet("a", "b", "c", "d"), 3)
+	un.AddTransition(0, 0, 1)
+	un.AddTransition(1, 0, 1)
+	un.SetFinal(1, true)
+	for a := 0; a < 4; a++ {
+		un.AddTransition(2, a, 2)
+	}
+	un.SetFinal(2, true)
+	for _, c := range []struct {
+		nfa              *automata.NFA
+		lo, hi, barriers int
+	}{
+		{all, 20, 20, 1 + 20},
+		{all, 70, 70, 1 + 64 + 7 + 70},
+		{all, 200, 200, 1 + 64 + 137 + 200},
+		{un, 1, 100, 1 + 32 + 69 + 100},
+	} {
+		for j := 1; j <= c.barriers+1; j++ {
+			arm(t, fmt.Sprintf("lengthrange.build.layer:%d", j))
+			_, err := lengthrange.Build(c.nfa, c.lo, c.hi, 2)
+			faultinject.Reset()
+			if j <= c.barriers && !errors.Is(err, faultinject.ErrInjected) {
+				t.Fatalf("[%d, %d]: barrier %d of %d not checked (%v)", c.lo, c.hi, j, c.barriers, err)
+			}
+			if j > c.barriers && err != nil {
+				t.Fatalf("[%d, %d]: build with %d barriers armed past them: %v", c.lo, c.hi, c.barriers, err)
+			}
+		}
+	}
 }
 
 // TestCacheFillFaultLeavesCacheClean: a fault injected at the compiled-

@@ -21,13 +21,14 @@
 // ascending, then symbol ascending) — and its cumulative prefix sums are
 // a function of (q, r) with r = n−t alone. Build therefore runs ONE
 // backward sweep from the longest length hi, materializing the tables for
-// r in 1..hi (layer-parallel on the par primitives, bitwise identical for
-// any worker count), and every length n in [lo, hi] is served by the
-// slice of tables it needs: its total is the completion count of the
-// start state at r = n, and an unrank descent for length n reads the
-// tables at r = n, n−1, …, 1. So the answers at one length are the same
-// bits whichever range the index covers (asserted by the equivalence
-// tests). The pruned out-edge lists at r = n−t are the out-edges of layer
+// r in 1..hi (a layer large enough to pay for goroutines fans its states
+// out on the par primitives, a smaller one runs inline; the tables are
+// bitwise identical for any worker count), and every length n in
+// [lo, hi] is served by the slice of tables it needs: its total is the
+// completion count of the start state at r = n, and an unrank descent for
+// length n reads the tables at r = n, n−1, …, 1. So the answers at one
+// length are the same bits whichever range the index covers (asserted by
+// the equivalence tests). The pruned out-edge lists at r = n−t are the out-edges of layer
 // t of the length-n unrolled DAG (Lemma 15) in its decision order, so the
 // index is also that DAG: Algorithm 1's enumerator walks them through
 // OutEdges, and its decision vectors address the prefix sums directly.
@@ -51,20 +52,33 @@
 // per draw. On a single-length index the global and per-length answers
 // coincide.
 //
-// # Memory model: one limb arena, one contract
+// # Memory model: one limb arena, shared edge lists, one contract
 //
 // The index stores its counts as k-limb integers in the format of
 // internal/limb, the width fixed per index. Each remaining-length layer's
 // prefix-sum rows live in ONE flat arena ([]uint64) with per-state int32
 // offsets, and the per-length totals spine is one k-limb table as well: a
 // global-rank descent — length split plus unrank walk — is limb
-// comparisons only. The sweep starts at one limb and reruns at twice the
-// width on the first carry out of the top limb, in a prefix sum or in the
-// spine (limb.Fit); limb.ForceWidth raises the starting width, the test
-// hook that pins every answer bitwise identical across widths.
-// Unreachable states can carry counts larger than any length's total —
-// the sweep is backward only — so the carry check, not a total, decides
-// the width.
+// comparisons only.
+//
+// The pruned edge lists are shared, with no allocation per (r, q). Every
+// list lives in one pool of edges and a layer stores int32 bounds into
+// it. A state's static list (all its out-edges, in decision order) opens
+// the pool, and a list whose successors are all alive is that list; a
+// list equal to the state's list one length shorter is that list; only
+// the rest are copied, to the end of the pool. On the serving
+// benchmark's ranked tenants nearly every list is one of the first two,
+// and an index retains half the bytes it did with a list per (r, q).
+//
+// The sweep starts at one limb. On the first carry out of the top limb,
+// in a prefix sum or in the spine, it bounds the bits of every count in
+// floating point from the layer that carried and reruns once at that
+// width (limb.Fit), one limb wider in the rare case that rounding put the
+// bound short: a count of 141 bits gets three limbs, not four.
+// limb.ForceWidth raises the starting width, the test hook that pins
+// every answer bitwise identical across widths. Unreachable states can
+// carry counts larger than any length's total — the sweep is backward
+// only — so the carry check and the bound cover every state, not a total.
 //
 // Build freezes the index before returning: afterwards every method only
 // reads, so a RangeIndex is safe for unbounded concurrent use with no
@@ -79,14 +93,16 @@
 // # Cancellation
 //
 // BuildCtx checks its context at every remaining-length layer barrier of
-// every sweep attempt (also the lengthrange.build.layer fault-injection
-// site of internal/faultinject), so a cancelled caller abandons the build
-// within one layer. A cancelled or faulted build returns before any index
+// every sweep attempt and of the width bound that follows a carry (also
+// the lengthrange.build.layer fault-injection site of
+// internal/faultinject), so a cancelled caller abandons the build within
+// one layer. A cancelled or faulted build returns before any index
 // is published: the partial tables are released to the collector with
 // the error, and the next BuildCtx starts from scratch.
 package lengthrange
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -94,7 +110,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/automata"
@@ -129,17 +145,22 @@ type RangeIndex struct {
 	// comp[r][q·k:(q+1)·k] = number of accepting completions of length
 	// exactly r from state q (comp[0] marks the final states) — the
 	// shared suffix counts every length's subtree counts are slices of.
+	// The layers are slices of one allocation.
 	comp [][]uint64
-	// edges[r][q] lists the pruned out-edges of a vertex at state q with
-	// remaining length r (nil when the completion count is 0): the edges
-	// (a, p) with a positive completion count at r−1 from p, ordered by
-	// (p asc, a asc) — exactly the decision order of the length-n counting
-	// DAG at layer n−r.
-	edges [][][]Edge
+	// pool holds every distinct pruned out-edge list: each state's static
+	// list first (all its out-edges, ordered by (p asc, a asc) — exactly
+	// the decision order of the length-n counting DAG), then the lists no
+	// earlier list equals.
+	pool []Edge
+	// lists[r][2q:2q+2] bounds in pool the pruned out-edges of a vertex at
+	// state q with remaining length r: the edges (a, p) with a positive
+	// completion count at r−1 from p (empty when q's count is 0). Most
+	// bound q's static list, or the same list as at r−1.
+	lists [][]int32
 	// rows[r] holds the layer's prefix-sum rows in one arena: state q's
-	// row starts at limb off[r][q] (-1 when its count is 0) and has
-	// len(edges[r][q])+1 k-limb entries, entry i counting the completions
-	// through its first i edges.
+	// row starts at limb off[r][q] (-1 when its count is 0) and has one
+	// k-limb entry more than q's pruned list, entry i counting the
+	// completions through its first i edges.
 	rows [][]uint64
 	off  [][]int32
 	// spine holds len(lengths)+1 k-limb entries: entry i = Σ_{j<i}
@@ -148,12 +169,14 @@ type RangeIndex struct {
 	spine []uint64
 }
 
-// Build computes the shared index for all lengths in [lo, hi], fanning
-// each remaining-length layer's states across up to `workers` goroutines
-// (≤ 1 = serial; the result is bitwise identical for every worker count —
+// Build computes the shared index for all lengths in [lo, hi]. workers
+// caps the goroutines one remaining-length layer fans its states across
+// (≤ 1 = serial), and a layer whose work is below parallelWork runs
+// inline whatever the cap. The result is bitwise identical for every
+// worker count:
 // each state's sums accumulate in its frozen edge order and write only to
-// its own slots). The automaton must be ε-free; unambiguity is the
-// caller's contract.
+// its own slots, and every offset is assigned in state order. The
+// automaton must be ε-free; unambiguity is the caller's contract.
 func Build(nfa *automata.NFA, lo, hi, workers int) (*RangeIndex, error) {
 	return BuildCtx(nil, nfa, lo, hi, workers)
 }
@@ -175,120 +198,322 @@ func BuildCtx(ctx context.Context, nfa *automata.NFA, lo, hi, workers int) (*Ran
 	if lo < 0 || lo > hi {
 		return nil, fmt.Errorf("lengthrange: bad length range [%d, %d]", lo, hi)
 	}
-	m := nfa.NumStates()
-	sigma := nfa.Alphabet().Size()
 	x := &RangeIndex{src: nfa, lo: lo, hi: hi}
-
-	// Static out-edges per state, sorted into the counting DAG's decision
-	// order (successor state ascending, then symbol ascending). Successor
-	// lists are sorted and duplicate-free, so the order is unambiguous.
-	sorted := make([][]Edge, m)
-	for q := 0; q < m; q++ {
-		var out []Edge
-		for a := 0; a < sigma; a++ {
-			for _, p := range nfa.Successors(q, a) {
-				out = append(out, Edge{Symbol: a, To: p})
-			}
-		}
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].To != out[j].To {
-				return out[i].To < out[j].To
-			}
-			return out[i].Symbol < out[j].Symbol
-		})
-		sorted[q] = out
+	pool, static, err := staticLists(nfa)
+	if err != nil {
+		return nil, err
 	}
-	if err := limb.Fit(func(k int) (bool, error) { return x.sweep(ctx, sorted, workers, k) }); err != nil {
+	if err := limb.Fit(func(k int) (bool, int, error) { return x.sweep(ctx, pool, static, workers, k) }); err != nil {
 		return nil, err
 	}
 	return x, nil
 }
 
-// sweep is the backward sweep at width k. It returns ok=false, leaving
-// the index untouched, when a prefix sum or the grand total carries out
-// of the top limb; err is non-nil on cancellation, an injected fault at
-// a layer barrier, or an arena too large for int32 offsets.
-func (x *RangeIndex) sweep(ctx context.Context, sorted [][]Edge, workers, k int) (ok bool, err error) {
-	m := x.src.NumStates()
-	hi := x.hi
+// staticLists returns every state's out-edges in the counting DAG's
+// decision order in one arena, state q's at [static[q], static[q+1]).
+func staticLists(nfa *automata.NFA) (pool []Edge, static []int32, err error) {
+	m, sigma := nfa.NumStates(), nfa.Alphabet().Size()
+	total := nfa.NumTransitions()
+	if total > math.MaxInt32 {
+		return nil, nil, fmt.Errorf("lengthrange: %d transitions exceed int32 offsets", total)
+	}
+	static = make([]int32, m+1)
+	pool = make([]Edge, 0, 2*total)
+	for q := 0; q < m; q++ {
+		for a := 0; a < sigma; a++ {
+			for _, p := range nfa.Successors(q, a) {
+				pool = append(pool, Edge{Symbol: a, To: p})
+			}
+		}
+		slices.SortFunc(pool[static[q]:], decisionOrder)
+		static[q+1] = int32(len(pool))
+	}
+	return pool, static, nil
+}
+
+// decisionOrder orders out-edges as the counting DAG decides: successor
+// state ascending, then symbol ascending. Successor lists are sorted and
+// duplicate-free, so no two edges of a state tie.
+func decisionOrder(e, f Edge) int {
+	if e.To != f.To {
+		return cmp.Compare(e.To, f.To)
+	}
+	return cmp.Compare(e.Symbol, f.Symbol)
+}
+
+// parallelWork is the cut-over, in edges × limbs per layer (every state's
+// static out-edges, times the width), below which a layer runs inline
+// whatever the worker cap: starting and joining goroutines costs more
+// than such a layer saves. Measured on a shared 2-vCPU host (GOMAXPROCS
+// 2), building [16, 32] serially against fanned out at 2 workers with the
+// cut-over disabled, five rounds of 64 builds: the 64 ranked-shaped
+// tenants of BenchmarkRangeBuild (at most 512 edges × 1 limb) take
+// 208–234 µs (one round 460) against 375–483 µs fanned out; binary DFAs
+// break even at 6,516 edges (4.8–7.3 ms against 5.4–7.6 ms), and fanning
+// out wins from 13,094 edges (10.9–12.6 ms against 9.1–12.2 ms) and at
+// 25,952, the benchmark's large DFA (21.5–24.6 ms against 19.0–21.7 ms).
+const parallelWork = 1 << 13
+
+// sweep is the backward sweep at width k over the static lists
+// pool[:static[m]]. It returns ok=false, leaving the index untouched,
+// when a prefix sum or the grand total carries out of the top limb, with
+// need bounding the bits the counts take (needBits); err is non-nil on
+// cancellation, an injected fault at a layer barrier, or an arena too
+// large for int32 offsets.
+func (x *RangeIndex) sweep(ctx context.Context, pool []Edge, static []int32, workers, k int) (ok bool, need int, err error) {
+	m, hi := x.src.NumStates(), x.hi
+	pool = pool[:static[m]] // a rerun drops the lists of the one before
 	comp := make([][]uint64, hi+1)
-	edges := make([][][]Edge, hi+1)
-	rows := make([][]uint64, hi+1)
-	off := make([][]int32, hi+1)
-	comp[0] = make([]uint64, m*k)
+	counts := make([]uint64, (hi+1)*m*k)
+	for r := range comp {
+		comp[r] = counts[r*m*k : (r+1)*m*k : (r+1)*m*k]
+	}
 	for q := 0; q < m; q++ {
 		if x.src.IsFinal(q) {
 			comp[0][q*k] = 1
 		}
 	}
-	var overflowed atomic.Bool
-	// One backward sweep from the longest length: layer r's prefix sums
-	// read only the counts at r−1.
+	lists := make([][]int32, hi+1)
+	off := make([][]int32, hi+1)
+	bounds := make([]int32, 3*hi*m)
+	for r := 1; r <= hi; r++ {
+		b := bounds[3*(r-1)*m : 3*r*m : 3*r*m]
+		lists[r], off[r] = b[:2*m:2*m], b[2*m:]
+	}
+	rows := make([][]uint64, hi+1)
+
+	l := &layerSweep{k: k, static: static}
+	w := 1
+	if int(static[m])*k >= parallelWork {
+		w = workers
+	}
+	// One backward sweep from the longest length: layer r's lists and
+	// prefix sums read only the counts (and lists) at r−1.
 	for r := 1; r <= hi; r++ {
 		if err := faultinject.Check(ctx, faultinject.SiteRangeLayer); err != nil {
-			return false, err
+			return false, 0, err
 		}
-		prev := comp[r-1]
-		layerEdges := make([][]Edge, m)
-		par.ForEachIndexed(m, workers, func(q int) {
-			var pruned []Edge
-			for _, e := range sorted[q] {
-				if limb.IsZero(prev[e.To*k : (e.To+1)*k]) {
-					continue
-				}
-				if pruned == nil {
-					pruned = make([]Edge, 0, len(sorted[q]))
-				}
-				pruned = append(pruned, e)
-			}
-			layerEdges[q] = pruned
-		})
-		lay := make([]int32, m)
-		size := 0
+		l.pool, l.prev, l.cnt, l.prevLay, l.lay, l.off = pool, comp[r-1], comp[r], lists[r-1], lists[r], off[r]
+		l.states(m, w, (*layerSweep).classify)
+		// Offsets in state order: the fresh lists at the end of the pool,
+		// the rows in the layer's arena.
+		l.base = int32(len(pool))
+		fresh, size := l.base, 0
 		for q := 0; q < m; q++ {
-			if layerEdges[q] == nil {
-				lay[q] = -1
+			s, e := l.lay[2*q], l.lay[2*q+1]
+			if s < 0 {
+				if fresh > math.MaxInt32-e {
+					return false, 0, fmt.Errorf("lengthrange: edge lists exceed int32 offsets at layer %d", r)
+				}
+				s, e = fresh, fresh+e
+				l.lay[2*q], l.lay[2*q+1] = s, e
+				fresh = e
+			}
+			if s == e {
+				l.off[q] = -1
 				continue
 			}
-			w := (len(layerEdges[q]) + 1) * k
-			if size > math.MaxInt32-w {
-				return false, fmt.Errorf("lengthrange: layer %d arena exceeds int32 offsets", r)
+			n := (int(e-s) + 1) * k
+			if size > math.MaxInt32-n {
+				return false, 0, fmt.Errorf("lengthrange: layer %d arena exceeds int32 offsets", r)
 			}
-			lay[q] = int32(size)
-			size += w
+			l.off[q] = int32(size)
+			size += n
 		}
-		arena := make([]uint64, size)
-		cnt := make([]uint64, m*k)
-		par.ForEachIndexed(m, workers, func(q int) {
-			pruned := layerEdges[q]
-			if pruned == nil || overflowed.Load() {
-				return
-			}
-			row := arena[lay[q] : int(lay[q])+(len(pruned)+1)*k]
-			for j, e := range pruned {
-				if limb.AddAt(k, row, j+1, prev, e.To) != 0 {
-					overflowed.Store(true)
-					return
-				}
-			}
-			limb.Set(cnt[q*k:(q+1)*k], row[len(pruned)*k:])
-		})
-		if overflowed.Load() {
-			return false, nil
+		pool = append(pool, make([]Edge, fresh-l.base)...)
+		l.pool, l.arena = pool, make([]uint64, size)
+		l.states(m, w, (*layerSweep).fill)
+		if l.carry.Load() {
+			need, err := x.needBits(ctx, pool, static, comp, r, k)
+			return false, need, err
 		}
-		comp[r], edges[r], rows[r], off[r] = cnt, layerEdges, arena, lay
+		rows[r] = l.arena
 	}
 
-	// The totals spine: the running sums of the start state's counts.
+	// The totals spine: the running sums of the start state's counts. A
+	// carry here needs one limb more: it sums fewer than 2^63 counts that
+	// each fit k limbs.
 	start := x.src.Start()
 	spine := make([]uint64, (hi-x.lo+2)*k)
 	for i := 0; i <= hi-x.lo; i++ {
 		if limb.Add(spine[(i+1)*k:(i+2)*k], spine[i*k:(i+1)*k], comp[x.lo+i][start*k:(start+1)*k]) != 0 {
-			return false, nil
+			return false, 64*k + 1, nil
 		}
 	}
-	x.k, x.comp, x.edges, x.rows, x.off, x.spine = k, comp, edges, rows, off, spine
-	return true, nil
+	if cap(pool) > len(pool) {
+		pool = append(make([]Edge, 0, len(pool)), pool...)
+	}
+	x.k, x.comp, x.pool, x.lists, x.rows, x.off, x.spine = k, comp, pool, lists, rows, off, spine
+	return true, 0, nil
+}
+
+// layerSweep is one remaining-length layer r of a sweep: the counts and
+// lists at r−1 it reads and the tables at r it writes. classify and fill
+// touch only their own state's slots, so states may run on any goroutine.
+type layerSweep struct {
+	k       int
+	static  []int32  // static lists: q's at pool[static[q]:static[q+1]]
+	pool    []Edge   // every list so far, this layer's fresh ones last
+	base    int32    // where this layer's fresh lists start in pool
+	prev    []uint64 // counts at r−1
+	cnt     []uint64 // counts at r
+	prevLay []int32  // lists at r−1 (nil at r = 1)
+	lay     []int32  // lists at r
+	off     []int32  // row offsets at r
+	arena   []uint64 // prefix-sum rows at r
+	carry   atomic.Bool
+}
+
+// states runs f on the layer's m states, inline or fanned across w
+// goroutines in contiguous chunks.
+func (l *layerSweep) states(m, w int, f func(l *layerSweep, q int)) {
+	if w <= 1 {
+		for q := 0; q < m; q++ {
+			f(l, q)
+		}
+		return
+	}
+	size := (m + 8*w - 1) / (8 * w)
+	par.ForEachIndexed((m+size-1)/size, w, func(c int) {
+		for q := c * size; q < min(m, (c+1)*size); q++ {
+			f(l, q)
+		}
+	})
+}
+
+// alive reports whether state p has a completion at r−1.
+func (l *layerSweep) alive(p int) bool { return !limb.IsZero(l.prev[p*l.k : (p+1)*l.k]) }
+
+// classify bounds q's list at r when it is empty, q's static list or the
+// list q had at r−1, and otherwise marks it fresh: start −1, its length
+// in the end slot, to be placed in state order.
+func (l *layerSweep) classify(q int) {
+	s, e := l.static[q], l.static[q+1]
+	n := int32(0)
+	for _, ed := range l.pool[s:e] {
+		if l.alive(ed.To) {
+			n++
+		}
+	}
+	switch {
+	case n == 0: // no completion of length r
+		s, e = 0, 0
+	case n == e-s: // every successor alive: the static list
+	case l.prevLay != nil && l.same(q, n):
+		s, e = l.prevLay[2*q], l.prevLay[2*q+1]
+	default:
+		s, e = -1, n
+	}
+	l.lay[2*q], l.lay[2*q+1] = s, e
+}
+
+// same reports whether q's list at r−1 holds exactly q's n edges alive
+// at r−1: it is a sublist of q's static list, so n entries that are all
+// alive are those edges.
+func (l *layerSweep) same(q int, n int32) bool {
+	s, e := l.prevLay[2*q], l.prevLay[2*q+1]
+	if e-s != n {
+		return false
+	}
+	for _, ed := range l.pool[s:e] {
+		if !l.alive(ed.To) {
+			return false
+		}
+	}
+	return true
+}
+
+// fill writes q's fresh list, if it has one, and q's prefix-sum row and
+// count at r, and flags a carry out of the top limb.
+func (l *layerSweep) fill(q int) {
+	s, e := l.lay[2*q], l.lay[2*q+1]
+	if s == e || l.carry.Load() {
+		return
+	}
+	k, pool := l.k, l.pool
+	if s >= l.base {
+		j := s
+		for _, ed := range pool[l.static[q]:l.static[q+1]] {
+			if l.alive(ed.To) {
+				pool[j] = ed
+				j++
+			}
+		}
+	}
+	o := int(l.off[q])
+	row := l.arena[o : o+int(e-s+1)*k]
+	for j, ed := range pool[s:e] {
+		if limb.AddAt(k, row, j+1, l.prev, ed.To) != 0 {
+			l.carry.Store(true)
+			return
+		}
+	}
+	limb.Set(l.cnt[q*k:(q+1)*k], row[int(e-s)*k:])
+}
+
+// needBits bounds the bits every count of an unbounded sweep takes, for
+// a sweep that carried at remaining length r0: the counts at r0−1 are
+// exact, and the layers r0..hi follow in floating point over the static
+// lists (a dead successor adds its zero), as float64 values sharing one
+// binary exponent per layer, rescaled to stay in range. Every state is
+// bounded, reachable or not — an unreachable state can hold the largest
+// count — and so is the totals spine. Rounding can put the bound a bit
+// low, which costs Fit one more attempt, never a wrong count.
+func (x *RangeIndex) needBits(ctx context.Context, pool []Edge, static []int32, comp [][]uint64, r0, k int) (int, error) {
+	m, start := x.src.NumStates(), x.src.Start()
+	cur, next := make([]float64, m), make([]float64, m)
+	var sum float64 // the spine's grand total, times 2^−sumExp
+	sumExp := 0
+	add := func(v float64, e int) {
+		if e > sumExp {
+			sum, sumExp = math.Ldexp(sum, sumExp-e), e
+		}
+		sum += math.Ldexp(v, e-sumExp)
+	}
+	for n := x.lo; n < r0; n++ {
+		c := comp[n][start*k : (start+1)*k]
+		e := max(0, limb.BitLen(c)-512)
+		add(limb.Float(c, e), e)
+	}
+	exp := 0
+	for q := range cur {
+		exp = max(exp, limb.BitLen(comp[r0-1][q*k:(q+1)*k])-512)
+	}
+	for q := range cur {
+		cur[q] = limb.Float(comp[r0-1][q*k:(q+1)*k], exp)
+	}
+	need := 64*k + 1 // the carry shows that much
+	for r := r0; r <= x.hi; r++ {
+		if err := faultinject.Check(ctx, faultinject.SiteRangeLayer); err != nil {
+			return 0, err
+		}
+		top := 0.0
+		for q := range next {
+			v := 0.0
+			for _, ed := range pool[static[q]:static[q+1]] {
+				v += cur[ed.To]
+			}
+			next[q] = v
+			top = max(top, v)
+		}
+		cur, next = next, cur
+		if top > 0 {
+			need = max(need, exp+math.Ilogb(top)+1)
+		}
+		if r >= x.lo {
+			add(cur[start], exp)
+		}
+		if top > 0x1p512 {
+			for q := range cur {
+				cur[q] = math.Ldexp(cur[q], -512)
+			}
+			exp += 512
+		}
+	}
+	if sum > 0 {
+		need = max(need, sumExp+math.Ilogb(sum)+1)
+	}
+	return need, nil
 }
 
 // Lo returns the smallest length the index covers.
@@ -408,7 +633,7 @@ func (x *RangeIndex) pathSum(n int, path []int) ([]uint64, int, error) {
 	q := x.src.Start()
 	for t, i := range path {
 		r := n - t
-		edges := x.edges[r][q]
+		edges := x.OutEdges(r, q)
 		if i < 0 || i >= len(edges) {
 			return nil, 0, fmt.Errorf("lengthrange: decision %d at layer %d out of range (%d edges)", i, t, len(edges))
 		}
@@ -422,8 +647,13 @@ func (x *RangeIndex) pathSum(n int, path []int) ([]uint64, int, error) {
 // OutEdges returns the pruned out-edges of state q at remaining length r
 // in [1, Hi] — those of the layer-(n−r) vertex of every length n's DAG,
 // in decision order; empty when q has no completion of length r. The
-// slice is index-owned: callers must not modify it.
-func (x *RangeIndex) OutEdges(r, q int) []Edge { return x.edges[r][q] }
+// slice is index-owned and shared with other (r, q): callers must not
+// modify it, and its capacity is its length, so an append copies.
+func (x *RangeIndex) OutEdges(r, q int) []Edge {
+	l := x.lists[r]
+	s, e := l[2*q], l[2*q+1]
+	return x.pool[s:e:e]
+}
 
 // EdgeCumAt returns the prefix-sum row of one vertex of the length-n
 // DAG: the vertex at layer t in [0, n) in state q (the start state at
@@ -444,7 +674,7 @@ func (x *RangeIndex) EdgeCumAt(n, t, q int) []*big.Int {
 	}
 	k := x.k
 	o := int(x.off[r][q])
-	out := make([]*big.Int, len(x.edges[r][q])+1)
+	out := make([]*big.Int, len(x.OutEdges(r, q))+1)
 	for i := range out {
 		out[i] = limb.ToBig(x.rows[r][o+i*k : o+(i+1)*k])
 	}
@@ -478,11 +708,11 @@ func (x *RangeIndex) unrankAt(n int, r *big.Int, withChoices bool) (automata.Wor
 // (len(w) entries), records the edge index taken at each step.
 // Allocation-free given caller-owned buffers.
 func (x *RangeIndex) descend(rem []uint64, w automata.Word, choices []int) error {
-	k, allEdges, rows, off := x.k, x.edges, x.rows, x.off
+	k, rows, off := x.k, x.rows, x.off
 	q := x.src.Start()
 	n := len(w)
 	for r := n; r >= 1; r-- {
-		edges := allEdges[r][q]
+		edges := x.OutEdges(r, q)
 		if len(edges) == 0 {
 			return fmt.Errorf("lengthrange: inconsistent prefix sums at remaining length %d", r)
 		}
@@ -605,7 +835,7 @@ func (x *RangeIndex) rankAt(w automata.Word) ([]uint64, error) {
 	// every partial sum is a rank, below the length's total).
 	for t := 0; t < n; t++ {
 		r := n - t
-		edges := x.edges[r][path[t]]
+		edges := x.OutEdges(r, path[t])
 		idx := -1
 		for j, e := range edges {
 			if e.To == path[t+1] && e.Symbol == w[t] {

@@ -3,6 +3,7 @@ package lengthrange
 import (
 	"math/big"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/automata"
@@ -125,49 +126,116 @@ func sameSpans(t *testing.T, a, b *RangeIndex, n int, pa, pb []int) {
 				t.Fatalf("n=%d layer %d: EdgeCumAt %v / %v", n, depth, ea, eb)
 			}
 		}
-		q = a.edges[n-depth][q][pa[depth]].To
+		q = a.OutEdges(n-depth, q)[pa[depth]].To
 	}
 }
 
 // TestRangeBuildWorkerEquivalence: the shared sweep is bitwise identical
-// for every worker count.
+// for every worker count — every table (completion counts, prefix rows,
+// row offsets, edge-list bounds and the edge pool, totals spine), not
+// just the answers read from them. The 24-state DFA's layers are below
+// the inline cut-over; the 4,500-state σ = 4 DFA's are above it at both
+// widths its build tries (one limb carries at remaining length ≈ 32, so
+// the carry also stops a fanned-out layer), so its layers fan out.
 func TestRangeBuildWorkerEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	nfa := automata.RandomDFA(rng, automata.Binary(), 24, 0.5)
-	base, err := Build(nfa, 2, 12, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 7} {
-		ri, err := Build(nfa, 2, 12, workers)
+	small := automata.RandomDFA(rng, automata.Binary(), 24, 0.5)
+	large := automata.Normalize(automata.RandomDFA(rng, automata.NewAlphabet("a", "b", "c", "d"), 4500, 0.5))
+	for _, c := range []struct {
+		name   string
+		nfa    *automata.NFA
+		lo, hi int
+		width  int
+	}{
+		{"small", small, 2, 12, 1},
+		{"large", large, 30, 34, 2},
+	} {
+		base, err := Build(c.nfa, c.lo, c.hi, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ri.TotalRange().Cmp(base.TotalRange()) != 0 {
-			t.Fatalf("workers=%d: TotalRange %v, serial %v", workers, ri.TotalRange(), base.TotalRange())
+		if base.Width() != c.width {
+			t.Fatalf("%s: width %d, want %d", c.name, base.Width(), c.width)
 		}
-		for n := 2; n <= 12; n++ {
-			a, _ := ri.TotalAt(n)
-			b, _ := base.TotalAt(n)
-			if a.Cmp(b) != 0 {
-				t.Fatalf("workers=%d n=%d: %v vs %v", workers, n, a, b)
+		if above := c.nfa.NumTransitions() >= parallelWork; above != (c.name == "large") {
+			t.Fatalf("%s: %d edges against the cut-over %d", c.name, c.nfa.NumTransitions(), parallelWork)
+		}
+		for _, workers := range []int{2, 4, 7} {
+			ri, err := Build(c.nfa, c.lo, c.hi, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ri.k != base.k || !reflect.DeepEqual(ri.comp, base.comp) || !reflect.DeepEqual(ri.rows, base.rows) ||
+				!reflect.DeepEqual(ri.off, base.off) || !reflect.DeepEqual(ri.lists, base.lists) ||
+				!reflect.DeepEqual(ri.pool, base.pool) || !reflect.DeepEqual(ri.spine, base.spine) {
+				t.Fatalf("%s workers=%d: tables differ from the serial build", c.name, workers)
+			}
+			for _, i := range []int64{0, 1, 7, 100} {
+				r := big.NewInt(i)
+				if r.Cmp(base.TotalRange()) >= 0 {
+					continue
+				}
+				a, err1 := ri.UnrankRange(r)
+				b, err2 := base.UnrankRange(r)
+				if err1 != nil || err2 != nil {
+					t.Fatal(err1, err2)
+				}
+				if c.nfa.Alphabet().FormatWord(a) != c.nfa.Alphabet().FormatWord(b) {
+					t.Fatalf("%s workers=%d rank %d: %q vs %q", c.name, workers, i,
+						c.nfa.Alphabet().FormatWord(a), c.nfa.Alphabet().FormatWord(b))
+				}
 			}
 		}
-		for _, i := range []int64{0, 1, 7, 100} {
-			r := big.NewInt(i)
-			if r.Cmp(base.TotalRange()) >= 0 {
-				continue
-			}
-			a, err1 := ri.UnrankRange(r)
-			b, err2 := base.UnrankRange(r)
-			if err1 != nil || err2 != nil {
-				t.Fatal(err1, err2)
-			}
-			if nfa.Alphabet().FormatWord(a) != nfa.Alphabet().FormatWord(b) {
-				t.Fatalf("workers=%d rank %d: %q vs %q", workers, i,
-					nfa.Alphabet().FormatWord(a), nfa.Alphabet().FormatWord(b))
+	}
+}
+
+// TestRangeOutEdgesCapIsLen: edge lists are shared between remaining
+// lengths and states, so every list OutEdges hands out has no spare
+// capacity: a caller's append must copy, not overwrite a neighbour.
+func TestRangeOutEdgesCapIsLen(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for trial := 0; trial < 8; trial++ {
+		alpha := automata.NewAlphabet([]string{"a", "b", "c", "d"}[:2+trial%3]...)
+		ri, err := Build(automata.RandomDFA(rng, alpha, 8+rng.Intn(40), 0.5), 4, 20, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := append([]Edge(nil), ri.pool...)
+		for r := 1; r <= ri.Hi(); r++ {
+			for q := 0; q < ri.Automaton().NumStates(); q++ {
+				e := ri.OutEdges(r, q)
+				if cap(e) != len(e) {
+					t.Fatalf("trial %d: OutEdges(%d, %d) has len %d, cap %d", trial, r, q, len(e), cap(e))
+				}
+				_ = append(e, Edge{Symbol: -1, To: -1})
 			}
 		}
+		if !reflect.DeepEqual(before, ri.pool) {
+			t.Fatalf("trial %d: appending to a list changed the index", trial)
+		}
+	}
+}
+
+// buildAllocBound is the most allocations one build of a 128-state σ = 4
+// DFA over [16, 32] (32 layers) may make: the sweep allocates the layer's
+// prefix-sum arena per layer and a constant number of tables per build,
+// whatever the state count (44 at introduction; the per-(layer, state)
+// edge lists it replaced made ≈2.9k).
+const buildAllocBound = 2*32 + 16
+
+// TestBuildAllocationBound pins the build's allocations per layer.
+func TestBuildAllocationBound(t *testing.T) {
+	for _, m := range []int{128, 1024} {
+		d := automata.RandomDFA(rand.New(rand.NewSource(128)), automata.NewAlphabet("a", "b", "c", "d"), m, 0.5)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := Build(d, 16, 32, 2); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > buildAllocBound {
+			t.Fatalf("building a %d-state σ = 4 DFA over [16, 32] makes %v allocations, bound %d", m, allocs, buildAllocBound)
+		}
+		t.Logf("%d states: %v allocations per build", m, allocs)
 	}
 }
 

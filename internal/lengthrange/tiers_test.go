@@ -3,6 +3,7 @@ package lengthrange
 import (
 	"math/big"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/automata"
@@ -237,5 +238,77 @@ func TestRangeTierOverflowMidIndex(t *testing.T) {
 	// Out-of-range global ranks are rejected at two limbs too.
 	if _, err := ri.UnrankRange(grand); err == nil {
 		t.Fatal("UnrankRange(grand total) accepted")
+	}
+}
+
+// TestRangeWidthFromCounts: a build that carries reruns at the width its
+// counts need, not at twice the width: counts past 2^128 get three limbs
+// (the golden past-2^128 case), 2^2048 gets 33, an unreachable state's
+// counts widen the index though every total fits one limb, a grand total
+// past 2^64 over per-length totals that fit widens it by one, and
+// ForceWidth still sets the width the first attempt starts at.
+func TestRangeWidthFromCounts(t *testing.T) {
+	defer limb.ForceWidth(limb.ForceWidth(1))
+	wide := automata.Trim(automata.RandomDFA(rand.New(rand.NewSource(0x80)), automata.NewAlphabet("a", "b", "c", "d"), 16, 0.5))
+	all2, _ := automata.OverflowBoundary(2)
+
+	// Start 0 reaches only a chain (one word per length); state 2 is
+	// unreachable and accepts all of Σ^r, 4^40 = 2^80 words at r = 40.
+	un := automata.New(automata.NewAlphabet("a", "b", "c", "d"), 3)
+	un.AddTransition(0, 0, 1)
+	un.AddTransition(1, 0, 1)
+	un.SetFinal(1, true)
+	for a := 0; a < 4; a++ {
+		un.AddTransition(2, a, 2)
+	}
+	un.SetFinal(2, true)
+
+	// Exactly 2^62 words at every length n ≥ 62: 62 free symbols, then a*.
+	flat := automata.New(automata.Binary(), 63)
+	for i := 0; i < 62; i++ {
+		flat.AddTransition(i, 0, i+1)
+		flat.AddTransition(i, 1, i+1)
+	}
+	flat.AddTransition(62, 0, 62)
+	flat.SetFinal(62, true)
+
+	for _, c := range []struct {
+		name   string
+		nfa    *automata.NFA
+		lo, hi int
+		force  int
+		want   int
+	}{
+		{"past-2^128", wide, 70, 70, 1, 3},
+		{"past-2^128 range", wide, 64, 70, 1, 3},
+		{"past-2^128 forced", wide, 70, 70, 5, 5},
+		{"2^2048", all2, 2048, 2048, 1, 33},
+		{"unreachable", un, 1, 40, 1, 2},
+		{"spine", flat, 62, 65, 1, 2},
+		{"spine below", flat, 62, 64, 1, 1},
+	} {
+		limb.ForceWidth(c.force)
+		ri, err := Build(c.nfa, c.lo, c.hi, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ri.Width() != c.want {
+			t.Fatalf("%s: width %d, want %d", c.name, ri.Width(), c.want)
+		}
+		limb.ForceWidth(8)
+		ref, err := Build(c.nfa, c.lo, c.hi, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ri.TotalRange().Cmp(ref.TotalRange()) != 0 || !reflect.DeepEqual(ri.lists, ref.lists) {
+			t.Fatalf("%s: width %d and width 8 disagree", c.name, ri.Width())
+		}
+		for n := c.lo; n <= c.hi; n++ {
+			a, _ := ri.TotalAt(n)
+			b, _ := ref.TotalAt(n)
+			if a.Cmp(b) != 0 {
+				t.Fatalf("%s n=%d: total %v at width %d, %v at width 8", c.name, n, a, ri.Width(), b)
+			}
+		}
 	}
 }

@@ -4,11 +4,12 @@
 // count is k little-endian uint64 limbs, with the width k fixed per
 // index or sweep. Path counts grow like
 // |Σ|^n, so an index cannot know its width before it has counted; Fit
-// runs a sweep at the narrowest width and reruns it at twice the width
-// whenever an addition carries out of the top limb, so the final sweep
-// is the only one that completes and the aborted ones cost less than it
-// does. The price is that a width is a power of two: counts needing
-// three limbs get four.
+// runs a sweep at the narrowest width and, when an addition carries out
+// of the top limb, reruns it at the width the aborted sweep says its
+// counts need: the index sweep bounds the bit length of every count in
+// floating point from the layer that carried (so counts needing three
+// limbs get three), and a sweep with no bound of its own asks for twice
+// the width. A width is whatever the counts need, not a power of two.
 //
 // A table of counts is a flat []uint64 of k-limb entries (entry i starts
 // at limb i·k). The primitives below take one entry each, as a k-element
@@ -21,6 +22,7 @@
 package limb
 
 import (
+	"math"
 	"math/big"
 	"math/bits"
 	"math/rand"
@@ -44,14 +46,18 @@ func ForceWidth(k int) (prev int) {
 	return int(minWidth.Swap(int32(k)))
 }
 
-// Fit runs attempt at widths k = ForceWidth's setting, 2k, 4k, … until
-// it reports ok (no carry out of the top limb anywhere) or fails.
-func Fit(attempt func(k int) (ok bool, err error)) error {
-	for k := int(minWidth.Load()); ; k *= 2 {
-		ok, err := attempt(k)
+// Fit runs attempt at width k = ForceWidth's setting until it reports ok
+// (no carry out of the top limb anywhere) or fails. An attempt that
+// carries reports need, the bits its counts take as far as it can bound
+// them; the next attempt runs at ⌈need/64⌉ limbs, or one limb wider when
+// that is no wider than the attempt that carried.
+func Fit(attempt func(k int) (ok bool, need int, err error)) error {
+	for k := int(minWidth.Load()); ; {
+		ok, need, err := attempt(k)
 		if err != nil || ok {
 			return err
 		}
+		k = max(k+1, (need+63)/64)
 	}
 }
 
@@ -148,6 +154,16 @@ func BitLen(x []uint64) int {
 		}
 	}
 	return 0
+}
+
+// Float returns x·2^−shift rounded to a float64 (+Inf past its range):
+// how a sweep that carried bounds the counts it could not store.
+func Float(x []uint64, shift int) float64 {
+	f := 0.0
+	for i := len(x) - 1; i >= 0; i-- {
+		f += math.Ldexp(float64(x[i]), 64*i-shift)
+	}
+	return f
 }
 
 // ToBig returns x as a new *big.Int.

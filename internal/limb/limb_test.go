@@ -1,6 +1,7 @@
 package limb_test
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -166,21 +167,45 @@ func TestDrawPanicsOnZeroBound(t *testing.T) {
 }
 
 // TestForceWidthRestores: the hook returns the previous setting so tests
-// can nest force/restore, clamps to one limb, and Fit starts there and
-// doubles.
+// can nest force/restore, clamps to one limb, and Fit starts there, then
+// reruns at the width a carrying attempt asks for, one limb wider when
+// that asks for no more than it had, and doubles nothing.
 func TestForceWidthRestores(t *testing.T) {
 	prev := limb.ForceWidth(3)
 	if limb.ForceWidth(0) != 3 {
 		t.Fatal("ForceWidth did not report the forced width")
 	}
-	var widths []int
-	err := limb.Fit(func(k int) (bool, error) {
-		widths = append(widths, k)
-		return k >= 4, nil
-	})
-	if err != nil || len(widths) != 3 || widths[0] != 1 || widths[2] != 4 {
-		t.Fatalf("Fit tried widths %v (%v), want [1 2 4]", widths, err)
+	for _, tc := range []struct {
+		need []int // bits reported by each carrying attempt
+		want []int
+	}{
+		{need: []int{130}, want: []int{1, 3}},         // ⌈130/64⌉
+		{need: []int{130, 130}, want: []int{1, 3, 4}}, // bound short by a limb
+		{need: []int{0, 0}, want: []int{1, 2, 3}},     // no bound: one wider
+		{need: []int{2048}, want: []int{1, 32}},
+	} {
+		var widths []int
+		err := limb.Fit(func(k int) (bool, int, error) {
+			widths = append(widths, k)
+			if i := len(widths) - 1; i < len(tc.need) {
+				return false, tc.need[i], nil
+			}
+			return true, 0, nil
+		})
+		if err != nil || fmt.Sprint(widths) != fmt.Sprint(tc.want) {
+			t.Fatalf("needs %v: Fit tried widths %v (%v), want %v", tc.need, widths, err, tc.want)
+		}
 	}
+	limb.ForceWidth(3)
+	var widths []int
+	_ = limb.Fit(func(k int) (bool, int, error) {
+		widths = append(widths, k)
+		return k > 3, 64, nil
+	})
+	if fmt.Sprint(widths) != "[3 4]" {
+		t.Fatalf("forced width 3: Fit tried widths %v, want [3 4]", widths)
+	}
+	limb.ForceWidth(0)
 	if limb.ForceWidth(prev) != 1 {
 		t.Fatal("ForceWidth(0) did not clamp to one limb")
 	}
@@ -195,5 +220,26 @@ func TestScratchUsesTheBuffer(t *testing.T) {
 	}
 	if z := limb.Scratch(buf[:], 3); len(z) != 3 || &z[0] == &buf[0] || !limb.IsZero(z) {
 		t.Fatalf("Scratch(buf, 3) = %v, want three fresh zero limbs", z)
+	}
+}
+
+// TestFloat: Float is the value times 2^−shift, rounded to a float64,
+// across limbs and past the float64 range once shifted back into it.
+func TestFloat(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		k := 1 + rng.Intn(20)
+		x := randLimbs(rng, k)
+		shift := rng.Intn(64 * k)
+		want, _ := new(big.Float).SetMantExp(new(big.Float).SetInt(limb.ToBig(x)), -shift).Float64()
+		if got := limb.Float(x, shift); math.Abs(got-want) > want*0x1p-50 {
+			t.Fatalf("Float(%v, %d) = %g, want %g", limb.ToBig(x), shift, got, want)
+		}
+	}
+	if got := limb.Float([]uint64{0, 1}, 0); got != 0x1p64 {
+		t.Fatalf("Float(2^64, 0) = %g", got)
+	}
+	if got := limb.Float(make([]uint64, 17), 0); got != 0 {
+		t.Fatalf("Float(0) = %g", got)
 	}
 }
