@@ -37,10 +37,10 @@
 // wall-clock only, never the output for a fixed seed (enum merges shards
 // back into canonical order unless -unordered asks for throughput mode).
 // Parallel enumeration is scheduled by work-stealing: -steal sets how many
-// words a shard produces before idle workers may re-split it (-1 disables
-// stealing), -budget caps the words buffered ahead of the ordered merge
-// (far-ahead shards spill to their cursors and reopen later), and -v dumps
-// the per-shard completion statistics on stderr after the run.
+// words a shard produces before idle workers may re-split it, -budget caps
+// the words buffered ahead of the ordered merge (far-ahead shards spill to
+// their cursors and reopen later), and -v dumps the per-shard completion
+// statistics on stderr after the run.
 //
 // Enumeration is paginated: enum prints a resume token on stderr, and
 // -cursor continues a previous listing exactly where it stopped — serial
@@ -73,7 +73,6 @@ import (
 	"math/big"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"repro/internal/admission"
@@ -138,7 +137,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		seek      = fs.String("seek", "", "start enum at this 0-based rank of the enumeration order (enum; RelationUL)")
 		unordered = fs.Bool("unordered", false, "parallel enum in arrival order (throughput mode; enum)")
 		budget    = fs.Int("budget", 0, "parallel enum merge budget in words (0 = default; enum)")
-		steal     = fs.Int("steal", 0, "words between shard re-splits (0 = default, -1 = static shards; enum)")
+		steal     = fs.Int("steal", 0, "words between shard re-splits (0 = default; enum)")
 		verbose   = fs.Bool("v", false, "print per-shard scheduler stats on stderr (enum)")
 		distinct  = fs.Bool("distinct", false, "sample without replacement (sample; RelationUL)")
 		word      = fs.String("w", "", "witness to rank, in alphabet symbols (rank)")
@@ -153,6 +152,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			// -h / -help is a successful outcome, not a usage error.
 			return 0
 		}
+		return 2
+	}
+	if *steal < 0 {
+		fmt.Fprintf(stderr, "nfa: -steal %d: want ≥ 0\n", *steal)
 		return 2
 	}
 	// Flags whose zero value is meaningful (-n 0, -w "") need "was it
@@ -268,29 +271,6 @@ func parseRank(s string) (*big.Int, error) {
 	return r, nil
 }
 
-// parseWitness decodes a witness string with the instance's alphabet,
-// longest symbol name first at every position.
-func parseWitness(inst *core.Instance, s string) (automata.Word, error) {
-	alpha := inst.Automaton().Alphabet()
-	var w automata.Word
-	for len(s) > 0 {
-		best := -1
-		bestLen := 0
-		for a := 0; a < alpha.Size(); a++ {
-			name := alpha.Name(a)
-			if len(name) > bestLen && strings.HasPrefix(s, name) {
-				best, bestLen = a, len(name)
-			}
-		}
-		if best < 0 {
-			return nil, fmt.Errorf("witness %q: no alphabet symbol matches at %q", s, s[:1])
-		}
-		w = append(w, best)
-		s = s[bestLen:]
-	}
-	return w, nil
-}
-
 func runRank(w io.Writer, inst *core.Instance, witness string, witnessSet, rangeMode bool, lo, hi int) error {
 	// An explicitly passed -w "" is the empty word ε — a legitimate rank
 	// query on ranges that include length 0; only an OMITTED -w is an
@@ -298,7 +278,7 @@ func runRank(w io.Writer, inst *core.Instance, witness string, witnessSet, range
 	if witness == "" && !witnessSet {
 		return fmt.Errorf("missing -w witness")
 	}
-	word, err := parseWitness(inst, witness)
+	word, err := inst.Automaton().Alphabet().ParseWord(witness)
 	if err != nil {
 		return err
 	}

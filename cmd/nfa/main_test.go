@@ -496,6 +496,10 @@ func TestBadInvocations(t *testing.T) {
 	if _, _, code := runNFA(t, "info", "-f", bad); code != 1 {
 		t.Errorf("malformed automaton: exit %d, want 1", code)
 	}
+	all := writeFixture(t, "all.txt", allFixture)
+	if _, _, code := runNFA(t, "enum", "-f", all, "-n", "3", "-workers", "2", "-steal", "-1"); code != 2 {
+		t.Errorf("negative -steal: exit %d, want 2", code)
+	}
 }
 
 // TestRangeCount: count -lo/-hi prints the exact union size (allFixture:

@@ -80,7 +80,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		workers   = fs.Int("workers", 0, "parallel enumeration shard workers (≤ 1 = serial)")
 		unordered = fs.Bool("unordered", false, "parallel enumeration in arrival order (throughput mode)")
 		budget    = fs.Int("budget", 0, "parallel merge budget in words (0 = default)")
-		steal     = fs.Int("steal", 0, "words between shard re-splits (0 = default, -1 = static shards)")
+		steal     = fs.Int("steal", 0, "words between shard re-splits (0 = default)")
 		verbose   = fs.Bool("v", false, "print per-shard scheduler stats on stderr")
 		sampleN   = fs.Int("sample", 0, "sample N uniform mappings")
 		seed      = fs.Int64("seed", 0, "random seed")
@@ -97,6 +97,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fail := func(msg string) int {
 		fmt.Fprintln(stderr, "spanner: "+msg)
 		return 1
+	}
+	if *steal < 0 {
+		fmt.Fprintf(stderr, "spanner: -steal %d: want ≥ 0\n", *steal)
+		return 2
 	}
 	if *rule == "" || *alphabet == "" {
 		fmt.Fprintln(stderr, "usage: spanner -rule RULE -alphabet CHARS (-doc TEXT | -docfile FILE) [-count|-enum [-limit N] [-cursor TOK] [-workers W] [-unordered] [-budget B] [-steal S] [-v]|-sample N] [-limits SPEC]")

@@ -69,6 +69,14 @@ func TestLimitsFlag(t *testing.T) {
 	}
 }
 
+// TestNegativeStealIsUsageError: -steal takes a word count; a negative
+// one is a usage error (exit 2), not a scheduler mode.
+func TestNegativeStealIsUsageError(t *testing.T) {
+	if _, _, code := runSpanner(t, "-rule", ".*(x: err).*", "-alphabet", "aber", "-doc", "abberraerr", "-enum", "-workers", "2", "-steal", "-1"); code != 2 {
+		t.Fatalf("negative -steal: exit %d, want 2", code)
+	}
+}
+
 // TestInterruptPrintsResumeToken execs the CLI (via the TestMain helper
 // mode), delivers a real SIGINT mid-enumeration, and asserts the
 // cooperative-shutdown contract: exit 130, a resume token on stderr, and

@@ -105,6 +105,27 @@ func (a *Alphabet) FormatWord(w Word) string {
 	return sb.String()
 }
 
+// ParseWord is the inverse of FormatWord: it reads s as a sequence of
+// symbol names, taking the longest name that matches at every position,
+// and fails where no name matches.
+func (a *Alphabet) ParseWord(s string) (Word, error) {
+	var w Word
+	for len(s) > 0 {
+		best, bestLen := -1, 0
+		for i, name := range a.names {
+			if len(name) > bestLen && strings.HasPrefix(s, name) {
+				best, bestLen = i, len(name)
+			}
+		}
+		if best < 0 {
+			return nil, fmt.Errorf("witness %q: no alphabet symbol matches at %q", s, s[:1])
+		}
+		w = append(w, best)
+		s = s[bestLen:]
+	}
+	return w, nil
+}
+
 // NFA is a nondeterministic finite automaton without ε-transitions, with a
 // single start state and a set of final states, exactly the machine model of
 // the MEM-NFA relation. States are 0..NumStates()-1.

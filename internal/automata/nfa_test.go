@@ -2,7 +2,9 @@ package automata
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -67,6 +69,30 @@ func TestDuplicateAlphabetPanics(t *testing.T) {
 		}
 	}()
 	NewAlphabet("a", "a")
+}
+
+// TestParseWordInvertsFormatWord: ParseWord reads FormatWord's output
+// back with multi-character names, takes the longest name that matches
+// ("xy", not "x" then a failure at "y"), and rejects a string where no
+// name matches.
+func TestParseWordInvertsFormatWord(t *testing.T) {
+	alpha := NewAlphabet("x", "xy", "z")
+	for _, w := range []Word{{}, {0}, {1, 0, 2}, {2, 1, 1, 0}} {
+		s := alpha.FormatWord(w)
+		got, err := alpha.ParseWord(s)
+		if err != nil {
+			t.Fatalf("ParseWord(%q): %v", s, err)
+		}
+		if !slices.Equal(got, w) {
+			t.Fatalf("ParseWord(%q) = %v, want %v", s, got, w)
+		}
+	}
+	if got, err := alpha.ParseWord("xy"); err != nil || !slices.Equal(got, Word{1}) {
+		t.Fatalf("ParseWord(\"xy\") = %v, %v; want [1] (longest match)", got, err)
+	}
+	if _, err := alpha.ParseWord("xzq"); err == nil || !strings.Contains(err.Error(), `"q"`) {
+		t.Fatalf("ParseWord(\"xzq\"): error %v, want one naming the unmatched \"q\"", err)
+	}
 }
 
 func TestBasicAcceptance(t *testing.T) {

@@ -6,8 +6,8 @@
 //     ambiguity of its string. Unbiased, but its variance is exponential on
 //     ambiguity-gap instances, which experiment E6 demonstrates.
 //
-//   - Package exact additionally provides the on-the-fly subset DP
-//     (exact.CountNFA) and brute force (exact.CountBrute).
+// The exact counters they are measured against are exact.CountNFA (the
+// on-the-fly subset DP) and internal/oracle (brute force).
 package baseline
 
 import (

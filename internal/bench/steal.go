@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -126,7 +127,7 @@ func E16WorkStealing(quick bool) *Table {
 		workerCounts = append(workerCounts, g)
 	}
 	for _, w := range workerCounts {
-		run("static(ordered)", w, -1, true)
+		run("static(ordered)", w, math.MaxInt, true)
 		run("steal(ordered)", w, 0, true)
 	}
 	run("steal(unordered)", workerCounts[0], 0, false)

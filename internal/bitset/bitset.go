@@ -38,9 +38,6 @@ func FromSlice(n int, elems []int) *Set {
 	return s
 }
 
-// Cap returns the capacity (universe size) of the set.
-func (s *Set) Cap() int { return s.n }
-
 // Add inserts i into the set. It panics if i is out of range, since that is
 // always a programming error in this library.
 func (s *Set) Add(i int) {

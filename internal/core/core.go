@@ -23,7 +23,12 @@
 // Sample and SampleManyParallel draw from it, SampleDistinct draws
 // without replacement in rank-space, and CursorOptions.SeekRank (or a
 // kind-'r' rank token) starts an enumeration session at any rank in
-// O(n·log Δ) without replaying a cursor.
+// O(n·log Δ) without replaying a cursor. RelationNL instances enumerate
+// with the flashlight, opened fresh or at a word cursor. Both classes hand
+// the opened enumerator to one session choice: the enumerator itself for
+// a serial session; its Stream, or StreamFrom over the suffix after its
+// cursor, for a parallel one; its ResumeFrontier or StreamFrom for a
+// frontier token.
 //
 // # Ranged access over a length range
 //
@@ -538,8 +543,8 @@ type CursorOptions struct {
 	// reopened later, so peak buffering respects the budget on any skew.
 	MergeBudget int
 	// StealThreshold is the number of words a cell must produce between
-	// splits before idle workers may re-shard it (0 = default; < 0
-	// disables work-stealing, reproducing a static fan-out).
+	// splits before idle workers may re-shard it (≤ 0 =
+	// enumerate.DefaultStealThreshold).
 	StealThreshold int
 }
 
@@ -621,20 +626,9 @@ func (in *Instance) openSessionAt(length, lo, hi int, opts CursorOptions) (enume
 // over [lo, hi]: fresh, seeked to opts.SeekRank, or resumed from a
 // decision, rank or frontier token. The token is decoded and its
 // fingerprint checked before the index is resolved, so a forged or
-// foreign token costs no build. A positioned session opened with
-// Workers > 1 re-shards its suffix into parallel cells.
+// foreign token costs no build.
 func (in *Instance) openUL(length, lo, hi int, opts CursorOptions, sopts enumerate.StreamOptions) (enumerate.Session, error) {
-	var c enumerate.Cursor
-	var f enumerate.Frontier
-	var err error
-	frontier := enumerate.IsFrontierToken(opts.Cursor)
-	if frontier {
-		f, err = in.parseFrontier(opts.Cursor, length, enumerate.KindUFA)
-	} else if opts.Cursor != "" {
-		if c, err = in.parseCursor(opts.Cursor, length); err == nil && c.Kind == enumerate.KindNFA {
-			err = fmt.Errorf("core: cursor kind %q does not match instance class %s", c.Kind, in.class)
-		}
-	}
+	c, f, err := in.parseToken(opts.Cursor, length, enumerate.KindUFA)
 	if err != nil {
 		return nil, err
 	}
@@ -643,17 +637,93 @@ func (in *Instance) openUL(length, lo, hi int, opts CursorOptions, sopts enumera
 		return nil, err
 	}
 	var e *enumerate.UFAEnumerator
-	if opts.Cursor != "" && !frontier {
+	if c.Kind != 0 {
 		e, err = enumerate.ResumeUFA(idx, c)
 	} else if e, err = enumerate.OpenUFA(idx, length); err == nil && opts.SeekRank != nil {
 		err = e.SeekRank(opts.SeekRank)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return serve(e, f, opts, sopts)
+}
+
+// openNL opens a flashlight session at `length`: fresh, or resumed from a
+// word or frontier token.
+func (in *Instance) openNL(length int, opts CursorOptions, sopts enumerate.StreamOptions) (enumerate.Session, error) {
+	if opts.SeekRank != nil {
+		return nil, errRankNL
+	}
+	c, f, err := in.parseToken(opts.Cursor, length, enumerate.KindNFA)
+	if err != nil {
+		return nil, err
+	}
+	var e *enumerate.NFAEnumerator
+	if c.Kind != 0 {
+		e, err = enumerate.NewNFAFrom(in.n, c)
+	} else {
+		e, err = enumerate.NewNFA(in.n, length)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return serve(e, f, opts, sopts)
+}
+
+var errRankNL = errors.New("core: rank seek requires an unambiguous instance (RelationUL)")
+
+// parseToken decodes a session token for a class whose cursor kind is
+// kind: a frontier token into f, any other non-empty token into c (a rank
+// cursor only for RelationUL); the other comes back zero, with Kind 0. The
+// token's length, kind and fingerprint are checked against the instance
+// before anything is built.
+func (in *Instance) parseToken(token string, length int, kind byte) (c enumerate.Cursor, f enumerate.Frontier, err error) {
+	if token == "" {
+		return c, f, nil
+	}
+	frontier := enumerate.IsFrontierToken(token)
+	if frontier {
+		f, err = enumerate.ParseFrontier(token)
+		// c carries the frontier's length and kind through the checks.
+		c.Length, c.Kind = f.Length, f.Kind
+	} else {
+		c, err = enumerate.ParseToken(token)
+	}
 	switch {
 	case err != nil:
-		return nil, err
-	case frontier && opts.Workers > 1:
-		return e.StreamFrom(f, sopts)
+	case c.Length != length:
+		err = fmt.Errorf("core: cursor length %d does not match session length %d", c.Length, length)
+	case c.Kind == enumerate.KindUFARank && kind == enumerate.KindNFA:
+		err = errRankNL
+	case c.Kind != kind && c.Kind != enumerate.KindUFARank:
+		err = fmt.Errorf("core: cursor kind %q does not match instance class %s", c.Kind, in.class)
 	case frontier:
+		return enumerate.Cursor{}, f, enumerate.ValidateFrontier(in.n, f)
+	default:
+		err = enumerate.ValidateCursor(in.n, c)
+	}
+	return c, f, err
+}
+
+// enumerator is what serve needs of both enumerator types.
+type enumerator interface {
+	enumerate.Session
+	Cursor() enumerate.Cursor
+	Stream(enumerate.StreamOptions) *enumerate.Stream
+	StreamFrom(enumerate.Frontier, enumerate.StreamOptions) (*enumerate.Stream, error)
+	ResumeFrontier(enumerate.Frontier) (enumerate.Session, error)
+}
+
+// serve hands an opened enumerator the session opts ask for: a frontier
+// token's cells (f, when its Kind is set) in parallel or one after
+// another, the enumerator itself for a serial session, and otherwise a
+// parallel stream over its whole range or, when it is positioned, over
+// the suffix after its cursor.
+func serve(e enumerator, f enumerate.Frontier, opts CursorOptions, sopts enumerate.StreamOptions) (enumerate.Session, error) {
+	switch {
+	case f.Kind != 0 && opts.Workers > 1:
+		return e.StreamFrom(f, sopts)
+	case f.Kind != 0:
 		return e.ResumeFrontier(f)
 	case opts.Workers <= 1:
 		return e, nil
@@ -661,70 +731,6 @@ func (in *Instance) openUL(length, lo, hi int, opts CursorOptions, sopts enumera
 		return e.Stream(sopts), nil
 	}
 	return e.StreamFrom(enumerate.SuffixFrontier(e.Cursor()), sopts)
-}
-
-// openNL opens a flashlight session at `length`: fresh, or resumed from a
-// word or frontier token (a serial token opened with Workers > 1 is
-// re-sharded into suffix cells).
-func (in *Instance) openNL(length int, opts CursorOptions, sopts enumerate.StreamOptions) (enumerate.Session, error) {
-	switch {
-	case opts.SeekRank != nil:
-		return nil, fmt.Errorf("core: rank seek requires an unambiguous instance (RelationUL)")
-	case opts.Cursor == "" && opts.Workers > 1:
-		return enumerate.NewNFAStream(in.n, length, sopts)
-	case opts.Cursor == "":
-		return enumerate.NewNFA(in.n, length)
-	case enumerate.IsFrontierToken(opts.Cursor):
-		f, err := in.parseFrontier(opts.Cursor, length, enumerate.KindNFA)
-		if err != nil {
-			return nil, err
-		}
-		if opts.Workers > 1 {
-			return enumerate.NewNFAStreamFrom(in.n, f, sopts)
-		}
-		return enumerate.ResumeFrontier(in.n, f)
-	}
-	c, err := in.parseCursor(opts.Cursor, length)
-	switch {
-	case err != nil:
-		return nil, err
-	case c.Kind == enumerate.KindUFARank:
-		return nil, fmt.Errorf("core: rank seek requires an unambiguous instance (RelationUL)")
-	case c.Kind != enumerate.KindNFA:
-		return nil, fmt.Errorf("core: cursor kind %q does not match instance class %s", c.Kind, in.class)
-	case opts.Workers > 1:
-		return enumerate.NewNFAStreamFrom(in.n, enumerate.SuffixFrontier(c), sopts)
-	}
-	return enumerate.NewNFAFrom(in.n, c)
-}
-
-// parseCursor decodes a single-position token for a session at `length`
-// and checks its length and fingerprint against the instance.
-func (in *Instance) parseCursor(token string, length int) (enumerate.Cursor, error) {
-	c, err := enumerate.ParseToken(token)
-	if err == nil && c.Length != length {
-		err = fmt.Errorf("core: cursor length %d does not match session length %d", c.Length, length)
-	}
-	if err != nil {
-		return c, err
-	}
-	return c, enumerate.ValidateCursor(in.n, c)
-}
-
-// parseFrontier decodes a frontier token (the multi-cell position of a
-// parallel session) for a session at `length` and checks its length,
-// kind and fingerprint against the instance.
-func (in *Instance) parseFrontier(token string, length int, kind byte) (enumerate.Frontier, error) {
-	f, err := enumerate.ParseFrontier(token)
-	switch {
-	case err != nil:
-		return f, err
-	case f.Length != length:
-		return f, fmt.Errorf("core: cursor length %d does not match session length %d", f.Length, length)
-	case f.Kind != kind:
-		return f, fmt.Errorf("core: cursor kind %q does not match instance class %s", f.Kind, in.class)
-	}
-	return f, enumerate.ValidateFrontier(in.n, f)
 }
 
 // EnumerateFrom is Enumerate resuming from a serialized token — the

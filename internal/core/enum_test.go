@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/automata"
@@ -277,6 +278,93 @@ func TestEnumerateParallelResume(t *testing.T) {
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d serial->parallel: output %d = %q, want %q", trial, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestEnumerateResumeMatrix: every token form resumes through core, at one
+// worker and at four, on a RelationUL DFA and a RelationNL automaton — a
+// fresh cursor, a mid-stream single-position cursor ('u' or 'n'), a rank
+// cursor ('r', RelationUL) and a frontier ('p') from an ordered parallel
+// page — and the words before the token followed by the resumed drain are
+// Witnesses, in order.
+func TestEnumerateResumeMatrix(t *testing.T) {
+	const n = 8
+	for _, tc := range []struct {
+		a     *automata.NFA
+		class Class
+		kind  string
+	}{
+		{automata.RandomDFA(rand.New(rand.NewSource(54)), automata.Binary(), 6, 0.5), ClassUL, "u"},
+		{automata.SubsetBlowup(4), ClassNL, "n"},
+	} {
+		in, err := New(tc.a, n, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.Class() != tc.class {
+			t.Fatalf("class %s, want %s", in.Class(), tc.class)
+		}
+		want, err := in.Witnesses(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := len(want) / 3
+		if k < 2 {
+			t.Fatalf("%s: %d witnesses, want at least 6", tc.class, len(want))
+		}
+		page := func(opts CursorOptions) string {
+			opts.Limit = k
+			s, err := in.Enumerate(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := drainSession(in, s); len(got) != k {
+				t.Fatalf("%s: page of %d words, want %d", tc.class, len(got), k)
+			}
+			tok, _ := s.Token()
+			return tok
+		}
+		fresh, err := in.Enumerate(CursorOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		freshTok, _ := fresh.Token()
+		type form struct {
+			name, tok, kind string
+			before          int
+		}
+		forms := []form{
+			{"fresh", freshTok, tc.kind, 0},
+			{"serial", page(CursorOptions{}), tc.kind, k},
+			{"frontier", page(CursorOptions{Workers: 4, Shards: 5, Ordered: true, MergeBudget: 8, StealThreshold: 1}), "p", k},
+		}
+		if tc.class == ClassUL {
+			e, err := enumerate.NewUFA(in.Automaton(), n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enumerate.CollectWords(e, k)
+			rc, err := e.RankCursor()
+			if err != nil {
+				t.Fatal(err)
+			}
+			forms = append(forms, form{"rank", rc.Token(), "r", k})
+		}
+		for _, f := range forms {
+			if !strings.HasPrefix(f.tok, "el1:"+f.kind+":") {
+				t.Fatalf("%s %s token %q, want kind %q", tc.class, f.name, f.tok, f.kind)
+			}
+			for _, workers := range []int{1, 4} {
+				s, err := in.Enumerate(CursorOptions{Cursor: f.tok, Workers: workers, Ordered: true})
+				if err != nil {
+					t.Fatalf("%s %s at %d workers: %v", tc.class, f.name, workers, err)
+				}
+				got := append(append([]string(nil), want[:f.before]...), drainSession(in, s)...)
+				if strings.Join(got, " ") != strings.Join(want, " ") {
+					t.Fatalf("%s %s at %d workers: %d words, not Witnesses' %d in order", tc.class, f.name, workers, len(got), len(want))
+				}
 			}
 		}
 	}

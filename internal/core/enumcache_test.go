@@ -245,3 +245,65 @@ func BenchmarkEnumPage(b *testing.B) {
 		pageToken, _ = s.Token()
 	}
 }
+
+// nlShaped returns count automata in the shape of the serving benchmark's
+// nl-mixed tenants: ambiguous (RelationNL) binary NFAs with 4–6 states at
+// length 8 or 9, each with at least 128 witnesses.
+func nlShaped(tb testing.TB, count int, seed int64) ([]*automata.NFA, []int) {
+	rng := rand.New(rand.NewSource(seed))
+	nfas := make([]*automata.NFA, count)
+	lengths := make([]int, count)
+	for i := range nfas {
+		m, n := 4+i%3, 8+i%2
+		for nfas[i] == nil {
+			a := automata.Random(rng, automata.Binary(), m, 0.3, 0.5)
+			in, err := New(a, n, Options{})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if w, err := in.Witnesses(128); err == nil && in.Class() == ClassNL && len(w) == 128 {
+				nfas[i], lengths[i] = a, n
+			}
+		}
+	}
+	return nfas, lengths
+}
+
+// BenchmarkEnumPageNL is BenchmarkEnumPage for the flashlight: resume a
+// 64-word RelationNL page from a mid-stream token (64 words in), drain it
+// and mint the next token, cycling over 8 nl-mixed-shaped NFAs. Each page
+// runs NewNFAFrom's precomputation and replay, which is what the serving
+// benchmark's nl-mixed enum pages do.
+func BenchmarkEnumPageNL(b *testing.B) {
+	const page = 64
+	nfas, lengths := nlShaped(b, 8, 19)
+	ins := make([]*Instance, len(nfas))
+	tokens := make([]string, len(nfas))
+	for i, a := range nfas {
+		var err error
+		if ins[i], err = New(a, lengths[i], Options{}); err != nil {
+			b.Fatal(err)
+		}
+		s, err := ins[i].Enumerate(CursorOptions{Limit: page})
+		if err != nil {
+			b.Fatal(err)
+		}
+		drainSession(ins[i], s)
+		tokens[i], _ = s.Token()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in := ins[i%len(ins)]
+		s, err := in.Enumerate(CursorOptions{Cursor: tokens[i%len(tokens)], Limit: page})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for {
+			if _, ok := s.Next(); !ok {
+				break
+			}
+		}
+		pageToken, _ = s.Token()
+	}
+}

@@ -21,7 +21,7 @@ const (
 	// position is a single big integer — the number of words already
 	// emitted, equivalently the rank of the next word in enumeration
 	// order. Resuming seeks through the counting index in O(n·log Δ)
-	// instead of replaying a decision vector (see NewUFAFromRank).
+	// instead of replaying a decision vector (see SeekRank).
 	KindUFARank byte = 'r'
 	// KindFrontier marks a multi-cell frontier token: the position of a
 	// parallel (or chained) session, an ordered list of remaining cells
@@ -174,28 +174,37 @@ func ParseToken(token string) (Cursor, error) {
 // 'r' token a UFAEnumerator seeked by rank through the counting index, an
 // 'n' token an NFAEnumerator, and a 'p' (frontier) token a serial session
 // that drains the remaining cells of a paused parallel stream one after
-// another. The
-// automaton must be the one the token was minted on (enforced via the
-// embedded fingerprint).
+// another. The automaton must be the one the token was minted on
+// (enforced via the embedded fingerprint, checked before any length-sized
+// precomputation).
 func Resume(n *automata.NFA, token string) (Session, error) {
-	if IsFrontierToken(token) {
-		f, err := ParseFrontier(token)
-		if err != nil {
+	if !IsFrontierToken(token) {
+		c, err := ParseToken(token)
+		switch {
+		case err != nil:
 			return nil, err
+		case c.Kind == KindNFA:
+			return NewNFAFrom(n, c)
 		}
-		return ResumeFrontier(n, f)
+		return NewUFAFrom(n, c)
 	}
-	c, err := ParseToken(token)
+	f, err := ParseFrontier(token)
 	if err != nil {
 		return nil, err
 	}
-	switch c.Kind {
-	case KindUFA:
-		return NewUFAFrom(n, c)
-	case KindUFARank:
-		return NewUFAFromRank(n, c)
+	if err := ValidateFrontier(n, f); err != nil {
+		return nil, err
 	}
-	return NewNFAFrom(n, c)
+	var t template
+	if f.Kind == KindUFA {
+		t, err = NewUFA(n, f.Length)
+	} else {
+		t, err = NewNFA(n, f.Length)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return resumeFrontier(t, f)
 }
 
 // FrontierSeg is one remaining cell of a Frontier: a prefix cell (with the

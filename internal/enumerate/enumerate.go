@@ -39,11 +39,14 @@
 // automaton's transition structure mixed with the witness length, so a
 // token cannot be resumed against a different automaton — or with a
 // tampered length — undetected. Resuming with NewUFAFrom/NewNFAFrom (or
-// Resume, which dispatches on the kind) replays the position in O(n·m)
-// and continues: for every k, "enumerate k words, serialize, reopen,
-// drain" emits exactly the words an uninterrupted enumeration would, in
-// the same order. Cursors of shard-restricted enumerators record the
-// global position and resume the full enumeration.
+// Resume, which dispatches on the kind; ResumeUFA on a shared counting
+// index) replays the position in O(n·m) and continues: for every k,
+// "enumerate k words, serialize, reopen, drain" emits exactly the words an
+// uninterrupted enumeration would, in the same order. A replay is the
+// whole-range case of reopening a cell at a position (see Cells), and both
+// algorithms run it through one routine each. Cursors of shard-restricted
+// enumerators record the global position and resume the full
+// enumeration.
 //
 // # The counting index and ranked access
 //
@@ -54,9 +57,9 @@
 // counts and per-edge prefix sums in the same decision order, frozen and
 // shared by every fork. The counts give three things. Positions have a
 // rank form — an 'r' token whose payload is a single big integer, the
-// number of words emitted — minted by RankCursor and resumed by
-// NewUFAFromRank/SeekRank in O(n·log Δ) steps instead of a replay; any
-// rank is directly addressable (NewUFAAt). Cells have exact sizes —
+// number of words emitted — minted by RankCursor and resumed (Resume,
+// NewUFAFrom, ResumeUFA) by SeekRank in O(n·log Δ) steps instead of a
+// replay; SeekRank addresses any rank directly. Cells have exact sizes —
 // Remaining reports the exact word count a cell has yet to produce, which
 // the scheduler uses for steal-victim selection. And SplitSteal balances:
 // it carves at the shallowest unexhausted branch (the only sound split
@@ -125,10 +128,11 @@
 // prefix ∘ uvarint(lo) ∘ uvarint(|ceil|) ∘ ceil ∘ state byte ∘ position
 // ints when mid — one entry per not-fully-delivered cell, in canonical
 // order, carrying the last delivered position of cells that already
-// emitted. Resuming the frontier (ResumeFrontier for a serial chain,
-// NewUFAStreamFrom/NewNFAStreamFrom for a new parallel stream) yields
-// exactly the undelivered words; a serial cursor conversely reopens in
-// parallel via SuffixFrontier. Parse-time validation bounds every claimed
+// emitted. Resuming the frontier on an enumerator of the same automaton
+// and length (its ResumeFrontier for a serial chain, its StreamFrom for a
+// new parallel stream; Resume builds one and chains) yields exactly the
+// undelivered words; a serial cursor conversely reopens in parallel via
+// SuffixFrontier. Parse-time validation bounds every claimed
 // count by the remaining payload (see FuzzDecodeCursor), and the
 // length-bound fingerprint is checked before any length-sized
 // precomputation. The fingerprint is a checksum, not a MAC: services
@@ -173,6 +177,7 @@ package enumerate
 import (
 	"fmt"
 	"math/big"
+	"slices"
 
 	"repro/internal/automata"
 	"repro/internal/bitset"
@@ -390,27 +395,43 @@ func (e *UFAEnumerator) SeekRank(r *big.Int) error {
 	if err != nil {
 		return err
 	}
-	if err := e.setPos(choices, "seek"); err != nil {
-		return err
-	}
-	e.started = true
-	return nil
+	return e.place(Shard{kind: KindUFA}, choices)
 }
 
-// setPos replays decisions pos[0..len(pos)) from the start into the
-// iterator state, validating each against the edge lists; what names the
-// decision vector in errors.
-func (e *UFAEnumerator) setPos(pos []int, what string) error {
-	for t, i := range pos {
+// place validates cell s and positions the fresh enumerator e in it, in
+// place: the cell's prefix is pinned below the shard floor, and pos, when
+// non-nil, is the full decision vector of the last word already emitted
+// inside the cell (as a cursor or frontier token records it) — e then
+// continues just after it. Every replayed decision is checked against the
+// edge lists.
+func (e *UFAEnumerator) place(s Shard, pos []int) error {
+	if err := s.check(KindUFA, e.n, pos); err != nil {
+		return err
+	}
+	e.ceil = s.ceil
+	if e.done {
+		return nil
+	}
+	if e.n == 0 {
+		// A position records that ε was emitted: the cell is exhausted.
+		e.started, e.done = pos != nil, pos != nil
+		return nil
+	}
+	path := s.prefix
+	if pos != nil {
+		path = pos
+	}
+	for t, i := range path {
 		edges := e.edgesAt(t)
 		if i < 0 || i >= len(edges) {
-			return fmt.Errorf("enumerate: %s decision %d at layer %d out of range (%d edges)", what, i, t, len(edges))
+			return fmt.Errorf("enumerate: decision %d at layer %d out of range (%d edges)", i, t, len(edges))
 		}
 		e.choice[t] = i
-		edge := edges[i]
-		e.word[t] = edge.Symbol
-		e.path[t+1] = edge.To
+		e.word[t] = edges[i].Symbol
+		e.path[t+1] = edges[i].To
 	}
+	e.floor, e.lo = len(s.prefix), s.lo
+	e.started = pos != nil
 	return nil
 }
 
@@ -526,7 +547,7 @@ func (e *UFAEnumerator) Token() (string, bool) { return e.Cursor().Token(), true
 
 // RankCursor returns the enumerator's position as a rank cursor: the
 // number of words already emitted before the current position, which is
-// also the rank of the next word. Resuming it (Resume / NewUFAFromRank)
+// also the rank of the next word. Resuming it (Resume / NewUFAFrom)
 // seeks in O(n·log Δ) instead of replaying a decision vector. Like
 // Cursor, a shard-restricted enumerator yields the global position of its
 // last emitted word.
@@ -651,8 +672,7 @@ func ResumeUFA(idx *lengthrange.RangeIndex, c Cursor) (*UFAEnumerator, error) {
 	case len(c.Pos) != c.Length:
 		err = fmt.Errorf("enumerate: cursor has %d decisions, want %d", len(c.Pos), c.Length)
 	default:
-		err = e.setPos(c.Pos, "cursor")
-		e.started = true
+		err = e.place(Shard{kind: KindUFA}, c.Pos)
 	}
 	if err != nil {
 		return nil, err
@@ -661,32 +681,15 @@ func ResumeUFA(idx *lengthrange.RangeIndex, c Cursor) (*UFAEnumerator, error) {
 }
 
 // NewUFAFrom reopens an Algorithm 1 enumeration at the position recorded in
-// a decision cursor (as produced by (*UFAEnumerator).Cursor or
-// ParseToken) — ResumeUFA on a private serial [n, n] index. The automaton
-// must be the one the cursor was minted on, and any mismatch is an error.
+// a decision ('u') or rank ('r') cursor, as produced by Cursor, RankCursor
+// or ParseToken — ResumeUFA on a private serial [n, n] index. The
+// fingerprint binds the length and is checked before the index is built,
+// so neither a cross-automaton token nor one with a tampered length field
+// buys a length-sized precomputation.
 func NewUFAFrom(n *automata.NFA, c Cursor) (*UFAEnumerator, error) {
-	if c.Kind != KindUFA {
-		return nil, fmt.Errorf("enumerate: cursor kind %q, want %q", c.Kind, KindUFA)
+	if c.Kind != KindUFA && c.Kind != KindUFARank {
+		return nil, fmt.Errorf("enumerate: cursor kind %q, want %q or %q", c.Kind, KindUFA, KindUFARank)
 	}
-	return newUFAFrom(n, c)
-}
-
-// NewUFAFromRank is NewUFAFrom for a rank cursor (kind 'r', as produced
-// by RankCursor or ParseToken): the position is seeked in O(n·log Δ)
-// instead of replayed, and the continued enumeration is bitwise identical
-// to one that replayed a decision cursor to the same position.
-func NewUFAFromRank(n *automata.NFA, c Cursor) (*UFAEnumerator, error) {
-	if c.Kind != KindUFARank {
-		return nil, fmt.Errorf("enumerate: cursor kind %q, want %q", c.Kind, KindUFARank)
-	}
-	return newUFAFrom(n, c)
-}
-
-// newUFAFrom validates the fingerprint before building the private index
-// — it binds the length, so neither a cross-automaton token nor one with
-// a tampered length field buys a length-sized precomputation — then
-// resumes on it.
-func newUFAFrom(n *automata.NFA, c Cursor) (*UFAEnumerator, error) {
 	if err := ValidateCursor(n, c); err != nil {
 		return nil, err
 	}
@@ -695,21 +698,6 @@ func newUFAFrom(n *automata.NFA, c Cursor) (*UFAEnumerator, error) {
 		return nil, err
 	}
 	return ResumeUFA(idx, c)
-}
-
-// NewUFAAt is NewUFA positioned so the next emitted word is the one at
-// the given 0-based rank of the enumeration order — random access into the
-// stream via the counting index, no replay. rank = |L_n| yields an
-// exhausted session.
-func NewUFAAt(n *automata.NFA, length int, rank *big.Int) (*UFAEnumerator, error) {
-	e, err := NewUFA(n, length)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.SeekRank(rank); err != nil {
-		return nil, err
-	}
-	return e, nil
 }
 
 // ValidateCursor runs the fingerprint check every resume path performs:
@@ -725,24 +713,21 @@ func ValidateCursor(n *automata.NFA, c Cursor) error {
 	return nil
 }
 
-// Shards splits the enumeration range into at least min(target, |cells|)
-// disjoint decision-prefix cells whose concatenation in shard order is the
-// serial enumeration order. The shallowest cells are expanded first, so the
-// cells are balanced in depth. target < 1 is treated as 1.
-func (e *UFAEnumerator) Shards(target int) []Shard {
-	if target < 1 {
-		target = 1
-	}
-	n := e.n
-	if e.done || n == 0 || target == 1 {
-		return []Shard{{kind: KindUFA}}
-	}
+// shardCells is the expansion both Shards run: starting from the whole
+// range, whose walk state is root, it replaces the shallowest cell shorter
+// than n by its children until there are at least target cells or every
+// cell is a full word, so the cells are balanced in depth. children calls
+// add once per child of the cell at depth d with walk state s, in
+// enumeration order, with the decision or symbol extending the prefix and
+// the child's walk state. The whole range (done = true, n = 0 or
+// target ≤ 1) is a single cell.
+func shardCells[S any](kind byte, n, target int, done bool, root S, children func(d int, s S, add func(step int, child S))) []Shard {
 	type cell struct {
 		prefix []int
-		src    int // state at layer len(prefix)
+		s      S
 	}
-	cells := []cell{{src: e.path[0]}}
-	for len(cells) < target {
+	cells := []cell{{s: root}}
+	for !done && len(cells) < target {
 		best := -1
 		for i, c := range cells {
 			if len(c.prefix) < n && (best < 0 || len(c.prefix) < len(cells[best].prefix)) {
@@ -754,89 +739,45 @@ func (e *UFAEnumerator) Shards(target int) []Shard {
 		}
 		c := cells[best]
 		d := len(c.prefix)
-		edges := e.idx.OutEdges(n-d, c.src)
-		children := make([]cell, len(edges))
-		for i, ed := range edges {
+		var kids []cell
+		children(d, c.s, func(step int, child S) {
 			p := make([]int, d+1)
 			copy(p, c.prefix)
-			p[d] = i
-			children[i] = cell{prefix: p, src: ed.To}
-		}
-		next := make([]cell, 0, len(cells)+len(children)-1)
-		next = append(next, cells[:best]...)
-		next = append(next, children...)
-		next = append(next, cells[best+1:]...)
-		cells = next
+			p[d] = step
+			kids = append(kids, cell{prefix: p, s: child})
+		})
+		cells = slices.Concat(cells[:best], kids, cells[best+1:])
 	}
 	out := make([]Shard, len(cells))
 	for i, c := range cells {
-		out[i] = Shard{kind: KindUFA, prefix: c.prefix}
+		out[i] = Shard{kind: kind, prefix: c.prefix}
 	}
 	return out
 }
 
-// OpenShard returns a fresh enumerator restricted to one cell produced by
-// Shards (or carved off by SplitSteal), sharing this enumerator's
-// precomputation. The shard enumerator emits exactly the cell's words, in
-// serial order.
-func (e *UFAEnumerator) OpenShard(s Shard) (*UFAEnumerator, error) {
-	return e.OpenShardAt(s, nil)
+// Shards splits the enumeration range into at least min(target, |cells|)
+// disjoint decision-prefix cells whose concatenation in shard order is the
+// serial enumeration order (target < 1 is treated as 1); a cell's children
+// are its vertex's pruned out-edges.
+func (e *UFAEnumerator) Shards(target int) []Shard {
+	return shardCells(KindUFA, e.n, target, e.done, e.idx.Automaton().Start(), func(d, q int, add func(int, int)) {
+		for i, ed := range e.idx.OutEdges(e.n-d, q) {
+			add(i, ed.To)
+		}
+	})
 }
 
-// OpenShardAt is OpenShard positioned mid-cell: pos, when non-nil, is the
-// full decision vector of the last word already emitted inside the cell
-// (as recorded in a frontier token), and the returned enumerator continues
-// just after it. pos must lie inside the cell; every decision is validated
-// against the edge lists during the replay.
+// OpenShardAt returns a fresh enumerator, sharing this one's
+// precomputation, placed in one cell produced by Shards (or carved off by
+// SplitSteal): at the cell's start when pos is nil, else just after pos,
+// the full decision vector of the last word already emitted inside the
+// cell, as a frontier token records it. It emits exactly the rest of the
+// cell's words, in serial order; pos must lie inside the cell.
 func (e *UFAEnumerator) OpenShardAt(s Shard, pos []int) (*UFAEnumerator, error) {
-	if s.kind != KindUFA {
-		return nil, fmt.Errorf("enumerate: shard kind %q, want %q", s.kind, KindUFA)
-	}
-	if s.lo < 0 {
-		return nil, fmt.Errorf("enumerate: negative shard lower bound %d", s.lo)
-	}
 	c := e.fork()
-	n := c.n
-	if len(s.prefix) > n {
-		return nil, fmt.Errorf("enumerate: shard prefix length %d exceeds %d", len(s.prefix), n)
-	}
-	if len(s.ceil) > n {
-		return nil, fmt.Errorf("enumerate: shard ceiling length %d exceeds %d", len(s.ceil), n)
-	}
-	c.ceil = s.ceil
-	if c.done {
-		return c, nil
-	}
-	if n == 0 {
-		if pos != nil {
-			// ε was already emitted; the cell is exhausted.
-			c.started, c.done = true, true
-		}
-		return c, nil
-	}
-	if err := c.setPos(s.prefix, "shard"); err != nil {
+	if err := c.place(s, pos); err != nil {
 		return nil, err
 	}
-	c.floor = len(s.prefix)
-	c.lo = s.lo
-	if pos == nil {
-		return c, nil
-	}
-	if len(pos) != n {
-		return nil, fmt.Errorf("enumerate: shard position has %d decisions, want %d", len(pos), n)
-	}
-	for t := 0; t < c.floor; t++ {
-		if pos[t] != s.prefix[t] {
-			return nil, fmt.Errorf("enumerate: shard position leaves the cell at layer %d", t)
-		}
-	}
-	if c.floor < n && pos[c.floor] < s.lo {
-		return nil, fmt.Errorf("enumerate: shard position below the cell's lower bound at layer %d", c.floor)
-	}
-	if err := c.setPos(pos, "shard position"); err != nil {
-		return nil, err
-	}
-	c.started = true
 	return c, nil
 }
 
@@ -1151,198 +1092,109 @@ func (e *NFAEnumerator) Err() error { return nil }
 func (e *NFAEnumerator) Close() {}
 
 // NewNFAFrom reopens a flashlight enumeration just after the word recorded
-// in the cursor. The fingerprint and the viability of every prefix step are
-// validated during the replay; the continued enumeration is bitwise
-// identical to the uninterrupted one.
+// in the cursor. The fingerprint is checked before the precomputation, and
+// the viability of every prefix step during the replay; the continued
+// enumeration is bitwise identical to the uninterrupted one.
 func NewNFAFrom(n *automata.NFA, c Cursor) (*NFAEnumerator, error) {
 	if c.Kind != KindNFA {
 		return nil, fmt.Errorf("enumerate: cursor kind %q, want %q", c.Kind, KindNFA)
 	}
-	// Fingerprint before the (length-sized) precomputation, as in
-	// NewUFAFrom.
-	if fp := fpFor(n, c.Length); c.FP != fp {
-		return nil, fmt.Errorf("enumerate: cursor fingerprint %08x does not match automaton at this length (%08x)", c.FP, fp)
+	if err := ValidateCursor(n, c); err != nil {
+		return nil, err
 	}
 	e, err := NewNFA(n, c.Length)
 	if err != nil {
 		return nil, err
 	}
-	switch c.State {
-	case CursorFresh:
-		return e, nil
-	case CursorDone:
+	switch {
+	case c.State == CursorFresh:
+	case c.State == CursorDone:
 		e.started, e.done = true, true
-		return e, nil
-	case CursorMid:
-		if e.done {
-			return nil, fmt.Errorf("enumerate: mid cursor for an empty language slice")
-		}
-		if len(c.Pos) != c.Length {
-			return nil, fmt.Errorf("enumerate: cursor word has %d symbols, want %d", len(c.Pos), c.Length)
-		}
-		for t := 0; t < c.Length; t++ {
-			a := c.Pos[t]
-			if a < 0 || a >= e.sigma {
-				return nil, fmt.Errorf("enumerate: cursor symbol %d at position %d out of range", a, t)
-			}
-			e.n.StepSet(e.scratch, e.sets[t], a)
-			e.scratch.IntersectWith(e.coReach[t+1])
-			if e.scratch.Empty() {
-				return nil, fmt.Errorf("enumerate: cursor word is not a viable prefix at position %d", t)
-			}
-			e.word[t] = automata.Symbol(a)
-			e.sets[t+1].CopyFrom(e.scratch)
-			e.nextSym[t] = a + 1
-		}
-		e.nextSym[c.Length] = 0
-		e.depth = c.Length
+	case c.State != CursorMid:
+		err = fmt.Errorf("enumerate: unknown cursor state %d", c.State)
+	case e.done:
+		err = fmt.Errorf("enumerate: mid cursor for an empty language slice")
+	case len(c.Pos) != c.Length:
+		err = fmt.Errorf("enumerate: cursor word has %d symbols, want %d", len(c.Pos), c.Length)
+	case c.Length == 0:
+		// ε was emitted: the next Next ends the slice.
 		e.started = true
-		return e, nil
+	default:
+		err = e.place(Shard{kind: KindNFA}, c.Pos)
 	}
-	return nil, fmt.Errorf("enumerate: unknown cursor state %d", c.State)
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// place is (*UFAEnumerator).place for the flashlight: it validates cell s
+// and positions the fresh enumerator e in it, pos being the last word
+// already emitted inside the cell (nil = the cell's start). Every replayed
+// symbol is checked for viability.
+func (e *NFAEnumerator) place(s Shard, pos []int) error {
+	if err := s.check(KindNFA, e.length, pos); err != nil {
+		return err
+	}
+	e.ceil = s.ceil
+	if e.done {
+		return nil
+	}
+	if e.length == 0 {
+		// A position records that ε was emitted: the cell is exhausted.
+		e.started, e.done = pos != nil, pos != nil
+		return nil
+	}
+	path := s.prefix
+	if pos != nil {
+		path = pos
+	}
+	for t, a := range path {
+		if a < 0 || a >= e.sigma {
+			return fmt.Errorf("enumerate: symbol %d at position %d out of range", a, t)
+		}
+		e.n.StepSet(e.scratch, e.sets[t], a)
+		e.scratch.IntersectWith(e.coReach[t+1])
+		if e.scratch.Empty() {
+			return fmt.Errorf("enumerate: word is not viable at position %d", t)
+		}
+		e.word[t] = automata.Symbol(a)
+		e.sets[t+1].CopyFrom(e.scratch)
+		e.nextSym[t] = a + 1
+	}
+	e.floor, e.lo, e.depth = len(s.prefix), s.lo, len(path)
+	if pos == nil {
+		e.nextSym[e.floor] = s.lo
+	}
+	e.started = pos != nil
+	return nil
 }
 
 // Shards splits the enumeration range into at least min(target, |cells|)
 // disjoint viable-prefix cells; in shard order the cells concatenate to the
-// serial (lexicographic) enumeration order. target < 1 is treated as 1.
+// serial (lexicographic) enumeration order. A cell's children are its
+// viable symbols, each with its prefix's reachable set.
 func (e *NFAEnumerator) Shards(target int) []Shard {
-	if target < 1 {
-		target = 1
-	}
-	if e.done || e.length == 0 || target == 1 {
-		return []Shard{{kind: KindNFA}}
-	}
-	m := e.n.NumStates()
-	type cell struct {
-		prefix []int
-		reach  *bitset.Set
-	}
-	scratch := bitset.New(m)
-	cells := []cell{{reach: e.sets[0]}}
-	for len(cells) < target {
-		best := -1
-		for i, c := range cells {
-			if len(c.prefix) < e.length && (best < 0 || len(c.prefix) < len(cells[best].prefix)) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		c := cells[best]
-		d := len(c.prefix)
-		var children []cell
+	return shardCells(KindNFA, e.length, target, e.done, e.sets[0], func(d int, reach *bitset.Set, add func(int, *bitset.Set)) {
 		for a := 0; a < e.sigma; a++ {
-			e.n.StepSet(scratch, c.reach, a)
-			scratch.IntersectWith(e.coReach[d+1])
-			if scratch.Empty() {
-				continue
+			e.n.StepSet(e.scratch, reach, a)
+			e.scratch.IntersectWith(e.coReach[d+1])
+			if !e.scratch.Empty() {
+				add(a, e.scratch.Clone())
 			}
-			p := make([]int, d+1)
-			copy(p, c.prefix)
-			p[d] = a
-			reach := bitset.New(m)
-			reach.CopyFrom(scratch)
-			children = append(children, cell{prefix: p, reach: reach})
 		}
-		next := make([]cell, 0, len(cells)+len(children)-1)
-		next = append(next, cells[:best]...)
-		next = append(next, children...)
-		next = append(next, cells[best+1:]...)
-		cells = next
-	}
-	out := make([]Shard, len(cells))
-	for i, c := range cells {
-		out[i] = Shard{kind: KindNFA, prefix: c.prefix}
-	}
-	return out
+	})
 }
 
-// OpenShard returns a fresh enumerator restricted to one cell produced by
-// Shards (or carved off by SplitSteal), sharing this enumerator's
-// precomputation. The shard enumerator emits exactly the cell's words, in
-// lexicographic order.
-func (e *NFAEnumerator) OpenShard(s Shard) (*NFAEnumerator, error) {
-	return e.OpenShardAt(s, nil)
-}
-
-// OpenShardAt is OpenShard positioned mid-cell: pos, when non-nil, is the
-// last word already emitted inside the cell (as recorded in a frontier
-// token), and the returned enumerator continues just after it. The prefix
-// and every position step are checked for viability during the replay.
+// OpenShardAt is (*UFAEnumerator).OpenShardAt for the flashlight: pos,
+// when non-nil, is the last word already emitted inside the cell, and the
+// shard enumerator emits the rest of the cell's words in lexicographic
+// order.
 func (e *NFAEnumerator) OpenShardAt(s Shard, pos []int) (*NFAEnumerator, error) {
-	if s.kind != KindNFA {
-		return nil, fmt.Errorf("enumerate: shard kind %q, want %q", s.kind, KindNFA)
-	}
-	if s.lo < 0 {
-		return nil, fmt.Errorf("enumerate: negative shard lower bound %d", s.lo)
-	}
 	c := e.fork()
-	if len(s.prefix) > c.length {
-		return nil, fmt.Errorf("enumerate: shard prefix length %d exceeds %d", len(s.prefix), c.length)
+	if err := c.place(s, pos); err != nil {
+		return nil, err
 	}
-	if len(s.ceil) > c.length {
-		return nil, fmt.Errorf("enumerate: shard ceiling length %d exceeds %d", len(s.ceil), c.length)
-	}
-	c.ceil = s.ceil
-	if c.done {
-		return c, nil
-	}
-	if c.length == 0 {
-		if pos != nil {
-			// ε was already emitted; the cell is exhausted.
-			c.started, c.done = true, true
-		}
-		return c, nil
-	}
-	for t, a := range s.prefix {
-		if a < 0 || a >= c.sigma {
-			return nil, fmt.Errorf("enumerate: shard symbol %d at position %d out of range", a, t)
-		}
-		c.n.StepSet(c.scratch, c.sets[t], a)
-		c.scratch.IntersectWith(c.coReach[t+1])
-		if c.scratch.Empty() {
-			return nil, fmt.Errorf("enumerate: shard prefix is not viable at position %d", t)
-		}
-		c.word[t] = automata.Symbol(a)
-		c.sets[t+1].CopyFrom(c.scratch)
-		c.nextSym[t] = a + 1
-	}
-	c.floor = len(s.prefix)
-	c.lo = s.lo
-	c.depth = c.floor
-	c.nextSym[c.floor] = s.lo
-	if pos == nil {
-		return c, nil
-	}
-	if len(pos) != c.length {
-		return nil, fmt.Errorf("enumerate: shard position has %d symbols, want %d", len(pos), c.length)
-	}
-	for t := 0; t < c.floor; t++ {
-		if pos[t] != s.prefix[t] {
-			return nil, fmt.Errorf("enumerate: shard position leaves the cell at position %d", t)
-		}
-	}
-	if c.floor < c.length && pos[c.floor] < s.lo {
-		return nil, fmt.Errorf("enumerate: shard position below the cell's lower bound at position %d", c.floor)
-	}
-	for t := c.floor; t < c.length; t++ {
-		a := pos[t]
-		if a < 0 || a >= c.sigma {
-			return nil, fmt.Errorf("enumerate: shard position symbol %d at position %d out of range", a, t)
-		}
-		c.n.StepSet(c.scratch, c.sets[t], a)
-		c.scratch.IntersectWith(c.coReach[t+1])
-		if c.scratch.Empty() {
-			return nil, fmt.Errorf("enumerate: shard position is not a viable word at position %d", t)
-		}
-		c.word[t] = automata.Symbol(a)
-		c.sets[t+1].CopyFrom(c.scratch)
-		c.nextSym[t] = a + 1
-	}
-	c.nextSym[c.length] = 0
-	c.depth = c.length
-	c.started = true
 	return c, nil
 }
 

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/automata"
-	"repro/internal/exact"
+	"repro/internal/oracle"
 )
 
 func sorted(xs []string) []string {
@@ -57,7 +57,7 @@ func TestUFAMatchesBruteForce(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := Collect(n.Alphabet(), e, 0)
-			want := exact.LanguageSlice(n, length)
+			want := oracle.Strings(n, length)
 			if !sameStrings(sorted(got), sorted(want)) {
 				t.Fatalf("trial %d length %d: got %v want %v", trial, length, got, want)
 			}
@@ -117,7 +117,7 @@ func TestNFAFlashlightMatchesBruteForce(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := Collect(n.Alphabet(), e, 0)
-			want := exact.LanguageSlice(n, length)
+			want := oracle.Strings(n, length)
 			if !sameStrings(got, want) { // flashlight emits in lexicographic order
 				t.Fatalf("trial %d length %d: got %v want %v", trial, length, got, want)
 			}
@@ -154,7 +154,7 @@ func TestNFAFlashlightLexOrder(t *testing.T) {
 	if !sort.StringsAreSorted(got) {
 		t.Fatalf("not lexicographic: %v", got)
 	}
-	want := exact.LanguageSlice(n, 4)
+	want := oracle.Strings(n, 4)
 	if !sameStrings(got, want) {
 		t.Fatalf("got %v want %v", got, want)
 	}
@@ -170,7 +170,7 @@ func TestNFAFlashlightTernary(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := Collect(alpha, e, 0)
-		want := exact.LanguageSlice(n, 3)
+		want := oracle.Strings(n, 3)
 		if !sameStrings(got, want) {
 			t.Fatalf("trial %d: got %v want %v", trial, got, want)
 		}

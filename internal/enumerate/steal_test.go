@@ -1,6 +1,7 @@
 package enumerate
 
 import (
+	"math"
 	"math/big"
 	"math/rand"
 	"runtime"
@@ -226,7 +227,7 @@ func TestSplitStealExactSizes(t *testing.T) {
 func checkSplitSteal(t *testing.T, dfa *automata.NFA, length int) {
 	t.Helper()
 	cellSize := func(host *UFAEnumerator, s Shard) *big.Int {
-		c, err := host.OpenShard(s)
+		c, err := host.OpenShardAt(s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +354,7 @@ func TestSplitStealCompleteness(t *testing.T) {
 		}
 		got := append([]string(nil), want[:emit]...)
 		got = append(got, Collect(nfa.Alphabet(), e, 0)...)
-		thief, err := e.OpenShard(s)
+		thief, err := e.OpenShardAt(s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -495,12 +496,12 @@ func TestDeliveryBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestStaticModeDisablesStealing: StealThreshold < 0 reproduces the static
-// fan-out — no cell is ever split.
+// TestStaticModeDisablesStealing: a StealThreshold no cell reaches
+// reproduces the static fan-out — no cell is ever split.
 func TestStaticModeDisablesStealing(t *testing.T) {
 	nfa := automata.SkewedDensity(3)
 	st, err := NewNFAStream(nfa, 10, StreamOptions{
-		Workers: 4, Shards: 4, Ordered: true, StealThreshold: -1,
+		Workers: 4, Shards: 4, Ordered: true, StealThreshold: math.MaxInt,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -580,7 +581,11 @@ func TestParallelOrderedResumeEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rst, err := NewNFAStreamFrom(nfa, f, aggressive(true))
+			tmpl, err := NewNFA(nfa, f.Length)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rst, err := tmpl.StreamFrom(f, aggressive(true))
 			if err != nil {
 				t.Fatalf("trial %d split %d: parallel resume: %v", trial, k, err)
 			}
@@ -690,7 +695,7 @@ func TestSuffixFrontier(t *testing.T) {
 		e, _ := NewNFA(nfa, 6)
 		got := Collect(nfa.Alphabet(), e, k)
 		f := SuffixFrontier(e.Cursor())
-		st, err := NewNFAStreamFrom(nfa, f, aggressive(true))
+		st, err := e.StreamFrom(f, aggressive(true))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -778,6 +783,31 @@ func TestFrontierRejectsGarbage(t *testing.T) {
 	other := automata.Chain(a.Alphabet(), automata.Word{0, 1, 0})
 	if _, err := Resume(other, tok2); err == nil {
 		t.Error("frontier resume against a different automaton must fail")
+	}
+	// A position outside its cell fails when the cell opens, for both
+	// algorithms: below the cell's lower bound, off its prefix, too short.
+	ne, _ := NewNFA(a, length)
+	for _, tmpl := range []template{e, ne} {
+		for _, seg := range []FrontierSeg{
+			{Prefix: []int{1}, Lo: 1, Pos: []int{1, 0, 0}},
+			{Prefix: []int{0}, Pos: []int{1, 0, 0}},
+			{Pos: []int{0, 0}},
+		} {
+			f := tmpl.frontier()
+			f.Segs = []FrontierSeg{seg}
+			s, err := resumeFrontier(tmpl, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				if _, ok := s.Next(); !ok {
+					break
+				}
+			}
+			if s.Err() == nil {
+				t.Errorf("kind %q: cell %+v opened at a position outside it", f.Kind, seg)
+			}
+		}
 	}
 }
 

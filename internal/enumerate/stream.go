@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/big"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -44,6 +45,31 @@ func (s Shard) Lo() int { return s.lo }
 // how it is later suspended, reopened, or serialized. The caller must not
 // mutate it.
 func (s Shard) Ceil() []int { return s.ceil }
+
+// check validates the cell for an enumerator of the given kind and length,
+// and pos, when non-nil, as a position inside it: a full position that
+// extends the prefix, at or past the lower bound. The automaton-dependent
+// checks (decision ranges, viability) run in place's replay.
+func (s Shard) check(kind byte, n int, pos []int) error {
+	switch d := len(s.prefix); {
+	case s.kind != kind:
+		return fmt.Errorf("enumerate: shard kind %q, want %q", s.kind, kind)
+	case s.lo < 0:
+		return fmt.Errorf("enumerate: negative shard lower bound %d", s.lo)
+	case d > n:
+		return fmt.Errorf("enumerate: shard prefix length %d exceeds %d", d, n)
+	case len(s.ceil) > n:
+		return fmt.Errorf("enumerate: shard ceiling length %d exceeds %d", len(s.ceil), n)
+	case pos == nil:
+	case len(pos) != n:
+		return fmt.Errorf("enumerate: shard position has length %d, want %d", len(pos), n)
+	case !slices.Equal(pos[:d], s.prefix):
+		return fmt.Errorf("enumerate: shard position leaves the cell's prefix")
+	case d < n && pos[d] < s.lo:
+		return fmt.Errorf("enumerate: shard position below the cell's lower bound at depth %d", d)
+	}
+	return nil
+}
 
 // Defaults for the scheduler knobs (see StreamOptions).
 const (
@@ -88,8 +114,9 @@ type StreamOptions struct {
 	MergeBudget int
 	// StealThreshold is the number of words a cell must have produced
 	// since it was opened or last split before an idle worker may re-shard
-	// it at its current frontier (0 = DefaultStealThreshold; < 0 disables
-	// work-stealing, reproducing the static fan-out).
+	// it at its current frontier (≤ 0 = DefaultStealThreshold). A threshold
+	// no cell reaches, such as math.MaxInt, keeps the initial cells: the
+	// static fan-out.
 	StealThreshold int
 	// DeliveryBatch is the number of buffered words the consumer pops per
 	// lock acquisition (0 = DefaultDeliveryBatch; 1 = one word per lock,
@@ -115,15 +142,12 @@ func (o StreamOptions) budget() int {
 	return DefaultMergeBudget
 }
 
-// stealThreshold resolves StealThreshold; ok=false means stealing is off.
-func (o StreamOptions) stealThreshold() (int, bool) {
-	if o.StealThreshold < 0 {
-		return 0, false
+// stealThreshold resolves StealThreshold.
+func (o StreamOptions) stealThreshold() int {
+	if o.StealThreshold > 0 {
+		return o.StealThreshold
 	}
-	if o.StealThreshold == 0 {
-		return DefaultStealThreshold, true
-	}
-	return o.StealThreshold, true
+	return DefaultStealThreshold
 }
 
 // deliveryBatch resolves DeliveryBatch.
@@ -278,13 +302,12 @@ type Stream struct {
 	fp     uint32
 	length int
 	shards []Shard // initial cells, for diagnostics
-	open   func(Shard, []int) (cellEnum, error)
+	tmpl   template
 	opts   StreamOptions
 
 	// Resolved knobs (see StreamOptions).
 	budgetN   int
 	threshold int
-	stealOK   bool
 	batchN    int
 
 	mu       sync.Mutex
@@ -331,24 +354,21 @@ type Stream struct {
 	watchOnce sync.Once
 }
 
-// initialSeg seeds the scheduler with one cell, optionally mid-cell.
-type initialSeg struct {
-	shard Shard
-	start []int
-}
-
-// newStream builds the segment list, launches the workers and returns the
-// consumable stream.
-func newStream(kind byte, fp uint32, length int, inits []initialSeg, open func(Shard, []int) (cellEnum, error), opts StreamOptions) *Stream {
+// newStream builds the segment list from the seed cells (each
+// optionally mid-cell), launches the workers and returns the consumable
+// stream.
+func newStream(t template, seeds []FrontierSeg, opts StreamOptions) *Stream {
+	h := t.frontier()
+	kind, length := h.Kind, h.Length
 	st := &Stream{
 		kind:   kind,
-		fp:     fp,
+		fp:     h.FP,
 		length: length,
-		open:   open,
+		tmpl:   t,
 		opts:   opts,
 	}
 	st.budgetN = opts.budget()
-	st.threshold, st.stealOK = opts.stealThreshold()
+	st.threshold = opts.stealThreshold()
 	st.batchN = opts.deliveryBatch()
 	st.workCond = sync.NewCond(&st.mu)
 	st.roomCond = sync.NewCond(&st.mu)
@@ -361,10 +381,10 @@ func newStream(kind byte, fp uint32, length int, inits []initialSeg, open func(S
 		return b
 	}
 	var tail *segment
-	for _, in := range inits {
-		seg := &segment{id: st.nextID, shard: in.shard, start: in.start}
+	for _, in := range seeds {
+		seg := &segment{id: st.nextID, shard: in.shard(kind), start: in.Pos}
 		st.nextID++
-		st.shards = append(st.shards, in.shard)
+		st.shards = append(st.shards, seg.shard)
 		st.all = append(st.all, seg)
 		if tail == nil {
 			st.head = seg
@@ -423,7 +443,7 @@ func (st *Stream) worker() {
 		if !ok {
 			return
 		}
-		e, err := st.open(seg.shard, pos)
+		e, err := st.tmpl.openCell(seg.shard, pos)
 		if err != nil {
 			st.fail(err)
 			return
@@ -459,7 +479,7 @@ func (st *Stream) claim() (*segment, []int, bool) {
 				s.state = segRunning
 				return s, s.resumePosLocked(), true
 			}
-			if st.stealOK && s.state == segRunning && !s.stealReq && s.since >= st.threshold {
+			if s.state == segRunning && !s.stealReq && s.since >= st.threshold {
 				if victim == nil || biggerCellLocked(s, victim) {
 					victim = s
 				}
@@ -627,7 +647,7 @@ func (st *Stream) commit(seg *segment, b *wordBuf) {
 	if seg.remaining != nil && seg.remaining.Sign() > 0 {
 		seg.remaining.Sub(seg.remaining, bigOne)
 	}
-	if st.stealOK && seg.since%st.threshold == 0 {
+	if seg.since%st.threshold == 0 {
 		st.workCond.Broadcast()
 	}
 	st.consCond.Signal()
@@ -987,98 +1007,99 @@ func shardTarget(opts StreamOptions) int {
 	return 4 * opts.workers()
 }
 
-// freshInits wraps Shards-produced cells as scheduler seeds.
-func freshInits(shards []Shard) []initialSeg {
-	inits := make([]initialSeg, len(shards))
-	for i, s := range shards {
-		inits[i] = initialSeg{shard: s}
-	}
-	return inits
+// template is the enumerator a session is built on, one per algorithm: it
+// names the session by its empty frontier (kind, length, fingerprint),
+// splits its range into cells, and opens any cell at a position on its own
+// frozen precomputation (fork + place).
+type template interface {
+	frontier() Frontier
+	Shards(target int) []Shard
+	openCell(s Shard, pos []int) (cellEnum, error)
 }
+
+func (e *UFAEnumerator) frontier() Frontier { return Frontier{Kind: KindUFA, Length: e.n, FP: e.fp} }
+func (e *NFAEnumerator) frontier() Frontier {
+	return Frontier{Kind: KindNFA, Length: e.length, FP: e.fp}
+}
+
+func (e *UFAEnumerator) openCell(s Shard, pos []int) (cellEnum, error) { return e.OpenShardAt(s, pos) }
+func (e *NFAEnumerator) openCell(s Shard, pos []int) (cellEnum, error) { return e.OpenShardAt(s, pos) }
 
 // Stream opens a sharded parallel enumeration of this enumerator's range,
 // sharing its precomputation. The receiver must be fresh (not yet
 // iterated) and must not be used while the stream runs.
-func (e *UFAEnumerator) Stream(opts StreamOptions) *Stream {
-	inits := freshInits(e.Shards(shardTarget(opts)))
-	return newStream(KindUFA, e.fp, e.n, inits, func(s Shard, pos []int) (cellEnum, error) {
-		return e.OpenShardAt(s, pos)
-	}, opts)
-}
+func (e *UFAEnumerator) Stream(opts StreamOptions) *Stream { return stream(e, opts) }
 
 // StreamFrom reopens a parallel enumeration at a frontier recorded by a
 // previous session's Token, sharing this enumerator's precomputation: the
-// stream emits exactly the frontier's undelivered words.
+// stream emits exactly the frontier's undelivered words. The frontier must
+// have been minted on this enumerator's automaton, algorithm and length;
+// the stream reads its slices, which must not change while it runs.
 func (e *UFAEnumerator) StreamFrom(f Frontier, opts StreamOptions) (*Stream, error) {
-	inits, err := frontierInits(f, KindUFA, e.fp, e.n)
-	if err != nil {
-		return nil, err
-	}
-	return newStream(KindUFA, e.fp, e.n, inits, func(s Shard, pos []int) (cellEnum, error) {
-		return e.OpenShardAt(s, pos)
-	}, opts), nil
+	return streamFrom(e, f, opts)
 }
 
 // ResumeFrontier is the serial counterpart of StreamFrom: it drains the
-// frontier's cells one after another on this enumerator's
-// precomputation, under the contract of the package-level
-// ResumeFrontier.
-func (e *UFAEnumerator) ResumeFrontier(f Frontier) (Session, error) {
-	if f.Kind != KindUFA || f.FP != e.fp || f.Length != e.n {
-		return nil, fmt.Errorf("enumerate: frontier (kind %q, fingerprint %08x, length %d) does not match the enumerator", f.Kind, f.FP, f.Length)
-	}
-	return &chainSession{kind: KindUFA, fp: f.FP, length: f.Length, segs: f.Segs, open: func(s Shard, pos []int) (cellEnum, error) {
-		return e.OpenShardAt(s, pos)
-	}}, nil
-}
+// frontier's cells one after another, in frontier order, on this
+// enumerator's precomputation. Its Token is again a frontier token, so
+// serial and parallel resumption interoperate freely.
+func (e *UFAEnumerator) ResumeFrontier(f Frontier) (Session, error) { return resumeFrontier(e, f) }
 
-// Stream opens a sharded parallel enumeration of this enumerator's range,
-// sharing its precomputation. The receiver must be fresh (not yet
-// iterated) and must not be used while the stream runs.
-func (e *NFAEnumerator) Stream(opts StreamOptions) *Stream {
-	inits := freshInits(e.Shards(shardTarget(opts)))
-	return newStream(KindNFA, e.fp, e.length, inits, func(s Shard, pos []int) (cellEnum, error) {
-		return e.OpenShardAt(s, pos)
-	}, opts)
-}
+// Stream is (*UFAEnumerator).Stream for the flashlight.
+func (e *NFAEnumerator) Stream(opts StreamOptions) *Stream { return stream(e, opts) }
 
-// StreamFrom reopens a parallel enumeration at a frontier recorded by a
-// previous session's Token, under the same contract as the UFA variant.
+// StreamFrom is (*UFAEnumerator).StreamFrom for the flashlight.
 func (e *NFAEnumerator) StreamFrom(f Frontier, opts StreamOptions) (*Stream, error) {
-	inits, err := frontierInits(f, KindNFA, e.fp, e.length)
-	if err != nil {
+	return streamFrom(e, f, opts)
+}
+
+// ResumeFrontier is (*UFAEnumerator).ResumeFrontier for the flashlight.
+func (e *NFAEnumerator) ResumeFrontier(f Frontier) (Session, error) { return resumeFrontier(e, f) }
+
+// stream seeds a parallel session with t's initial cells.
+func stream(t template, opts StreamOptions) *Stream {
+	shards := t.Shards(shardTarget(opts))
+	segs := make([]FrontierSeg, len(shards))
+	for i, s := range shards {
+		segs[i] = FrontierSeg{Prefix: s.prefix}
+	}
+	return newStream(t, segs, opts)
+}
+
+// streamFrom seeds a parallel session with a frontier's cells.
+func streamFrom(t template, f Frontier, opts StreamOptions) (*Stream, error) {
+	if err := f.validateFor(t); err != nil {
 		return nil, err
 	}
-	return newStream(KindNFA, e.fp, e.length, inits, func(s Shard, pos []int) (cellEnum, error) {
-		return e.OpenShardAt(s, pos)
-	}, opts), nil
+	return newStream(t, f.Segs, opts), nil
 }
 
-// frontierInits validates a frontier against the built enumerator and
-// converts its segments into scheduler seeds.
-func frontierInits(f Frontier, kind byte, fp uint32, length int) ([]initialSeg, error) {
-	if f.Kind != kind {
-		return nil, fmt.Errorf("enumerate: frontier kind %q, want %q", f.Kind, kind)
+// resumeFrontier chains a frontier's cells serially.
+func resumeFrontier(t template, f Frontier) (Session, error) {
+	if err := f.validateFor(t); err != nil {
+		return nil, err
 	}
-	if f.FP != fp {
-		return nil, fmt.Errorf("enumerate: frontier fingerprint %08x does not match automaton (%08x)", f.FP, fp)
+	return &chainSession{tmpl: t, f: f}, nil
+}
+
+// validateFor reports an error unless the frontier was minted on the
+// template's automaton, algorithm and length.
+func (f Frontier) validateFor(t template) error {
+	if h := t.frontier(); f.Kind != h.Kind || f.FP != h.FP || f.Length != h.Length {
+		return fmt.Errorf("enumerate: frontier (kind %q, fingerprint %08x, length %d) does not match the enumerator (kind %q, fingerprint %08x, length %d)",
+			f.Kind, f.FP, f.Length, h.Kind, h.FP, h.Length)
 	}
-	if f.Length != length {
-		return nil, fmt.Errorf("enumerate: frontier length %d, want %d", f.Length, length)
+	return nil
+}
+
+// shard returns the cell a frontier segment describes; an empty ceiling is
+// unbounded.
+func (s FrontierSeg) shard(kind byte) Shard {
+	c := Shard{kind: kind, prefix: s.Prefix, lo: s.Lo}
+	if len(s.Ceil) > 0 {
+		c.ceil = s.Ceil
 	}
-	inits := make([]initialSeg, len(f.Segs))
-	for i, s := range f.Segs {
-		inits[i] = initialSeg{
-			shard: Shard{kind: kind, prefix: append([]int(nil), s.Prefix...), lo: s.Lo},
-		}
-		if len(s.Ceil) > 0 {
-			inits[i].shard.ceil = append([]int(nil), s.Ceil...)
-		}
-		if s.Pos != nil {
-			inits[i].start = append([]int(nil), s.Pos...)
-		}
-	}
-	return inits, nil
+	return c
 }
 
 // NewUFAStream is NewUFA followed by Stream: parallel constant-delay
@@ -1101,63 +1122,6 @@ func NewNFAStream(n *automata.NFA, length int, opts StreamOptions) (*Stream, err
 	return e.Stream(opts), nil
 }
 
-// NewUFAStreamFrom resumes a parallel constant-delay enumeration from a
-// frontier token's decoded form.
-func NewUFAStreamFrom(n *automata.NFA, f Frontier, opts StreamOptions) (*Stream, error) {
-	// Fingerprint (length-bound, see fpFor) before the length-sized
-	// precomputation: a forged frontier must not buy an index build.
-	if err := ValidateFrontier(n, f); err != nil {
-		return nil, err
-	}
-	e, err := NewUFA(n, f.Length)
-	if err != nil {
-		return nil, err
-	}
-	return e.StreamFrom(f, opts)
-}
-
-// NewNFAStreamFrom resumes a parallel polynomial-delay enumeration from a
-// frontier token's decoded form.
-func NewNFAStreamFrom(n *automata.NFA, f Frontier, opts StreamOptions) (*Stream, error) {
-	if err := ValidateFrontier(n, f); err != nil {
-		return nil, err
-	}
-	e, err := NewNFA(n, f.Length)
-	if err != nil {
-		return nil, err
-	}
-	return e.StreamFrom(f, opts)
-}
-
-// ResumeFrontier reopens a paused parallel session's frontier as a serial
-// session: the remaining cells are drained one after another, in frontier
-// order. Its Token is again a frontier token, so serial and parallel
-// resumption interoperate freely.
-func ResumeFrontier(n *automata.NFA, f Frontier) (Session, error) {
-	// Fingerprint (length-bound) before the length-sized precomputation,
-	// as in NewUFAFrom.
-	if err := ValidateFrontier(n, f); err != nil {
-		return nil, err
-	}
-	switch f.Kind {
-	case KindUFA:
-		e, err := NewUFA(n, f.Length)
-		if err != nil {
-			return nil, err
-		}
-		return e.ResumeFrontier(f)
-	case KindNFA:
-		e, err := NewNFA(n, f.Length)
-		if err != nil {
-			return nil, err
-		}
-		return &chainSession{kind: f.Kind, fp: f.FP, length: f.Length, segs: f.Segs, open: func(s Shard, pos []int) (cellEnum, error) {
-			return e.OpenShardAt(s, pos)
-		}}, nil
-	}
-	return nil, fmt.Errorf("enumerate: unknown frontier kind %q", f.Kind)
-}
-
 // ValidateFrontier is ValidateCursor for a frontier: it reports an error
 // unless the frontier was minted on this automaton at its embedded
 // length.
@@ -1171,14 +1135,11 @@ func ValidateFrontier(n *automata.NFA, f Frontier) error {
 // chainSession drains frontier cells serially: the serial face of a
 // parallel resume token.
 type chainSession struct {
-	kind   byte
-	fp     uint32
-	length int
-	open   func(Shard, []int) (cellEnum, error)
-	segs   []FrontierSeg
-	idx    int
-	cur    cellEnum
-	err    error
+	tmpl template
+	f    Frontier // f.Segs[idx:] are still undelivered
+	idx  int
+	cur  cellEnum
+	err  error
 }
 
 func (c *chainSession) Next() (automata.Word, bool) {
@@ -1187,11 +1148,11 @@ func (c *chainSession) Next() (automata.Word, bool) {
 	}
 	for {
 		if c.cur == nil {
-			if c.idx >= len(c.segs) {
+			if c.idx >= len(c.f.Segs) {
 				return nil, false
 			}
-			s := c.segs[c.idx]
-			e, err := c.open(Shard{kind: c.kind, prefix: s.Prefix, lo: s.Lo, ceil: ceilOrNil(s.Ceil)}, s.Pos)
+			s := c.f.Segs[c.idx]
+			e, err := c.tmpl.openCell(s.shard(c.f.Kind), s.Pos)
 			if err != nil {
 				c.err = err
 				return nil, false
@@ -1211,10 +1172,10 @@ func (c *chainSession) Next() (automata.Word, bool) {
 // (Err != nil) still serializes every undelivered cell, the failed one
 // included, so nothing is lost when the caller checkpoints after an error.
 func (c *chainSession) Token() (string, bool) {
-	f := Frontier{Kind: c.kind, FP: c.fp, Length: c.length}
-	if c.idx < len(c.segs) {
+	f := Frontier{Kind: c.f.Kind, FP: c.f.FP, Length: c.f.Length}
+	if segs := c.f.Segs; c.idx < len(segs) {
 		if c.cur != nil {
-			seg := c.segs[c.idx]
+			seg := segs[c.idx]
 			cu := c.cur.Cursor()
 			switch cu.State {
 			case CursorMid:
@@ -1224,11 +1185,11 @@ func (c *chainSession) Token() (string, bool) {
 				f.Segs = append(f.Segs, seg)
 			}
 			// CursorDone: the live cell is exhausted; skip it.
-			f.Segs = append(f.Segs, c.segs[c.idx+1:]...)
+			f.Segs = append(f.Segs, segs[c.idx+1:]...)
 		} else {
 			// Not yet opened — or its open failed: either way the whole
 			// cell (and everything after it) is still undelivered.
-			f.Segs = append(f.Segs, c.segs[c.idx:]...)
+			f.Segs = append(f.Segs, segs[c.idx:]...)
 		}
 	}
 	return f.Token(), true
@@ -1236,11 +1197,3 @@ func (c *chainSession) Token() (string, bool) {
 
 func (c *chainSession) Err() error { return c.err }
 func (c *chainSession) Close()     {}
-
-// ceilOrNil normalizes an empty ceiling to nil (unbounded).
-func ceilOrNil(c []int) []int {
-	if len(c) == 0 {
-		return nil
-	}
-	return c
-}

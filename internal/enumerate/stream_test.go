@@ -45,7 +45,7 @@ func TestUFAShardCompleteness(t *testing.T) {
 				shards := tmpl.Shards(target)
 				var got []string
 				for _, s := range shards {
-					se, err := tmpl.OpenShard(s)
+					se, err := tmpl.OpenShardAt(s, nil)
 					if err != nil {
 						t.Fatalf("open shard %v: %v", s.Prefix(), err)
 					}
@@ -87,7 +87,7 @@ func TestNFAShardCompleteness(t *testing.T) {
 				shards := tmpl.Shards(target)
 				var got []string
 				for _, s := range shards {
-					se, err := tmpl.OpenShard(s)
+					se, err := tmpl.OpenShardAt(s, nil)
 					if err != nil {
 						t.Fatalf("open shard %v: %v", s.Prefix(), err)
 					}
@@ -286,7 +286,7 @@ func TestShardsCoverTargets(t *testing.T) {
 		t.Fatalf("got %d shards, want ≥ 16", len(shards))
 	}
 	for _, s := range shards {
-		if _, err := e.OpenShard(s); err != nil {
+		if _, err := e.OpenShardAt(s, nil); err != nil {
 			t.Fatalf("open %v: %v", s.Prefix(), err)
 		}
 	}

@@ -5,7 +5,8 @@
 //   - CountNFA: exact #NFA by an on-the-fly subset construction. This is
 //     the baseline that is correct for every NFA but exponential in the
 //     worst case; the FPRAS in internal/fpras exists because of it.
-//   - CountBrute: exhaustive Σⁿ membership, the last-resort test oracle.
+//
+// The brute-force reference both are tested against is internal/oracle.
 //
 // All counters return math/big integers since |L_n| can reach |Σ|ⁿ.
 package exact
@@ -128,48 +129,4 @@ func CountNFA(n *automata.NFA, length int, maxSubsets int) (*big.Int, error) {
 		}
 	}
 	return total, nil
-}
-
-// CountBrute enumerates Σⁿ and tests membership: the O(|Σ|ⁿ·n·m) oracle
-// used to validate everything else at small sizes.
-func CountBrute(n *automata.NFA, length int) *big.Int {
-	total := big.NewInt(0)
-	w := make(automata.Word, length)
-	var rec func(i int)
-	rec = func(i int) {
-		if i == length {
-			if n.Accepts(w) {
-				total.Add(total, big.NewInt(1))
-			}
-			return
-		}
-		for a := 0; a < n.Alphabet().Size(); a++ {
-			w[i] = a
-			rec(i + 1)
-		}
-	}
-	rec(0)
-	return total
-}
-
-// LanguageSlice returns L_n(N) as formatted strings in lexicographic symbol
-// order. Exponential; for tests and tiny demos only.
-func LanguageSlice(n *automata.NFA, length int) []string {
-	var out []string
-	w := make(automata.Word, length)
-	var rec func(i int)
-	rec = func(i int) {
-		if i == length {
-			if n.Accepts(w) {
-				out = append(out, n.Alphabet().FormatWord(w))
-			}
-			return
-		}
-		for a := 0; a < n.Alphabet().Size(); a++ {
-			w[i] = a
-			rec(i + 1)
-		}
-	}
-	rec(0)
-	return out
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/automata"
+	"repro/internal/oracle"
 )
 
 func TestCountUFAPaperExample(t *testing.T) {
@@ -21,7 +22,7 @@ func TestCountUFAMatchesBruteOnDFAs(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := automata.RandomDFA(rng, automata.Binary(), 2+rng.Intn(5), 0.4)
 		length := rng.Intn(7)
-		return CountUFA(n, length).Cmp(CountBrute(n, length)) == 0
+		return CountUFA(n, length).Cmp(oracle.Count(n, length)) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -33,7 +34,7 @@ func TestCountUFARejectsNothingButOvercountsAmbiguous(t *testing.T) {
 	// string count — the failure mode that motivates the FPRAS.
 	n := automata.AmbiguityGap(4)
 	paths := CountUFA(n, 4)
-	strings := CountBrute(n, 4)
+	strings := oracle.Count(n, 4)
 	if paths.Cmp(strings) <= 0 {
 		t.Fatalf("paths %v should exceed strings %v", paths, strings)
 	}
@@ -48,7 +49,7 @@ func TestCountNFAMatchesBrute(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return got.Cmp(CountBrute(n, length)) == 0
+		return got.Cmp(oracle.Count(n, length)) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -65,7 +66,7 @@ func TestCountNFATernaryAlphabet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Cmp(CountBrute(n, length)) != 0 {
+		if got.Cmp(oracle.Count(n, length)) != 0 {
 			t.Fatalf("trial %d: mismatch", trial)
 		}
 	}
@@ -140,20 +141,6 @@ func TestCompletionCountsConsistentWithCountUFA(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLanguageSliceSorted(t *testing.T) {
-	n, length := automata.PaperExample()
-	got := LanguageSlice(n, length)
-	want := []string{"aaa", "aab", "bba", "bbb"}
-	if len(got) != len(want) {
-		t.Fatalf("LanguageSlice = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("LanguageSlice = %v, want %v", got, want)
-		}
 	}
 }
 

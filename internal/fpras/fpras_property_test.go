@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/automata"
 	"repro/internal/exact"
+	"repro/internal/oracle"
 )
 
 // Property: with K above every witness-set size, the estimator is exact on
@@ -25,7 +26,7 @@ func TestQuickExactWhenKDominates(t *testing.T) {
 		if !est.Exact() {
 			return false
 		}
-		return est.CountInt().Cmp(exact.CountBrute(n, length)) == 0
+		return est.CountInt().Cmp(oracle.Count(n, length)) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -47,7 +48,7 @@ func TestQuickSamplesAreWitnesses(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			w, err := est.SampleWitness(3000)
 			if err == ErrEmpty {
-				return exact.CountBrute(n, 6).Sign() == 0
+				return oracle.Count(n, 6).Sign() == 0
 			}
 			if err != nil {
 				return true // Las Vegas exhaustion at K=8 is acceptable

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/automata"
 	"repro/internal/exact"
+	"repro/internal/oracle"
 	"repro/internal/stats"
 )
 
@@ -27,7 +28,7 @@ func TestExactlyHandledSmallInstances(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := exact.CountBrute(n, length)
+		want := oracle.Count(n, length)
 		if !est.Exact() {
 			t.Fatalf("trial %d: expected exactly-handled estimator", trial)
 		}

@@ -84,33 +84,6 @@ func (p *Product) SampleRangePathsCtx(ctx context.Context, ci *core.Instance, lo
 	return out, nil
 }
 
-// PathAt returns the path at the given 0-based rank of the enumeration
-// order — random access into ⟦Q⟧_n(G, u, v) through the core instance's
-// counting index. Unambiguous products only (core.Unrank's contract);
-// pair with CursorOptions.SeekRank to stream from that point on.
-func (p *Product) PathAt(ci *core.Instance, r *big.Int) (Path, error) {
-	w, err := ci.Unrank(r)
-	if err != nil {
-		return nil, err
-	}
-	return p.WordToPath(w), nil
-}
-
-// SampleDistinctPaths draws k distinct paths uniformly without
-// replacement (rank-space rejection through the counting index).
-// Unambiguous products only; core.ErrEmpty when there is no path.
-func (p *Product) SampleDistinctPaths(ci *core.Instance, k int) ([]Path, error) {
-	ws, err := ci.SampleDistinct(k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Path, len(ws))
-	for i, w := range ws {
-		out[i] = p.WordToPath(w)
-	}
-	return out, nil
-}
-
 // Next returns the next path, or ok=false when the session is exhausted or
 // failed (check Err). The path is freshly allocated (WordToPath copies),
 // so it stays valid across calls.

@@ -73,9 +73,6 @@ func (g *Graph) AddEdge(u int, label automata.Symbol, v int) int {
 	return id
 }
 
-// Out returns the outgoing edges of u.
-func (g *Graph) Out(u int) []Edge { return g.edges[u] }
-
 // EdgeByID resolves an edge id to (from, label, to).
 func (g *Graph) EdgeByID(id int) (from int, label automata.Symbol, to int) {
 	e := g.edgeList[id]

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/automata"
 	"repro/internal/exact"
+	"repro/internal/oracle"
 )
 
 func diamondGraph(t *testing.T) *Graph {
@@ -89,13 +90,13 @@ func TestWordToPathRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	words := exact.LanguageSlice(prod.N, 2)
+	words := oracle.Strings(prod.N, 2)
 	if len(words) != 2 {
 		t.Fatalf("expected 2 paths, got %v", words)
 	}
 	for _, ws := range words {
 		// Parse back the edge word ("e0e1" style names are single symbols
-		// internally; LanguageSlice formats with names, so re-derive).
+		// internally; oracle.Strings formats with names, so re-derive).
 		_ = ws
 	}
 	// Validate via enumeration of the automaton's words directly.

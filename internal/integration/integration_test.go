@@ -20,6 +20,7 @@ import (
 	"repro/internal/exact"
 	"repro/internal/fpras"
 	"repro/internal/graphdb"
+	"repro/internal/oracle"
 	"repro/internal/regex"
 	"repro/internal/sample"
 	"repro/internal/spanner"
@@ -34,7 +35,7 @@ func TestCountersAgreeOnRandomNFAs(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := automata.Trim(automata.Random(rng, automata.Binary(), 2+rng.Intn(5), 0.3, 0.4))
 		length := rng.Intn(7)
-		brute := exact.CountBrute(n, length)
+		brute := oracle.Count(n, length)
 		subset, err := exact.CountNFA(n, length, 0)
 		if err != nil || subset.Cmp(brute) != 0 {
 			return false

@@ -132,10 +132,14 @@ func FuzzRangeCursor(f *testing.F) {
 					}
 					return enumerate.Resume(n, cursor)
 				}
-				if seek != nil {
-					return enumerate.NewUFAAt(n, length, seek)
+				e, err := enumerate.NewUFA(n, length)
+				if err == nil && seek != nil {
+					err = e.SeekRank(seek)
 				}
-				return enumerate.NewUFA(n, length)
+				if err != nil {
+					return nil, err
+				}
+				return e, nil
 			}
 			s, err := enumerate.ResumeRangeSession(c, enumerate.Fingerprint(n), factory)
 			if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/automata"
 	"repro/internal/exact"
+	"repro/internal/oracle"
 	"repro/internal/stats"
 )
 
@@ -323,7 +324,7 @@ func TestRangeSamplerUniform(t *testing.T) {
 	perLength := make(map[int][]string)
 	var support []string
 	for n := lo; n <= hi; n++ {
-		words := exact.LanguageSlice(nfa, n)
+		words := oracle.Strings(nfa, n)
 		perLength[n] = words
 		support = append(support, words...)
 	}

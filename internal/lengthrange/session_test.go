@@ -21,10 +21,14 @@ func ufaFactory(n *automata.NFA) enumerate.SessionFactory {
 		if cursor != "" {
 			return enumerate.Resume(n, cursor)
 		}
-		if seek != nil {
-			return enumerate.NewUFAAt(n, length, seek)
+		e, err := enumerate.NewUFA(n, length)
+		if err == nil && seek != nil {
+			err = e.SeekRank(seek)
 		}
-		return enumerate.NewUFA(n, length)
+		if err != nil {
+			return nil, err
+		}
+		return e, nil
 	}
 }
 

@@ -525,7 +525,7 @@ func (s *Server) handleRank(ctx context.Context, w http.ResponseWriter, ir *inst
 		s.fail(w, errors.New("missing word to rank"))
 		return
 	}
-	word, err := parseWitness(inst, *req.Word)
+	word, err := inst.Automaton().Alphabet().ParseWord(*req.Word)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -601,28 +601,4 @@ func parseRank(s string) (*big.Int, error) {
 		return nil, fmt.Errorf("malformed rank %q (want a decimal integer)", s)
 	}
 	return r, nil
-}
-
-// parseWitness decodes a witness string with the instance's alphabet,
-// longest symbol name first at every position (same convention as the
-// CLIs).
-func parseWitness(inst *core.Instance, s string) (automata.Word, error) {
-	alpha := inst.Automaton().Alphabet()
-	var w automata.Word
-	for len(s) > 0 {
-		best := -1
-		bestLen := 0
-		for a := 0; a < alpha.Size(); a++ {
-			name := alpha.Name(a)
-			if len(name) > bestLen && strings.HasPrefix(s, name) {
-				best, bestLen = a, len(name)
-			}
-		}
-		if best < 0 {
-			return nil, fmt.Errorf("witness %q: no alphabet symbol matches at %q", s, s[:1])
-		}
-		w = append(w, best)
-		s = s[bestLen:]
-	}
-	return w, nil
 }

@@ -81,20 +81,3 @@ func WordAtRange(pattern string, alpha *automata.Alphabet, lo, hi int, rank *big
 	}
 	return inst.UnrankRange(lo, hi, rank)
 }
-
-// WordAt returns the length-n match at the given 0-based rank of the
-// enumeration order — random access into the match stream through the
-// counting index. Only patterns whose Glushkov automaton is unambiguous
-// support ranked access (core.Unrank's contract); pass
-// CursorOptions.SeekRank to Words to stream from the rank on instead.
-func WordAt(pattern string, alpha *automata.Alphabet, n int, rank *big.Int) (automata.Word, error) {
-	nfa, err := Compile(pattern, alpha)
-	if err != nil {
-		return nil, err
-	}
-	inst, err := core.New(nfa, n, core.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return inst.Unrank(rank)
-}

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/automata"
-	"repro/internal/exact"
 	"repro/internal/leakcheck"
+	"repro/internal/oracle"
 	"repro/internal/stats"
 )
 
@@ -84,7 +84,7 @@ func TestUFASamplerMatchesExactCountsOnRandomDFAs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lang := exact.LanguageSlice(n, length)
+		lang := oracle.Strings(n, length)
 		if len(lang) == 0 {
 			if _, err := s.Sample(rng); err != ErrEmpty {
 				t.Fatalf("empty language should give ErrEmpty, got %v", err)
@@ -181,7 +181,7 @@ func TestWalkSamplerAgreesWithIndexSampler(t *testing.T) {
 			}
 			b[n.Alphabet().FormatWord(ww)]++
 		}
-		lang := exact.LanguageSlice(n, length)
+		lang := oracle.Strings(n, length)
 		for _, counts := range []map[string]int{a, b} {
 			if err := stats.UniformOverSupport(counts, lang); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
@@ -404,7 +404,7 @@ func TestSamplerTernaryAlphabet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := exact.LanguageSlice(n, 2)
+	want := oracle.Strings(n, 2)
 	if s.Count().Cmp(big.NewInt(int64(len(want)))) != 0 {
 		t.Fatalf("count %v != |lang| %d", s.Count(), len(want))
 	}

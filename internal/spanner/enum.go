@@ -53,8 +53,8 @@ func (inst *Instance) EnumerateRange(ci *core.Instance, lo, hi int, opts core.Cu
 }
 
 // MappingAtRange returns the mapping at the given global 0-based rank of
-// the length-lexicographic order over [lo, hi] — the range form of
-// MappingAt, through the shared cross-length index. Unambiguous
+// the length-lexicographic order over [lo, hi] (core.UnrankRange on the
+// encoding), through the shared cross-length index. Unambiguous
 // encodings only.
 func (inst *Instance) MappingAtRange(ci *core.Instance, lo, hi int, r *big.Int) (Mapping, error) {
 	w, err := ci.UnrankRange(lo, hi, r)
@@ -78,48 +78,6 @@ func (inst *Instance) SampleRangeMappings(ci *core.Instance, lo, hi, k, workers 
 // cancels and the batch contents are identical.
 func (inst *Instance) SampleRangeMappingsCtx(ctx context.Context, ci *core.Instance, lo, hi, k, workers int) ([]Mapping, error) {
 	ws, err := ci.SampleManyRangeCtx(ctx, lo, hi, k, workers)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Mapping, len(ws))
-	for i, w := range ws {
-		mp, err := inst.DecodeMapping(w)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = mp
-	}
-	return out, nil
-}
-
-// MappingAt returns the mapping at the given 0-based rank of the
-// enumeration order — random access into ⟦A⟧(d) through the core
-// instance's counting index. Unambiguous encodings only (Corollary 7's
-// class; core.Unrank's contract). RankOf inverts it; pair with
-// CursorOptions.SeekRank to stream from the rank on.
-func (inst *Instance) MappingAt(ci *core.Instance, r *big.Int) (Mapping, error) {
-	w, err := ci.Unrank(r)
-	if err != nil {
-		return nil, err
-	}
-	return inst.DecodeMapping(w)
-}
-
-// RankOf returns the rank of a mapping in the enumeration order, via
-// EncodeMapping and the counting index.
-func (inst *Instance) RankOf(ci *core.Instance, mp Mapping) (*big.Int, error) {
-	w, err := inst.EncodeMapping(mp)
-	if err != nil {
-		return nil, err
-	}
-	return ci.Rank(w)
-}
-
-// SampleDistinctMappings draws k distinct mappings uniformly without
-// replacement (rank-space rejection through the counting index).
-// Unambiguous encodings only; core.ErrEmpty when ⟦A⟧(d) is empty.
-func (inst *Instance) SampleDistinctMappings(ci *core.Instance, k int) ([]Mapping, error) {
-	ws, err := ci.SampleDistinct(k)
 	if err != nil {
 		return nil, err
 	}

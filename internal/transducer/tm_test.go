@@ -7,6 +7,7 @@ import (
 	"repro/internal/automata"
 	"repro/internal/core"
 	"repro/internal/exact"
+	"repro/internal/oracle"
 )
 
 func fib(n int) int64 {
@@ -54,7 +55,7 @@ func TestFibonacciTMOutputsValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range exact.LanguageSlice(nfa, 7) {
+	for _, s := range oracle.Strings(nfa, 7) {
 		for i := 0; i+1 < len(s); i++ {
 			if s[i] == '1' && s[i+1] == '1' {
 				t.Fatalf("output %q has consecutive 1s", s)
