@@ -81,7 +81,7 @@ func BenchmarkE3_SampleUFA(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if s.Count().Sign() == 0 {
+	if s.TotalRange().Sign() == 0 {
 		b.Skip("empty slice")
 	}
 	b.ResetTimer()
@@ -92,40 +92,21 @@ func BenchmarkE3_SampleUFA(b *testing.B) {
 	}
 }
 
-// BenchmarkSampleUFA: per-draw cost of the three exact uniform samplers
-// on a 64-state depth-20 UFA — the workload of experiment E17. "walk" is
-// the pre-index reference (per-draw residual-count accumulation, ~3
-// allocations per transition), "indexed" the rank-space sampler (one
-// uniform rank + one Unrank binary-search walk), "session" the same with
-// per-session scratch (zero allocations per draw). The acceptance bar for
-// the index rewrite is ≥ 3× fewer allocs/op for indexed vs walk.
+// BenchmarkSampleUFA: per-draw cost of exact uniform sampling on the
+// counting index of a 64-state depth-20 UFA — the workload of experiment
+// E17. "indexed" is one uniform rank + one Unrank binary-search walk,
+// "session" the same with per-session scratch (zero allocations per
+// draw), "distinct" 16 draws without replacement.
 func BenchmarkSampleUFA(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	dfa := automata.RandomDFA(rng, automata.Binary(), 64, 0.5)
 	const depth = 20
-	b.Run("walk", func(b *testing.B) {
-		s, err := sample.NewWalkSampler(dfa, depth)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if s.Count().Sign() == 0 {
-			b.Skip("empty slice")
-		}
-		draw := rand.New(rand.NewSource(18))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.Sample(draw); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("indexed", func(b *testing.B) {
 		s, err := sample.NewUFASampler(dfa, depth)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if s.Count().Sign() == 0 {
+		if s.TotalRange().Sign() == 0 {
 			b.Skip("empty slice")
 		}
 		draw := rand.New(rand.NewSource(18))
@@ -142,7 +123,7 @@ func BenchmarkSampleUFA(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if s.Count().Sign() == 0 {
+		if s.TotalRange().Sign() == 0 {
 			b.Skip("empty slice")
 		}
 		d := s.NewDrawSession(rand.New(rand.NewSource(18)))
@@ -159,14 +140,14 @@ func BenchmarkSampleUFA(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if s.Count().Sign() == 0 {
+		if s.TotalRange().Sign() == 0 {
 			b.Skip("empty slice")
 		}
 		draw := rand.New(rand.NewSource(18))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.SampleDistinct(16, draw); err != nil {
+			if _, err := s.SampleDistinctAt(depth, 16, draw); err != nil {
 				b.Fatal(err)
 			}
 		}

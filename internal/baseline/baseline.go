@@ -4,7 +4,9 @@
 //   - MonteCarloPaths is the natural unbiased estimator sketched (and
 //     dismissed) in §6.1: sample a uniform accepting path, reweight by the
 //     ambiguity of its string. Unbiased, but its variance is exponential on
-//     ambiguity-gap instances, which experiment E6 demonstrates.
+//     ambiguity-gap instances, which experiment E6 demonstrates. Its path
+//     draw is a uniform rank of the counting index (internal/lengthrange),
+//     which on an ambiguous automaton counts and draws accepting runs.
 //
 // The exact counters they are measured against are exact.CountNFA (the
 // on-the-fly subset DP) and internal/oracle (brute force).
@@ -16,17 +18,16 @@ import (
 	"math/rand"
 
 	"repro/internal/automata"
-	"repro/internal/exact"
-	"repro/internal/sample"
+	"repro/internal/lengthrange"
 )
 
 // MonteCarloPaths estimates |L_n(N)| with `samples` path draws: each draw
-// picks an accepting path uniformly at random (weighting transitions by
-// accepting-path completions), computes the ambiguity P_x of its string x,
-// and averages P/P_x where P is the total number of accepting paths. The
-// estimator is unbiased: E[P/P_x] = Σ_x (P_x/P)(P/P_x) = |L_n|. On
-// automata whose strings have wildly different ambiguity it needs
-// exponentially many samples (§6.1).
+// picks an accepting path uniformly at random (one uniform rank of the
+// [n, n] counting index, whose ranks are the accepting runs), computes the
+// ambiguity P_x of its string x, and averages P/P_x where P is the total
+// number of accepting paths. The estimator is unbiased: E[P/P_x] =
+// Σ_x (P_x/P)(P/P_x) = |L_n|. On automata whose strings have wildly
+// different ambiguity it needs exponentially many samples (§6.1).
 func MonteCarloPaths(n *automata.NFA, length, samples int, rng *rand.Rand) (*big.Float, error) {
 	if n.HasEpsilon() {
 		return nil, fmt.Errorf("baseline: automaton has ε-transitions")
@@ -34,40 +35,21 @@ func MonteCarloPaths(n *automata.NFA, length, samples int, rng *rand.Rand) (*big
 	if samples <= 0 {
 		return nil, fmt.Errorf("baseline: need a positive sample budget")
 	}
-	// comp[r][q] = number of accepting paths of length r from q.
-	comp := exact.CompletionCounts(n, length)
-	total := comp[length][n.Start()]
+	idx, err := lengthrange.Build(n, length, length, 1)
+	if err != nil {
+		return nil, err
+	}
+	total := idx.TotalRange()
 	if total.Sign() == 0 {
 		return big.NewFloat(0), nil
 	}
 	prec := uint(64 + length)
 	sum := new(big.Float).SetPrec(prec)
-	w := make(automata.Word, length)
+	draw := idx.NewDrawSession(rng)
 	for s := 0; s < samples; s++ {
-		// Draw a uniform accepting path by completion-weighted walking.
-		q := n.Start()
-		for r := length; r > 0; r-- {
-			pick := sample.RandBig(rng, comp[r][q])
-			acc := new(big.Int)
-			done := false
-			for a := 0; a < n.Alphabet().Size() && !done; a++ {
-				for _, p := range n.Successors(q, a) {
-					c := comp[r-1][p]
-					if c.Sign() == 0 {
-						continue
-					}
-					acc.Add(acc, c)
-					if pick.Cmp(acc) < 0 {
-						w[length-r] = a
-						q = p
-						done = true
-						break
-					}
-				}
-			}
-			if !done {
-				return nil, fmt.Errorf("baseline: inconsistent completion counts")
-			}
+		w, err := draw.Sample()
+		if err != nil {
+			return nil, err
 		}
 		// Reweight by the ambiguity of the sampled string.
 		px := automata.CountAcceptingRuns(n, w)

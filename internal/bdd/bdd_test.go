@@ -160,8 +160,8 @@ func TestOBDDSamplingAndEnumeration(t *testing.T) {
 		t.Fatal(err)
 	}
 	// C(6,4)+C(6,5)+C(6,6) = 15+6+1 = 22.
-	if s.Count().Cmp(big.NewInt(22)) != 0 {
-		t.Fatalf("count = %v, want 22", s.Count())
+	if s.TotalRange().Cmp(big.NewInt(22)) != 0 {
+		t.Fatalf("count = %v, want 22", s.TotalRange())
 	}
 	rng := rand.New(rand.NewSource(71))
 	seen := map[string]bool{}

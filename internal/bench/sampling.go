@@ -9,19 +9,20 @@ import (
 	"repro/internal/sample"
 )
 
-// E17SamplerThroughput sweeps the exact uniform samplers on the
+// E17SamplerThroughput sweeps the exact uniform sampler on the
 // BenchmarkSampleUFA workload (a 64-state depth-20 random UFA): the
-// pre-index per-draw walk against the rank-space sampler (one uniform
-// rank + one prefix-sum binary search per draw), the allocation-free draw
-// session, the chunked parallel batch at 1 and 4 workers (verified
-// bitwise identical), and the without-replacement overhead of
-// SampleDistinct. On a single-core host the worker sweep measures
-// scheduling overhead only; the per-draw rows are machine-independent
-// ratios.
+// rank-space draw (one uniform rank + one prefix-sum binary search), the
+// allocation-free draw session, the chunked parallel batch at 1 and 4
+// workers (verified bitwise identical), and the without-replacement
+// overhead of SampleDistinctAt, all on one counting index. Speedups are
+// relative to indexed/draw. The per-draw completion-count walk the index
+// replaced is gone; ROADMAP's performance trajectory keeps its numbers
+// (row 4). On a single-core host the worker sweep measures scheduling
+// overhead only; the per-draw rows are machine-independent ratios.
 func E17SamplerThroughput(quick bool) *Table {
 	t := &Table{
 		ID:     "E17",
-		Title:  "Exact uniform sampling: per-draw walk vs rank-space index (one shared counting DAG)",
+		Title:  "Exact uniform sampling on the rank-space index (one shared counting index)",
 		Header: []string{"sampler", "draws", "total", "time/draw", "speedup", "check"},
 	}
 	states, depth, draws := 64, 20, 20000
@@ -31,26 +32,23 @@ func E17SamplerThroughput(quick bool) *Table {
 	rng := rand.New(rand.NewSource(17))
 	dfa := automata.RandomDFA(rng, automata.Binary(), states, 0.5)
 
-	walk, err := sample.NewWalkSampler(dfa, depth)
-	if err != nil {
-		t.Notes = append(t.Notes, "setup failed: "+err.Error())
-		return t
-	}
 	idx, err := sample.NewUFASampler(dfa, depth)
 	if err != nil {
 		t.Notes = append(t.Notes, "setup failed: "+err.Error())
 		return t
 	}
-	if walk.Count().Cmp(idx.Count()) != 0 {
-		t.Notes = append(t.Notes, "COUNT MISMATCH between walk and index samplers")
-		return t
-	}
-	if idx.Count().Sign() == 0 {
+	if idx.TotalRange().Sign() == 0 {
 		t.Notes = append(t.Notes, "empty language slice; nothing to sample")
 		return t
 	}
 
-	var walkTime time.Duration
+	var indexedTime time.Duration
+	speedup := func(d time.Duration) string {
+		if indexedTime > 0 && d > 0 {
+			return fmt.Sprintf("%.2fx", float64(indexedTime)/float64(d))
+		}
+		return "-"
+	}
 	row := func(name string, n int, run func(draw *rand.Rand) error) {
 		draw := rand.New(rand.NewSource(18))
 		start := time.Now()
@@ -60,24 +58,12 @@ func E17SamplerThroughput(quick bool) *Table {
 		if err != nil {
 			check = "err:" + err.Error()
 		}
-		if name == "walk/draw" {
-			walkTime = d
+		if name == "indexed/draw" {
+			indexedTime = d
 		}
-		speed := "-"
-		if walkTime > 0 && d > 0 {
-			speed = fmt.Sprintf("%.2fx", float64(walkTime)/float64(d))
-		}
-		t.AddRow(name, fmt.Sprint(n), ms(d), us(d/time.Duration(n)), speed, check)
+		t.AddRow(name, fmt.Sprint(n), ms(d), us(d/time.Duration(n)), speedup(d), check)
 	}
 
-	row("walk/draw", draws, func(draw *rand.Rand) error {
-		for i := 0; i < draws; i++ {
-			if _, err := walk.Sample(draw); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 	row("indexed/draw", draws, func(draw *rand.Rand) error {
 		for i := 0; i < draws; i++ {
 			if _, err := idx.Sample(draw); err != nil {
@@ -118,8 +104,7 @@ func E17SamplerThroughput(quick bool) *Table {
 			}
 		}
 	}
-	t.AddRow("many/4workers", fmt.Sprint(draws), ms(d), us(d/time.Duration(draws)),
-		fmt.Sprintf("%.2fx", float64(walkTime)/float64(d)), check)
+	t.AddRow("many/4workers", fmt.Sprint(draws), ms(d), us(d/time.Duration(draws)), speedup(d), check)
 
 	// Without-replacement: k distinct draws per round vs k independent
 	// draws (rank-space rejection overhead).
@@ -127,7 +112,7 @@ func E17SamplerThroughput(quick bool) *Table {
 	rounds := draws / kDistinct
 	row(fmt.Sprintf("distinct/k=%d", kDistinct), rounds*kDistinct, func(draw *rand.Rand) error {
 		for i := 0; i < rounds; i++ {
-			ws, err := idx.SampleDistinct(kDistinct, draw)
+			ws, err := idx.SampleDistinctAt(depth, kDistinct, draw)
 			if err != nil {
 				return err
 			}
@@ -144,8 +129,8 @@ func E17SamplerThroughput(quick bool) *Table {
 	})
 
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("m=%d states, n=%d, |L_n| has %d bits; one counting index serves every row but walk/draw", states, depth, idx.Count().BitLen()),
-		"expected shape: indexed ≳ 3x walk per draw (the alloc ratio is larger; see BenchmarkSampleUFA), session adds scratch reuse on top",
+		fmt.Sprintf("m=%d states, n=%d, |L_n| has %d bits; one counting index serves every row", states, depth, idx.TotalRange().BitLen()),
+		"expected shape: session/draw at or above indexed/draw (scratch reuse, zero allocations per draw; see BenchmarkSampleUFA)",
 		"acceptance: many/4workers bitwise-equal to many/1worker on any machine; speedup over 1worker needs real cores")
 	return t
 }

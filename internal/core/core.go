@@ -343,15 +343,7 @@ func (in *Instance) CountExact(maxSubsets int) (*big.Int, error) {
 // Count returns the class-appropriate count: exact (as a big.Float, with
 // exact=true) for ClassUL; the FPRAS estimate for ClassNL.
 func (in *Instance) Count() (value *big.Float, isExact bool, err error) {
-	if in.class == ClassUL {
-		c := exact.CountUFA(in.n, in.length)
-		return new(big.Float).SetPrec(uint(64 + in.length)).SetInt(c), true, nil
-	}
-	est, err := in.estimator()
-	if err != nil {
-		return nil, false, err
-	}
-	return est.Count(), est.Exact(), nil
+	return in.CountCtx(nil)
 }
 
 // CountCtx is Count with cooperative cancellation: for ClassNL the FPRAS
@@ -366,7 +358,8 @@ func (in *Instance) CountCtx(ctx context.Context) (value *big.Float, isExact boo
 		}
 	}
 	if in.class == ClassUL {
-		return in.Count()
+		c := exact.CountUFA(in.n, in.length)
+		return new(big.Float).SetPrec(uint(64 + in.length)).SetInt(c), true, nil
 	}
 	est, err := in.estimatorCtx(ctx)
 	if err != nil {
@@ -375,14 +368,9 @@ func (in *Instance) CountCtx(ctx context.Context) (value *big.Float, isExact boo
 	return est.Count(), est.Exact(), nil
 }
 
-// estimator lazily builds the FPRAS state, binary-encoding the alphabet if
-// needed. Safe for concurrent use: the first caller builds under the lock,
-// later callers reuse the frozen engine.
-func (in *Instance) estimator() (*fpras.Estimator, error) {
-	return in.estimatorCtx(nil)
-}
-
-// estimatorCtx is estimator with cooperative cancellation: ctx is checked
+// estimatorCtx lazily builds the FPRAS state, binary-encoding the
+// alphabet if needed. Safe for concurrent use: the first caller builds
+// under the lock, later callers reuse the frozen engine. ctx is checked
 // between the build's unrolling layers (see fpras.Params.Ctx), so a
 // cancelled caller abandons the build promptly; a nil ctx never cancels.
 // A cancelled build leaves no partial state behind — the next caller
@@ -1044,7 +1032,7 @@ func (in *Instance) Sample() (automata.Word, error) {
 		}
 		return w, err
 	}
-	est, err := in.estimator()
+	est, err := in.estimatorCtx(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -1063,7 +1051,7 @@ func (in *Instance) Sample() (automata.Word, error) {
 
 // encoding returns the instance's binary re-encoding (nil when the source
 // alphabet is already binary). It is built together with the estimator, so
-// callers must run estimator() first.
+// callers must run estimatorCtx first.
 func (in *Instance) encoding() *automata.BinaryEncoding {
 	in.mu.Lock()
 	defer in.mu.Unlock()

@@ -18,7 +18,6 @@ import (
 	"repro/internal/exact"
 	"repro/internal/lengthrange"
 	"repro/internal/oracle"
-	"repro/internal/sample"
 	"repro/internal/unroll"
 )
 
@@ -304,10 +303,9 @@ func TestZeroLengthMatchesOracle(t *testing.T) {
 		if err != nil || first.Sign() != 0 || count.Cmp(want) != 0 {
 			t.Fatalf("SubtreeSpanAt(0, nil) = %v, %v, %v; want 0, %v", first, count, err, want)
 		}
-		s := sample.NewUFASamplerIndex(nfa, x)
-		w, err := s.Sample(rand.New(rand.NewSource(1)))
+		w, err := x.Sample(rand.New(rand.NewSource(1)))
 		if want.Sign() == 0 {
-			if !errors.Is(err, sample.ErrEmpty) {
+			if !errors.Is(err, lengthrange.ErrEmpty) {
 				t.Fatalf("Sample on the empty slice: %v, %v", w, err)
 			}
 			if _, err := x.Rank(automata.Word{}); !errors.Is(err, lengthrange.ErrNotMember) {

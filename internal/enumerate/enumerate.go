@@ -113,7 +113,7 @@
 // re-enters stolen ranges. Peak buffering therefore never exceeds the
 // budget, regardless of skew; unordered (throughput) mode simply applies
 // the budget as backpressure. Delivery is batched: the consumer pops up
-// to DeliveryBatch words per lock acquisition into a private batch and
+// to DefaultDeliveryBatch words per lock acquisition into a private batch and
 // hands them out lock-free; popped-but-unconsumed words still count as
 // undelivered in resume tokens.
 //

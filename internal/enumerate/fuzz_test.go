@@ -74,6 +74,11 @@ func FuzzDecodeCursor(f *testing.F) {
 	f.Add(Frontier{Kind: KindUFA, Length: 3, FP: 7, Segs: []FrontierSeg{
 		{Prefix: []int{1}, Lo: 1, Ceil: []int{1, 0}, Pos: []int{1, 0, 0}},
 	}}.Token())
+	// A length-0 mid segment: ε delivered, which is not a fresh cell.
+	ne0, _ := NewNFA(amb, 0)
+	f0 := ne0.frontier()
+	f0.Segs = []FrontierSeg{{Pos: []int{}}}
+	f.Add(f0.Token())
 	for _, garbage := range []string{
 		"", "el1", "el1:u:", "el1:p:", "el1:x:AAAA", "el1:u:!!!", "el0:n:AAAA",
 		"el1:p:AAAAAAAA", "el1:n:" + strings.Repeat("A", 512),

@@ -440,9 +440,10 @@ func TestStealUnorderedCompleteness(t *testing.T) {
 }
 
 // TestDeliveryBatchEquivalence: ordered output and mid-stream resume are
-// invariant in the delivery batch size — batching only changes how many
-// words the consumer pops per lock acquisition, including when a token is
-// taken mid-batch (the unconsumed tail must reappear on resume).
+// invariant under batched delivery — batching only changes how many words
+// the consumer pops per lock acquisition, including when a token is taken
+// mid-batch (the unconsumed tail must reappear on resume). With a merge
+// budget of 16 no pop reaches DefaultDeliveryBatch words.
 func TestDeliveryBatchEquivalence(t *testing.T) {
 	nfa := automata.SubsetBlowup(3)
 	length := 8
@@ -451,46 +452,41 @@ func TestDeliveryBatchEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Collect(nfa.Alphabet(), serial, 0)
-	for _, batch := range []int{1, 2, 7, 64} {
-		opts := StreamOptions{
-			Workers: 4, Shards: 3, Ordered: true,
-			MergeBudget: 16, StealThreshold: 1, DeliveryBatch: batch,
+	opts := StreamOptions{Workers: 4, Shards: 3, Ordered: true, MergeBudget: 16, StealThreshold: 1}
+	st, err := NewNFAStream(nfa, length, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := collectStream(nfa.Alphabet(), st)
+	if len(got) != len(want) {
+		t.Fatalf("%d outputs, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("output %d = %q, want %q", i, got[i], want[i])
 		}
+	}
+	// Token taken mid-drain (mid-batch): the resumed session must emit
+	// exactly the rest.
+	for _, cut := range []int{1, 3, 5} {
 		st, err := NewNFAStream(nfa, length, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := collectStream(nfa.Alphabet(), st)
-		if len(got) != len(want) {
-			t.Fatalf("batch %d: %d outputs, want %d", batch, len(got), len(want))
+		head := drainN(nfa.Alphabet(), st, cut)
+		tok, _ := st.Token()
+		st.Close()
+		resumed, err := Resume(nfa, tok)
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("batch %d: output %d = %q, want %q", batch, i, got[i], want[i])
-			}
+		all := append(head, Collect(nfa.Alphabet(), resumed, 0)...)
+		if len(all) != len(want) {
+			t.Fatalf("cut %d: %d outputs, want %d", cut, len(all), len(want))
 		}
-		// Token taken mid-drain (mid-batch for batch > 1): the resumed
-		// session must emit exactly the rest.
-		for _, cut := range []int{1, 3, 5} {
-			st, err := NewNFAStream(nfa, length, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			head := drainN(nfa.Alphabet(), st, cut)
-			tok, _ := st.Token()
-			st.Close()
-			resumed, err := Resume(nfa, tok)
-			if err != nil {
-				t.Fatalf("batch %d cut %d: %v", batch, cut, err)
-			}
-			all := append(head, Collect(nfa.Alphabet(), resumed, 0)...)
-			if len(all) != len(want) {
-				t.Fatalf("batch %d cut %d: %d outputs, want %d", batch, cut, len(all), len(want))
-			}
-			for i := range all {
-				if all[i] != want[i] {
-					t.Fatalf("batch %d cut %d: output %d = %q, want %q", batch, cut, i, all[i], want[i])
-				}
+		for i := range all {
+			if all[i] != want[i] {
+				t.Fatalf("cut %d: output %d = %q, want %q", cut, i, all[i], want[i])
 			}
 		}
 	}

@@ -79,8 +79,10 @@ const (
 	// DefaultStealThreshold is the default number of words a cell must
 	// produce between splits before idle workers may re-shard it.
 	DefaultStealThreshold = 64
-	// DefaultDeliveryBatch is the default number of words the consumer
-	// pops per lock acquisition.
+	// DefaultDeliveryBatch is the number of buffered words the consumer
+	// pops per lock acquisition. Popped words move to the consumer's
+	// private batch, so the merge budget still bounds what producers
+	// buffer.
 	DefaultDeliveryBatch = 64
 )
 
@@ -118,12 +120,6 @@ type StreamOptions struct {
 	// no cell reaches, such as math.MaxInt, keeps the initial cells: the
 	// static fan-out.
 	StealThreshold int
-	// DeliveryBatch is the number of buffered words the consumer pops per
-	// lock acquisition (0 = DefaultDeliveryBatch; 1 = one word per lock,
-	// the pre-batching behavior). Larger batches cut consumer-lock
-	// contention; the merge-budget bound on producer-side buffering is
-	// unaffected (popped words move to the consumer's private batch).
-	DeliveryBatch int
 }
 
 // workers resolves the worker count.
@@ -148,14 +144,6 @@ func (o StreamOptions) stealThreshold() int {
 		return o.StealThreshold
 	}
 	return DefaultStealThreshold
-}
-
-// deliveryBatch resolves DeliveryBatch.
-func (o StreamOptions) deliveryBatch() int {
-	if o.DeliveryBatch > 0 {
-		return o.DeliveryBatch
-	}
-	return DefaultDeliveryBatch
 }
 
 // cellEnum is what the scheduler needs from a shard enumerator beyond
@@ -247,24 +235,23 @@ func (s *segment) pendingLocked() int { return len(s.buf) - s.off }
 // resumePosLocked is the cell's spill cursor: the position after which
 // production must resume when the cell is (re)opened — the last buffered
 // word if any, else the last delivered word, else the cell's start. A nil
-// result means the cell restarts from its beginning. Suspended cells hold
-// no enumerator at all: this cursor plus the shard descriptor (with its
-// ceiling) is the cell's entire persistent state.
+// result means the cell restarts from its beginning; positions are copied
+// with slices.Clone, which keeps nil apart from the empty position of
+// length 0 (ε delivered), where append onto nil would merge them.
+// Suspended cells hold no enumerator at all: this cursor plus the shard
+// descriptor (with its ceiling) is the cell's entire persistent state.
 func (s *segment) resumePosLocked() []int {
 	if s.pendingLocked() > 0 {
 		b := s.buf[len(s.buf)-1]
 		if b.pos != nil {
-			return append([]int(nil), b.pos...)
+			return slices.Clone(b.pos)
 		}
-		return append([]int(nil), b.w...)
+		return slices.Clone(b.w)
 	}
 	if s.deliv != nil {
-		return append([]int(nil), s.deliv...)
+		return slices.Clone(s.deliv)
 	}
-	if s.start != nil {
-		return append([]int(nil), s.start...)
-	}
-	return nil
+	return slices.Clone(s.start)
 }
 
 // ShardStat is one cell's scheduler statistics (see Stream.Stats).
@@ -308,7 +295,6 @@ type Stream struct {
 	// Resolved knobs (see StreamOptions).
 	budgetN   int
 	threshold int
-	batchN    int
 
 	mu       sync.Mutex
 	workCond *sync.Cond // workers wait: new pending cell, head advance, stop
@@ -334,12 +320,13 @@ type Stream struct {
 	pool  sync.Pool
 	prev  *wordBuf
 
-	// The consumer's private delivery batch: up to batchN words popped
-	// from one segment per lock acquisition, handed out by Next without
-	// re-locking. Only the consumer goroutine touches these fields outside
-	// the mutex; Token (same goroutine) reads them under it. closed gates
-	// the lock-free fast path after Close — the batch itself is kept so a
-	// post-Close Token still accounts for its unconsumed tail.
+	// The consumer's private delivery batch: up to DefaultDeliveryBatch
+	// words popped from one segment per lock acquisition, handed out by
+	// Next without re-locking. Only the consumer goroutine touches these
+	// fields outside the mutex; Token (same goroutine) reads them under
+	// it. closed gates the lock-free fast path after Close — the batch
+	// itself is kept so a post-Close Token still accounts for its
+	// unconsumed tail.
 	batch      []*wordBuf
 	batchIdx   int
 	batchSeg   *segment
@@ -369,7 +356,6 @@ func newStream(t template, seeds []FrontierSeg, opts StreamOptions) *Stream {
 	}
 	st.budgetN = opts.budget()
 	st.threshold = opts.stealThreshold()
-	st.batchN = opts.deliveryBatch()
 	st.workCond = sync.NewCond(&st.mu)
 	st.roomCond = sync.NewCond(&st.mu)
 	st.consCond = sync.NewCond(&st.mu)
@@ -716,25 +702,19 @@ func (st *Stream) resumeLocked(seg *segment) {
 	st.workCond.Broadcast()
 }
 
-// popBatchLocked moves up to batchN undelivered words from the segment's
-// buffer into the consumer's private batch — one lock acquisition serves
-// the whole run of Next calls that drains it — records the last popped
-// position as the segment's resume point, releases the freed budget to
-// the producers, and returns the first word. Popped words live only in the
-// batch: a later buffer drop or reopen of the cell resumes production
-// after them, and Token accounts for the not-yet-consumed tail (see
-// Token).
+// popBatchLocked moves up to DefaultDeliveryBatch undelivered words from
+// the segment's buffer into the consumer's private batch — one lock
+// acquisition serves the whole run of Next calls that drains it — records
+// the last popped position as the segment's resume point, releases the
+// freed budget to the producers, and returns the first word. Popped words
+// live only in the batch: a later buffer drop or reopen of the cell
+// resumes production after them, and Token accounts for the
+// not-yet-consumed tail (see Token).
 func (st *Stream) popBatchLocked(seg *segment) *wordBuf {
-	k := seg.pendingLocked()
-	if k > st.batchN {
-		k = st.batchN
-	}
+	k := min(seg.pendingLocked(), DefaultDeliveryBatch)
 	st.batch = st.batch[:0]
 	st.batchSeg = seg
-	st.batchStart = nil
-	if seg.deliv != nil {
-		st.batchStart = append([]int(nil), seg.deliv...)
-	}
+	st.batchStart = slices.Clone(seg.deliv)
 	for i := 0; i < k; i++ {
 		st.batch = append(st.batch, seg.buf[seg.off])
 		seg.buf[seg.off] = nil
@@ -899,13 +879,11 @@ func (st *Stream) Token() (string, bool) {
 			} else {
 				pos = st.batchStart
 			}
-			if pos != nil {
-				seg.Pos = append([]int(nil), pos...)
-			}
+			seg.Pos = slices.Clone(pos)
 		case s.deliv != nil:
-			seg.Pos = append([]int(nil), s.deliv...)
-		case s.start != nil:
-			seg.Pos = append([]int(nil), s.start...)
+			seg.Pos = slices.Clone(s.deliv)
+		default:
+			seg.Pos = slices.Clone(s.start)
 		}
 		f.Segs = append(f.Segs, seg)
 	}
@@ -1179,7 +1157,7 @@ func (c *chainSession) Token() (string, bool) {
 			cu := c.cur.Cursor()
 			switch cu.State {
 			case CursorMid:
-				seg.Pos = append([]int(nil), cu.Pos...)
+				seg.Pos = slices.Clone(cu.Pos)
 				f.Segs = append(f.Segs, seg)
 			case CursorFresh:
 				f.Segs = append(f.Segs, seg)

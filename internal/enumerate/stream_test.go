@@ -291,3 +291,99 @@ func TestShardsCoverTargets(t *testing.T) {
 		}
 	}
 }
+
+// epsilonOnly is the one-state automaton whose start state is final: its
+// only word of length 0 is ε, and it has none of any other length.
+func epsilonOnly() *automata.NFA {
+	acc := automata.New(automata.Binary(), 1)
+	acc.SetFinal(0, true)
+	return acc
+}
+
+// TestResumeFrontierChainAtLengthZero: at n = 0 the one position is the
+// empty word, so "ε was delivered" must stay distinct from "nothing
+// delivered" in every frontier token. A serial frontier chain and a
+// parallel stream that have delivered ε mint a token that resumes to
+// nothing, and it differs from the fresh token they were opened with.
+func TestResumeFrontierChainAtLengthZero(t *testing.T) {
+	acc := epsilonOnly()
+	opts := StreamOptions{Workers: 2, Ordered: true}
+	for _, open := range []func(*automata.NFA, int, StreamOptions) (*Stream, error){NewUFAStream, NewNFAStream} {
+		st, err := open(acc, 0, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, _ := st.Token()
+		st.Close()
+		chain, err := Resume(acc, fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, ok := chain.Next(); !ok || len(w) != 0 {
+			t.Fatalf("chain at n = 0 gave %v, %v; want ε", w, ok)
+		}
+		after, _ := chain.Token()
+		if after == fresh {
+			t.Fatalf("chain mints its fresh token %s after delivering ε", fresh)
+		}
+		if st, err = open(acc, 0, opts); err != nil {
+			t.Fatal(err)
+		}
+		if w, ok := st.Next(); !ok || len(w) != 0 {
+			t.Fatalf("stream at n = 0 gave %v, %v; want ε", w, ok)
+		}
+		streamed, _ := st.Token()
+		st.Close()
+		for _, tok := range []string{after, streamed} {
+			again, err := Resume(acc, tok)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w, ok := again.Next(); ok {
+				t.Fatalf("token %s minted after ε resumes to %v", tok, w)
+			}
+		}
+	}
+}
+
+// TestStreamFromMidFrontierAtLengthZero: a length-0 frontier segment with
+// a position (ε delivered) holds no undelivered word, whether it is
+// drained serially or in parallel.
+func TestStreamFromMidFrontierAtLengthZero(t *testing.T) {
+	acc := epsilonOnly()
+	ue, err := NewUFA(acc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ne, err := NewNFA(acc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tm := range []interface {
+		template
+		ResumeFrontier(Frontier) (Session, error)
+		StreamFrom(Frontier, StreamOptions) (*Stream, error)
+	}{ue, ne} {
+		f := tm.frontier()
+		f.Segs = []FrontierSeg{{Pos: []int{}}}
+		serial, err := tm.ResumeFrontier(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, ok := serial.Next(); ok {
+			t.Fatalf("kind %c: ResumeFrontier re-emits %v", f.Kind, w)
+		}
+		st, err := tm.StreamFrom(f, StreamOptions{Workers: 2, Ordered: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := collectStream(acc.Alphabet(), st); len(got) != 0 {
+			t.Fatalf("kind %c: StreamFrom re-emits %q", f.Kind, got)
+		}
+		// The frontier survives its own token.
+		g, err := ParseFrontier(f.Token())
+		if err != nil || len(g.Segs) != 1 || g.Segs[0].Pos == nil {
+			t.Fatalf("kind %c: frontier round trip %+v, %v", f.Kind, g, err)
+		}
+	}
+}

@@ -6,6 +6,14 @@
 //     the baseline that is correct for every NFA but exponential in the
 //     worst case; the FPRAS in internal/fpras exists because of it.
 //
+// The table of completion counts that ranked access and uniform
+// generation read is the counting index of internal/lengthrange. CountUFA
+// keeps its own pass (automata.CountPaths) because a single-length count
+// needs no table: two k-limb rows and no cache traffic, 26–36 µs per
+// served count on the serving benchmark's ranked tenants against
+// 187–214 µs for one [16, 32] index build, both on a shared 2-vCPU Xeon
+// (BENCH_15.json, BENCH_18.json). The serving benchmark calls it too.
+//
 // The brute-force reference both are tested against is internal/oracle.
 //
 // All counters return math/big integers since |L_n| can reach |Σ|ⁿ.
@@ -29,38 +37,6 @@ func CountUFA(n *automata.NFA, length int) *big.Int {
 		return big.NewInt(0)
 	}
 	return automata.CountPaths(n, length)
-}
-
-// CompletionCounts returns, for every state q and remaining length r in
-// 0..length, the number of accepting paths of length r starting at q. The
-// result is indexed out[r][q]. For a UFA, out[r][q] = |{w : |w| = r, w
-// leads q to acceptance}|; these are the weights the fast uniform sampler
-// uses (§5.3.3 realized by dynamic programming rather than repeated ψ
-// quotients — the distributions agree, see internal/sample).
-func CompletionCounts(n *automata.NFA, length int) [][]*big.Int {
-	m := n.NumStates()
-	out := make([][]*big.Int, length+1)
-	out[0] = make([]*big.Int, m)
-	for q := 0; q < m; q++ {
-		if n.IsFinal(q) {
-			out[0][q] = big.NewInt(1)
-		} else {
-			out[0][q] = big.NewInt(0)
-		}
-	}
-	for r := 1; r <= length; r++ {
-		out[r] = make([]*big.Int, m)
-		for q := 0; q < m; q++ {
-			s := big.NewInt(0)
-			for a := 0; a < n.Alphabet().Size(); a++ {
-				for _, p := range n.Successors(q, a) {
-					s.Add(s, out[r-1][p])
-				}
-			}
-			out[r][q] = s
-		}
-	}
-	return out
 }
 
 // MaxSubsetStates bounds CountNFA's subset explosion; see CountNFA.

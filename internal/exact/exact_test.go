@@ -110,40 +110,6 @@ func TestCountNFAEmptyAndEpsilon(t *testing.T) {
 	}
 }
 
-func TestCompletionCounts(t *testing.T) {
-	n, length := automata.PaperExample()
-	cc := CompletionCounts(n, length)
-	// From the start state with 3 symbols remaining there are 4 accepted
-	// completions.
-	if cc[length][n.Start()].Cmp(big.NewInt(4)) != 0 {
-		t.Fatalf("completions from start = %v, want 4", cc[length][n.Start()])
-	}
-	// q3 (state 3) with 1 remaining: both a and b accepted → 2.
-	if cc[1][3].Cmp(big.NewInt(2)) != 0 {
-		t.Fatalf("completions from q3 = %v, want 2", cc[1][3])
-	}
-	// Final state with 0 remaining: 1 (the empty completion).
-	if cc[0][5].Cmp(big.NewInt(1)) != 0 {
-		t.Fatalf("completions from qF = %v, want 1", cc[0][5])
-	}
-	if cc[0][0].Sign() != 0 {
-		t.Fatal("non-final state with 0 remaining should have 0 completions")
-	}
-}
-
-func TestCompletionCountsConsistentWithCountUFA(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := automata.RandomDFA(rng, automata.Binary(), 2+rng.Intn(6), 0.4)
-		length := rng.Intn(8)
-		cc := CompletionCounts(n, length)
-		return cc[length][n.Start()].Cmp(CountUFA(n, length)) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCountLargeLengthPolynomial(t *testing.T) {
 	// The UFA counter must handle n in the thousands without trouble —
 	// that's the whole point of being in FP (§5.3.2).

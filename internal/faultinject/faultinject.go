@@ -57,7 +57,7 @@ const (
 	SiteFprasLayer Site = "fpras.build.layer"
 	// SiteDeliveryBatch fires when a parallel stream's consumer pops a
 	// delivery batch (enumerate.Stream) or a serial ctx-wrapped session
-	// crosses a DeliveryBatch boundary.
+	// crosses a multiple of enumerate.DefaultDeliveryBatch words.
 	SiteDeliveryBatch Site = "enumerate.delivery.batch"
 	// SiteStealSplit fires when a work-stealing victim honors a steal
 	// request (enumerate.Stream.reserve).

@@ -5,7 +5,8 @@
 // RelationUL to one table of completion counts over the unrolled DAG
 // (Lemma 15, Proposition 14, §5.3.2–5.3.3); this package is that table,
 // and every consumer reads it: exact counts and ranked access (core),
-// uniform generation (internal/sample and the draw sessions below), and
+// uniform generation (the draws and draw sessions below; internal/sample
+// checks a sampler's preconditions and builds its index), and
 // Algorithm 1's enumeration (internal/enumerate), which walks the index's
 // pruned edge lists and reads its prefix sums for rank seeks, rank cursors
 // and the work-stealing scheduler's exact cell sizes.
@@ -86,9 +87,14 @@
 // edge lists are shared and read-only: every *big.Int is converted fresh
 // from the arena and owned by the caller.
 //
-// Unambiguity is the caller's contract (core verifies it once at
-// instance construction): on an ambiguous automaton the index counts
-// accepting RUNS, so ranks and counts overshoot the language.
+// The index counts accepting runs: a rank is one run, the ranks of a
+// word are as many as its runs, and Sample draws a uniform run, so a word
+// comes up in proportion to its run count. For an unambiguous automaton,
+// the caller's contract (core verifies it once at instance construction),
+// runs and words coincide. On an ambiguous one the counts overshoot the
+// language, which the Monte-Carlo baseline (internal/baseline) relies on
+// to draw a uniform accepting path; internal/oracle's grid pins both
+// readings.
 //
 // # Cancellation
 //

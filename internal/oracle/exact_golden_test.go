@@ -201,7 +201,7 @@ func digits(w automata.Word) string {
 // words and the first and last word, so the file stays small while any
 // changed draw changes the line.
 func streamLine(label string, ws []automata.Word, err error) string {
-	if errors.Is(err, sample.ErrEmpty) || errors.Is(err, lengthrange.ErrEmpty) {
+	if errors.Is(err, lengthrange.ErrEmpty) {
 		return label + " empty\n"
 	}
 	if err != nil {

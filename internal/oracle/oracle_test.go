@@ -166,7 +166,7 @@ func TestOracleVsSampler(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed * 7))
 		if len(set) == 0 {
-			if _, err := s.Sample(rng); err != sample.ErrEmpty {
+			if _, err := s.Sample(rng); err != lengthrange.ErrEmpty {
 				t.Fatalf("seed %d: empty language gave %v", seed, err)
 			}
 			continue
@@ -193,6 +193,66 @@ func TestOracleVsSampler(t *testing.T) {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		}
+	}
+}
+
+// TestOracleVsIndexOnAmbiguousNFAs pins how the counting index reads an
+// ambiguous automaton, which the Monte-Carlo baseline's path draw relies
+// on: a [n, n] index counts accepting runs — its total is
+// automata.CountPaths and the oracle words' run counts summed — and
+// Sample draws a uniform run, so each word comes up in proportion to its
+// run count.
+func TestOracleVsIndexOnAmbiguousNFAs(t *testing.T) {
+	ambiguous := 0
+	for seed := int64(1); seed <= maxSeed; seed++ {
+		n := gridLength(seed)
+		nfa := gridNFA(seed)
+		idx, err := lengthrange.Build(nfa, n, n, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		words := Words(nfa, n)
+		at := map[string]int{}
+		weights := make([]float64, len(words))
+		runs := new(big.Int)
+		for i, w := range words {
+			r := automata.CountAcceptingRuns(nfa, w)
+			runs.Add(runs, r)
+			weights[i] = float64(r.Int64())
+			at[nfa.Alphabet().FormatWord(w)] = i
+		}
+		total, err := idx.TotalAt(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if paths := automata.CountPaths(nfa, n); total.Cmp(paths) != 0 || total.Cmp(runs) != 0 {
+			t.Fatalf("seed %d: index total %v, CountPaths %v, summed runs %v", seed, total, paths, runs)
+		}
+		if runs.Cmp(big.NewInt(int64(len(words)))) > 0 {
+			ambiguous++
+		}
+		if len(words) < 2 {
+			continue
+		}
+		rng := rand.New(rand.NewSource(seed * 11))
+		counts := make([]int, len(words))
+		for d := 100 * runs.Int64(); d > 0; d-- {
+			w, err := idx.Sample(rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			i, ok := at[nfa.Alphabet().FormatWord(w)]
+			if !ok {
+				t.Fatalf("seed %d: sampled non-member %v", seed, w)
+			}
+			counts[i]++
+		}
+		if ok, stat, err := stats.GoodnessOK(counts, weights); err != nil || !ok {
+			t.Fatalf("seed %d: draws not proportional to run counts (chi2 = %.1f, %v)", seed, stat, err)
+		}
+	}
+	if ambiguous == 0 {
+		t.Fatal("no ambiguous instance on the grid")
 	}
 }
 

@@ -1,48 +1,33 @@
 // Package sample implements exact uniform generation of witnesses for
-// unambiguous automata — the GEN(MEM-UFA) algorithm of §5.3.3 of the paper
-// — on the ranked counting index of internal/lengthrange: a draw is one
-// uniform random rank in [0, |W|) followed by one unrank walk that
-// searches the index's frozen per-edge prefix sums, O(n·log Δ)
-// comparisons and O(1) allocations per draw (none at all through a
-// DrawSession). The comparisons run on the index's k-limb counts (one
-// machine word in the common case), and the rank draw (limb.Draw)
-// consumes RandBigInto's entropy exactly, so a draw stream is bitwise the
-// same at every limb width. Uniform ranks are uniform witnesses exactly —
-// no approximation for the unambiguous class (Theorem 5).
+// unambiguous automata — the GEN(MEM-UFA) algorithm of §5.3.3 of the
+// paper. The sampler is the counting index of internal/lengthrange:
+// NewUFASampler verifies the preconditions and builds the single-length
+// index [n, n], and a draw is one uniform random rank in [0, |W|)
+// followed by one unrank walk that searches the index's frozen per-edge
+// prefix sums, O(n·log Δ) comparisons and O(1) allocations per draw (none
+// at all through a DrawSession). The comparisons run on the index's k-limb
+// counts (one machine word in the common case), and the rank draw
+// (limb.Draw) consumes RandBigInto's entropy exactly, so a draw stream is
+// bitwise the same at every limb width. Uniform ranks are uniform
+// witnesses exactly — no approximation for the unambiguous class
+// (Theorem 5). Counts, ranked access, distinct draws, batches and draw
+// sessions are the index's own methods.
 //
-// Three samplers are provided, fastest first:
-//
-//   - UFASampler: the index-backed sampler (Sample/SampleDistinct/
-//     SampleMany, plus the Rank/Unrank random access the index gives for
-//     free). NewUFASampler verifies unambiguity and builds the
-//     single-length index [n, n]; every draw, batch and draw session is
-//     the index's own.
-//
-//   - WalkSampler: the pre-index reference — the §5.3.3 completion-count
-//     walk that re-derives the residual counts edge by edge on every draw
-//     (the sampler this package shipped before the index existed). It is
-//     kept as the distribution oracle the tests compare against and as the
-//     baseline experiment E17 measures.
-//
-//   - PsiSample: the paper's algorithm verbatim — k rounds of ψ-quotienting
-//     (§5.2) with a full exact recount per round. The faithful, slow
-//     reference.
-//
-// All three yield every witness with probability exactly 1/|W|; the tests
-// check the distributions agree.
+// PsiSample is the paper's algorithm verbatim — k rounds of
+// ψ-quotienting (§5.2) with a full exact recount per round: the faithful,
+// slow reference the tests check the index's distribution against.
 //
 // # Concurrency
 //
-// A sampler only reads its frozen index, so one UFASampler may be shared
-// by any number of goroutines as long as each call brings its own rng —
-// and each DrawSession, which additionally owns reusable scratch, belongs
-// to one goroutine. SampleMany fans chunked draws across workers with
-// per-chunk seed-derived RNG streams: the batch is a function of
-// (seed, stream, k) alone, bitwise identical for every worker count.
+// The index is frozen, so one may be shared by any number of goroutines
+// as long as each call brings its own rng — and each DrawSession, which
+// additionally owns reusable scratch, belongs to one goroutine.
+// SampleMany fans chunked draws across workers with per-chunk
+// seed-derived RNG streams: the batch is a function of (seed, stream, k)
+// alone, bitwise identical for every worker count.
 package sample
 
 import (
-	"context"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -54,8 +39,10 @@ import (
 )
 
 // ErrEmpty is returned when the witness set is empty — the paper's ⊥
-// answer. It is the index's own sentinel, so errors from either package
-// compare equal.
+// answer.
+//
+// Deprecated: it is lengthrange.ErrEmpty, which the samplers return;
+// perfbench compiles against this name (see UFASampler).
 var ErrEmpty = lengthrange.ErrEmpty
 
 // RandBig returns a uniformly random integer in [0, max) using rng as the
@@ -91,178 +78,45 @@ func RandBigInto(rng *rand.Rand, max, out *big.Int, buf []byte) {
 	}
 }
 
-// UFASampler draws uniform elements of L_n(N) for an unambiguous N
-// through the single-length counting index: rank-space is [0, |W|), a
-// draw is the unrank of a uniform rank.
-type UFASampler struct {
-	length int
-	idx    *lengthrange.RangeIndex
-}
-
-// NewUFASampler prepares a sampler for L_length(n), building the counting
-// index over [length, length] serially. The automaton must be ε-free and
-// unambiguous; unambiguity is verified (it is cheap relative to repeated
-// sampling) and an error is returned otherwise, because sampling an
-// ambiguous automaton this way would be biased toward high-ambiguity
+// NewUFASampler prepares exact uniform generation for L_length(n): it
+// checks that the automaton is ε-free and unambiguous and the length is
+// not negative, then builds the counting index over [length, length]
+// serially and returns it. Unambiguity is verified (it is cheap relative
+// to repeated sampling) because on an ambiguous automaton the index
+// draws a uniform accepting run, which is biased toward high-ambiguity
 // strings.
-func NewUFASampler(n *automata.NFA, length int) (*UFASampler, error) {
-	if err := checkUFA(n, length); err != nil {
-		return nil, err
-	}
-	idx, err := lengthrange.Build(n, length, length, 1)
-	if err != nil {
-		return nil, err
-	}
-	return &UFASampler{length: length, idx: idx}, nil
-}
-
-// NewUFASamplerIndex wraps an already-built single-length index (its
-// range is [n, n]); unambiguity of its automaton is the caller's
-// contract.
-//
-// Deprecated: draw from the index itself (RangeIndex.SampleManyCtx and
-// friends). The serving benchmark (perfbench, a separate module whose
-// mirror still calls it) keeps it alive until the benchmark changes.
-func NewUFASamplerIndex(n *automata.NFA, idx *lengthrange.RangeIndex) *UFASampler {
-	return &UFASampler{length: idx.Hi(), idx: idx}
-}
-
-// checkUFA validates the sampler's preconditions.
-func checkUFA(n *automata.NFA, length int) error {
+func NewUFASampler(n *automata.NFA, length int) (*lengthrange.RangeIndex, error) {
 	if n.HasEpsilon() {
-		return fmt.Errorf("sample: automaton has ε-transitions")
+		return nil, fmt.Errorf("sample: automaton has ε-transitions")
 	}
 	if length < 0 {
-		return fmt.Errorf("sample: negative length %d", length)
+		return nil, fmt.Errorf("sample: negative length %d", length)
 	}
 	if !automata.IsUnambiguous(n) {
-		return fmt.Errorf("sample: automaton is ambiguous; use the FPRAS-based generator")
+		return nil, fmt.Errorf("sample: automaton is ambiguous; use the FPRAS-based generator")
 	}
-	return nil
+	return lengthrange.Build(n, length, length, 1)
 }
 
-// Index exposes the underlying counting index (for rank-seek enumeration
-// and diagnostics). Shared and frozen; see lengthrange for the contract.
-func (s *UFASampler) Index() *lengthrange.RangeIndex { return s.idx }
+// UFASampler is the counting index.
+//
+// Deprecated: use *lengthrange.RangeIndex, which NewUFASampler returns;
+// this is an alias. The serving benchmark (perfbench, a separate module)
+// still compiles against it, NewUFASamplerIndex and ErrEmpty; they go
+// when the benchmark next changes.
+type UFASampler = lengthrange.RangeIndex
 
-// Count returns |L_n(N)| (exact). The caller owns the result.
-func (s *UFASampler) Count() *big.Int { return s.idx.TotalRange() }
-
-// Rank returns the index of w in the enumeration order of Algorithm 1, or
-// an error wrapping lengthrange.ErrNotMember when w is not a witness.
-func (s *UFASampler) Rank(w automata.Word) (*big.Int, error) { return s.idx.RankAt(w) }
-
-// Unrank returns the witness at the given rank (0-based, enumeration
-// order) — uniform generation's deterministic sibling: Sample is
-// Unrank(RandBig(total)).
-func (s *UFASampler) Unrank(r *big.Int) (automata.Word, error) { return s.idx.UnrankAt(s.length, r) }
-
-// Sample returns a uniformly random word of L_n(N), or ErrEmpty when the
-// slice is empty. It never fails otherwise (Theorem 5's generator is
-// errorless, unlike the Las Vegas generator of the NL class). The returned
-// word is freshly allocated. Safe for concurrent use as long as each call
-// brings its own rng (a *rand.Rand is not concurrency-safe); batch callers
-// should prefer a DrawSession (zero allocations per draw) or SampleMany.
-func (s *UFASampler) Sample(rng *rand.Rand) (automata.Word, error) { return s.idx.Sample(rng) }
-
-// SampleDistinct draws k distinct witnesses uniformly without replacement
-// (RangeIndex.SampleDistinctAt: rejection in rank-space).
-func (s *UFASampler) SampleDistinct(k int, rng *rand.Rand) ([]automata.Word, error) {
-	return s.idx.SampleDistinctAt(s.length, k, rng)
-}
-
-// SampleMany draws k independent uniform witnesses across up to `workers`
-// goroutines (≤ 1 = serial), in fixed chunks with seed-derived RNG
-// streams: the batch depends on (seed, stream, k) only — bitwise
-// identical for every worker count (RangeIndex.SampleMany).
-func (s *UFASampler) SampleMany(seed int64, stream uint64, k, workers int) ([]automata.Word, error) {
-	return s.idx.SampleMany(seed, stream, k, workers)
-}
-
-// SampleManyCtx is SampleMany with cooperative cancellation at chunk
-// boundaries (RangeIndex.SampleManyCtx).
-func (s *UFASampler) SampleManyCtx(ctx context.Context, seed int64, stream uint64, k, workers int) ([]automata.Word, error) {
-	return s.idx.SampleManyCtx(ctx, seed, stream, k, workers)
-}
-
-// NewDrawSession wraps rng with per-session scratch for allocation-free
-// repeated draws (RangeIndex.NewDrawSession). The session must not be
-// shared between goroutines.
-func (s *UFASampler) NewDrawSession(rng *rand.Rand) *lengthrange.DrawSession {
-	return s.idx.NewDrawSession(rng)
-}
-
-// WalkSampler is the pre-index reference sampler: the §5.3.3 walk over the
-// completion-count table, choosing each next symbol with probability
-// proportional to the residual counts — one RandBig and one big.Int
-// accumulation per transition per draw. It exists as the oracle the
-// index-backed sampler is tested against and as the baseline experiment
-// E17 and BenchmarkSampleUFA measure; new code should use UFASampler.
-type WalkSampler struct {
-	n      *automata.NFA
-	length int
-	// comp[r][q] = number of accepting completions of length r from q.
-	comp  [][]*big.Int
-	total *big.Int
-}
-
-// NewWalkSampler prepares the reference sampler (same preconditions as
-// NewUFASampler).
-func NewWalkSampler(n *automata.NFA, length int) (*WalkSampler, error) {
-	if err := checkUFA(n, length); err != nil {
-		return nil, err
-	}
-	comp := exact.CompletionCounts(n, length)
-	return &WalkSampler{n: n, length: length, comp: comp, total: comp[length][n.Start()]}, nil
-}
-
-// Count returns |L_n(N)| (exact).
-func (s *WalkSampler) Count() *big.Int { return new(big.Int).Set(s.total) }
-
-// Sample returns a uniformly random word of L_n(N), or ErrEmpty when the
-// slice is empty, by the per-draw residual-count walk.
-func (s *WalkSampler) Sample(rng *rand.Rand) (automata.Word, error) {
-	if s.total.Sign() == 0 {
-		return nil, ErrEmpty
-	}
-	w := make(automata.Word, 0, s.length)
-	q := s.n.Start()
-	for r := s.length; r > 0; r-- {
-		// Choose among outgoing transitions with weight = completions.
-		pick := RandBig(rng, s.comp[r][q])
-		acc := new(big.Int)
-		chosen := false
-		for a := 0; a < s.n.Alphabet().Size() && !chosen; a++ {
-			for _, p := range s.n.Successors(q, a) {
-				c := s.comp[r-1][p]
-				if c.Sign() == 0 {
-					continue
-				}
-				acc.Add(acc, c)
-				if pick.Cmp(acc) < 0 {
-					w = append(w, a)
-					q = p
-					chosen = true
-					break
-				}
-			}
-		}
-		if !chosen {
-			// Unreachable if comp is consistent; guard against misuse.
-			return nil, fmt.Errorf("sample: internal inconsistency at remaining length %d", r)
-		}
-	}
-	if !s.n.IsFinal(q) {
-		return nil, fmt.Errorf("sample: walk ended in non-final state %d", q)
-	}
-	return w, nil
-}
+// NewUFASamplerIndex returns idx, an already-built single-length index;
+// unambiguity of its automaton is the caller's contract.
+//
+// Deprecated: use the index itself.
+func NewUFASamplerIndex(n *automata.NFA, idx *lengthrange.RangeIndex) *UFASampler { return idx }
 
 // PsiSample runs the paper's §5.3.3 generator literally: k rounds of
 // ψ-quotienting with exact counting of every residual instance. It is
-// polynomial but much slower than UFASampler (each round recounts from
+// polynomial but much slower than the index (each round recounts from
 // scratch); it exists as the faithful reference implementation, and the
-// tests check all samplers produce the same distribution.
+// tests check both produce the same distribution.
 func PsiSample(n *automata.NFA, length int, rng *rand.Rand) (automata.Word, error) {
 	if n.HasEpsilon() {
 		return nil, fmt.Errorf("sample: automaton has ε-transitions")
@@ -272,7 +126,7 @@ func PsiSample(n *automata.NFA, length int, rng *rand.Rand) (automata.Word, erro
 	}
 	inst := selfreduce.Instance{N: n, K: length}
 	if exact.CountUFA(inst.N, inst.K).Sign() == 0 {
-		return nil, ErrEmpty
+		return nil, lengthrange.ErrEmpty
 	}
 	sigma := n.Alphabet().Size()
 	w := make(automata.Word, 0, length)

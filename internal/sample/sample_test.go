@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/automata"
 	"repro/internal/leakcheck"
+	"repro/internal/lengthrange"
 	"repro/internal/oracle"
 	"repro/internal/stats"
 )
@@ -54,8 +55,8 @@ func TestUFASamplerPaperExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Count().Cmp(big.NewInt(4)) != 0 {
-		t.Fatalf("Count = %v, want 4", s.Count())
+	if s.TotalRange().Cmp(big.NewInt(4)) != 0 {
+		t.Fatalf("Count = %v, want 4", s.TotalRange())
 	}
 	rng := rand.New(rand.NewSource(4))
 	counts := map[string]int{}
@@ -86,13 +87,13 @@ func TestUFASamplerMatchesExactCountsOnRandomDFAs(t *testing.T) {
 		}
 		lang := oracle.Strings(n, length)
 		if len(lang) == 0 {
-			if _, err := s.Sample(rng); err != ErrEmpty {
+			if _, err := s.Sample(rng); err != lengthrange.ErrEmpty {
 				t.Fatalf("empty language should give ErrEmpty, got %v", err)
 			}
 			continue
 		}
-		if s.Count().Cmp(big.NewInt(int64(len(lang)))) != 0 {
-			t.Fatalf("count mismatch: %v vs %d", s.Count(), len(lang))
+		if s.TotalRange().Cmp(big.NewInt(int64(len(lang)))) != 0 {
+			t.Fatalf("count mismatch: %v vs %d", s.TotalRange(), len(lang))
 		}
 		seen := map[string]int{}
 		draws := 400 * len(lang)
@@ -142,56 +143,8 @@ func TestUFASamplerRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestWalkSamplerAgreesWithIndexSampler: the pre-index reference walk and
-// the rank-space sampler draw from the same (uniform) distribution on
-// random UFAs — the contract that lets E17 compare them as equivalent
-// implementations.
-func TestWalkSamplerAgreesWithIndexSampler(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 5; trial++ {
-		n := automata.RandomDFA(rng, automata.Binary(), 3+rng.Intn(4), 0.6)
-		length := 3 + rng.Intn(3)
-		idx, err := NewUFASampler(n, length)
-		if err != nil {
-			t.Fatal(err)
-		}
-		walk, err := NewWalkSampler(n, length)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if idx.Count().Cmp(walk.Count()) != 0 {
-			t.Fatalf("trial %d: counts differ: %v vs %v", trial, idx.Count(), walk.Count())
-		}
-		total := idx.Count().Int64()
-		if total == 0 || total > 64 {
-			continue
-		}
-		draws := 400 * int(total)
-		a := map[string]int{}
-		b := map[string]int{}
-		for i := 0; i < draws; i++ {
-			wi, err := idx.Sample(rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a[n.Alphabet().FormatWord(wi)]++
-			ww, err := walk.Sample(rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b[n.Alphabet().FormatWord(ww)]++
-		}
-		lang := oracle.Strings(n, length)
-		for _, counts := range []map[string]int{a, b} {
-			if err := stats.UniformOverSupport(counts, lang); err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-		}
-	}
-}
-
-// TestRankUnrankThroughSampler: the sampler's ranked-access face inverts
-// itself and tracks the language slice.
+// TestRankUnrankThroughSampler: the sampler's index gives ranked access
+// that inverts itself and tracks the language slice.
 func TestRankUnrankThroughSampler(t *testing.T) {
 	n, length := automata.PaperExample()
 	s, err := NewUFASampler(n, length)
@@ -199,14 +152,14 @@ func TestRankUnrankThroughSampler(t *testing.T) {
 		t.Fatal(err)
 	}
 	lang := map[string]bool{}
-	total := s.Count().Int64()
+	total := s.TotalRange().Int64()
 	for i := int64(0); i < total; i++ {
-		w, err := s.Unrank(big.NewInt(i))
+		w, err := s.UnrankAt(length, big.NewInt(i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		lang[n.Alphabet().FormatWord(w)] = true
-		r, err := s.Rank(w)
+		r, err := s.RankAt(w)
 		if err != nil || r.Cmp(big.NewInt(i)) != 0 {
 			t.Fatalf("Rank(Unrank(%d)) = %v (%v)", i, r, err)
 		}
@@ -214,7 +167,7 @@ func TestRankUnrankThroughSampler(t *testing.T) {
 	if len(lang) != int(total) {
 		t.Fatalf("unrank covered %d of %d", len(lang), total)
 	}
-	if _, err := s.Unrank(big.NewInt(total)); err == nil {
+	if _, err := s.UnrankAt(length, big.NewInt(total)); err == nil {
 		t.Fatal("Unrank(total) accepted")
 	}
 }
@@ -228,7 +181,7 @@ func TestSampleDistinct(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(22))
-	ws, err := s.SampleDistinct(3, rng)
+	ws, err := s.SampleDistinctAt(length, 3, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +200,11 @@ func TestSampleDistinct(t *testing.T) {
 		t.Fatalf("got %d draws, want 3", len(ws))
 	}
 	// k = |W| returns the whole slice (in some order).
-	all, err := s.SampleDistinct(4, rng)
+	all, err := s.SampleDistinctAt(length, 4, rng)
 	if err != nil || len(all) != 4 {
 		t.Fatalf("full draw: %d words, err %v", len(all), err)
 	}
-	if _, err := s.SampleDistinct(5, rng); err == nil {
+	if _, err := s.SampleDistinctAt(length, 5, rng); err == nil {
 		t.Fatal("oversized distinct draw accepted")
 	}
 	empty := automata.Chain(automata.Binary(), automata.Word{0, 1})
@@ -259,7 +212,7 @@ func TestSampleDistinct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := se.SampleDistinct(1, rng); err != ErrEmpty {
+	if _, err := se.SampleDistinctAt(5, 1, rng); err != lengthrange.ErrEmpty {
 		t.Fatalf("empty slice: %v, want ErrEmpty", err)
 	}
 }
@@ -274,7 +227,7 @@ func TestSampleManyWorkerEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Count().Sign() == 0 {
+	if s.TotalRange().Sign() == 0 {
 		t.Skip("empty slice")
 	}
 	const k = 200
@@ -309,7 +262,7 @@ func TestDrawSessionMatchesSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Count().Sign() == 0 {
+	if s.TotalRange().Sign() == 0 {
 		t.Skip("empty slice")
 	}
 	d := s.NewDrawSession(rand.New(rand.NewSource(99)))
@@ -357,7 +310,7 @@ func TestPsiSampleAgreesWithUFASampler(t *testing.T) {
 func TestPsiSampleEmpty(t *testing.T) {
 	n := automata.Chain(automata.Binary(), automata.Word{0, 1})
 	rng := rand.New(rand.NewSource(7))
-	if _, err := PsiSample(n, 5, rng); err != ErrEmpty {
+	if _, err := PsiSample(n, 5, rng); err != lengthrange.ErrEmpty {
 		t.Fatalf("want ErrEmpty, got %v", err)
 	}
 }
@@ -405,8 +358,8 @@ func TestSamplerTernaryAlphabet(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := oracle.Strings(n, 2)
-	if s.Count().Cmp(big.NewInt(int64(len(want)))) != 0 {
-		t.Fatalf("count %v != |lang| %d", s.Count(), len(want))
+	if s.TotalRange().Cmp(big.NewInt(int64(len(want)))) != 0 {
+		t.Fatalf("count %v != |lang| %d", s.TotalRange(), len(want))
 	}
 	rng := rand.New(rand.NewSource(9))
 	seen := map[string]bool{}

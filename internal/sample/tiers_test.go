@@ -32,21 +32,21 @@ func TestSamplerTierDifferential(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			t.Fatalf("trial %d: %v / %v", trial, err1, err2)
 		}
-		if fast.Count().Cmp(forced.Count()) != 0 {
+		if fast.TotalRange().Cmp(forced.TotalRange()) != 0 {
 			t.Fatalf("trial %d: counts differ", trial)
 		}
-		if fast.Count().Sign() == 0 {
+		if fast.TotalRange().Sign() == 0 {
 			continue
 		}
-		if fast.Index().Width() != 1 || forced.Index().Width() != 3 {
+		if fast.Width() != 1 || forced.Width() != 3 {
 			t.Fatalf("trial %d: widths %d and %d, want 1 and 3",
-				trial, fast.Index().Width(), forced.Index().Width())
+				trial, fast.Width(), forced.Width())
 		}
 		wide, err := lengthrange.Build(dfa, max(n-2, 0), n+2, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		total := fast.Count()
+		total := fast.TotalRange()
 		rngA := rand.New(rand.NewSource(3000 + int64(trial)))
 		rngB := rand.New(rand.NewSource(3000 + int64(trial)))
 		rngC := rand.New(rand.NewSource(3000 + int64(trial)))

@@ -10,6 +10,11 @@
 // starting from Q_w — the states reachable from the start by reading w —
 // via a fresh start state; see Quotient for why we deviate from the paper's
 // literal Q_w-merge.
+//
+// The production generator and enumerators read the counting index
+// (internal/lengthrange) and the flashlight instead. This package is kept
+// as the paper-verbatim reference: sample.PsiSample runs the ψ chain
+// literally, and the tests compare the index's draws against it.
 package selfreduce
 
 import (

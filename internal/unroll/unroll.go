@@ -2,8 +2,10 @@
 // paper's FPRAS (§6.2) runs on. Lemma 15's enumeration walks its
 // backward-pruned form as the edge lists of the counting index
 // (internal/lengthrange); PruneBackward, Succs and StartSuccs remain the
-// reference for that decision order. Unrolling an m-state NFA to depth n
-// yields layers 0..n+1:
+// reference for that decision order, by which the exact engines' golden
+// record (internal/oracle/testdata/golden_exact.txt) addresses its
+// subtree spans. Unrolling an m-state NFA to depth n yields layers
+// 0..n+1:
 //
 //	layer 0    — the single vertex s_start,
 //	layers 1..n — one copy of every NFA state,
@@ -17,13 +19,11 @@
 // # Concurrency
 //
 // A DAG is immutable once Build returns: Alive, AliveSet, Preds,
-// FinalPreds, NumAlive, Empty and Member only read frozen state and are
-// safe for concurrent use (the parallel FPRAS build in internal/fpras
-// relies on this). ReachTrace also reads only frozen state but writes into
-// the caller-provided scratch sets, so concurrent callers must each bring
-// their own scratch. Callers must not mutate the returned sets/slices
-// (AliveSet, Preds, FinalPreds), nor the source automaton, while any
-// concurrent reader exists.
+// FinalPreds, NumAlive and Empty only read frozen state and are safe for
+// concurrent use (the parallel FPRAS build in internal/fpras relies on
+// this). Callers must not mutate the returned sets/slices (AliveSet,
+// Preds, FinalPreds), nor the source automaton, while any concurrent
+// reader exists.
 package unroll
 
 import (
@@ -269,51 +269,3 @@ func (d *DAG) NumAlive() int {
 
 // Empty reports whether L_n is empty, i.e. s_final has no incoming edges.
 func (d *DAG) Empty() bool { return len(d.finalPreds) == 0 }
-
-// ReachTrace computes, for a word w of length ≤ N, the sets of states
-// reachable from s_start after each prefix, writing the result for prefix
-// length t into out[t-1] (so out needs len(w) sets of capacity M). It
-// returns the final set (aliasing out[len(w)-1]) or nil when w is empty.
-// Only transitions surviving pruning are followed.
-func (d *DAG) ReachTrace(w []automata.Symbol, out []*bitset.Set) *bitset.Set {
-	var cur *bitset.Set
-	for i, a := range w {
-		next := out[i]
-		next.Clear()
-		if i == 0 {
-			for _, p := range d.Src.Successors(d.Src.Start(), a) {
-				if d.alive[1].Has(p) {
-					next.Add(p)
-				}
-			}
-		} else {
-			cur.ForEach(func(q int) {
-				for _, p := range d.Src.Successors(q, a) {
-					if d.alive[i+1].Has(p) {
-						next.Add(p)
-					}
-				}
-			})
-		}
-		cur = next
-	}
-	return cur
-}
-
-// Member reports whether the word w (|w| = layer) labels a path from
-// s_start to the given vertex. This is the membership test the FPRAS uses
-// to compare sketches; O(|w|·m·deg) by breadth-first search.
-func (d *DAG) Member(w []automata.Symbol, layer, state int) bool {
-	if len(w) != layer {
-		return false
-	}
-	if layer == 0 {
-		return state == -1
-	}
-	scratch := make([]*bitset.Set, len(w))
-	for i := range scratch {
-		scratch[i] = bitset.New(d.M)
-	}
-	final := d.ReachTrace(w, scratch)
-	return final != nil && final.Has(state)
-}

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/automata"
-	"repro/internal/bitset"
 )
 
 // countDAGPaths counts s_start → s_final paths in the DAG by dynamic
@@ -66,80 +65,5 @@ func TestQuickDAGPathsEqualAcceptingRuns(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: Member(w, t, q) answers exactly "w labels a path from s_start
-// to (t, q)", cross-checked against a naive forward simulation.
-func TestQuickMemberMatchesSimulation(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := automata.Random(rng, automata.Binary(), 2+rng.Intn(4), 0.35, 0.4)
-		length := 1 + rng.Intn(5)
-		d, err := Build(n, length, Options{})
-		if err != nil {
-			return false
-		}
-		t0 := 1 + rng.Intn(length)
-		w := make(automata.Word, t0)
-		for i := range w {
-			w[i] = rng.Intn(2)
-		}
-		// Naive: forward set simulation restricted to alive vertices.
-		cur := map[int]bool{}
-		for _, p := range n.Successors(n.Start(), w[0]) {
-			if d.Alive(1, p) {
-				cur[p] = true
-			}
-		}
-		for i := 1; i < t0; i++ {
-			next := map[int]bool{}
-			for q := range cur {
-				for _, p := range n.Successors(q, w[i]) {
-					if d.Alive(i+1, p) {
-						next[p] = true
-					}
-				}
-			}
-			cur = next
-		}
-		for q := 0; q < n.NumStates(); q++ {
-			if d.Member(w, t0, q) != cur[q] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// ReachTrace must agree with Member at every prefix simultaneously.
-func TestReachTracePrefixConsistency(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	for trial := 0; trial < 20; trial++ {
-		n := automata.Random(rng, automata.Binary(), 3+rng.Intn(4), 0.35, 0.4)
-		length := 4
-		d, err := Build(n, length, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := make(automata.Word, length)
-		for i := range w {
-			w[i] = rng.Intn(2)
-		}
-		scratch := make([]*bitset.Set, length)
-		for i := range scratch {
-			scratch[i] = bitset.New(d.M)
-		}
-		d.ReachTrace(w, scratch)
-		for t0 := 1; t0 <= length; t0++ {
-			for q := 0; q < d.M; q++ {
-				if scratch[t0-1].Has(q) != d.Member(w[:t0], t0, q) {
-					t.Fatalf("trial %d: prefix %d state %d disagreement", trial, t0, q)
-				}
-			}
-		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/automata"
-	"repro/internal/bitset"
 )
 
 func language(n *automata.NFA, length int) []string {
@@ -180,40 +179,6 @@ func TestBuildRejectsBadInput(t *testing.T) {
 	ok := automata.Chain(automata.Binary(), automata.Word{0})
 	if _, err := Build(ok, -1, Options{}); err == nil {
 		t.Error("negative depth should be rejected")
-	}
-}
-
-func TestMemberAndReachTrace(t *testing.T) {
-	n, length := automata.PaperExample()
-	d, err := Build(n, length, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := 0, 1
-	// After "a" we are in q1 (state 1) at layer 1.
-	if !d.Member(automata.Word{a}, 1, 1) {
-		t.Error("a should reach q1 at layer 1")
-	}
-	if d.Member(automata.Word{a}, 1, 2) {
-		t.Error("a should not reach q2")
-	}
-	// "bb" reaches q4 (state 4) at layer 2.
-	if !d.Member(automata.Word{b, b}, 2, 4) {
-		t.Error("bb should reach q4")
-	}
-	// "ab" reaches nothing alive at layer 2.
-	if d.Member(automata.Word{a, b}, 2, 3) || d.Member(automata.Word{a, b}, 2, 4) {
-		t.Error("ab reaches no live layer-2 state")
-	}
-	// Wrong length never matches.
-	if d.Member(automata.Word{a}, 2, 3) {
-		t.Error("length mismatch should be false")
-	}
-
-	scratch := []*bitset.Set{bitset.New(d.M), bitset.New(d.M)}
-	final := d.ReachTrace(automata.Word{b, b}, scratch)
-	if final == nil || !final.Has(4) || final.Len() != 1 {
-		t.Errorf("ReachTrace(bb) = %v", final)
 	}
 }
 
